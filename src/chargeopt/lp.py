@@ -7,6 +7,11 @@ Bland's rule after ``10 * (rows + cols)`` iterations so that degenerate
 instances are guaranteed to terminate.  Upper bounds are handled natively
 with the bound-flip technique rather than as extra rows.
 
+A pivot's rank-1 update of the tableau matrix touches only the rows where the
+pivot column is nonzero, and in them only the columns where the pivot row is
+nonzero.  Every other entry would change by an exact zero, so the pivots are
+the same as with a full dense update while the work follows the sparsity.
+
 Every tie-break is by lowest index, so re-solving the same program gives a
 bit-identical result.
 """
@@ -84,6 +89,12 @@ class LinearProgram:
             raise LpFormatError(
                 f"var_bounds has shape {self.var_bounds.shape}, expected ({self.num_vars}, 2)"
             )
+        if not np.all(np.isfinite(self.objective)):
+            bad = int(np.argmin(np.isfinite(self.objective)))
+            raise LpFormatError(f"variable {bad}: non-finite objective coefficient")
+        if np.any(np.isnan(self.var_bounds)):
+            bad = int(np.argmax(np.isnan(self.var_bounds).any(axis=1)))
+            raise LpFormatError(f"variable {bad}: NaN bound")
         if not np.all(self.var_bounds[:, 0] <= self.var_bounds[:, 1]):
             bad = int(np.argmax(self.var_bounds[:, 0] > self.var_bounds[:, 1]))
             raise LpFormatError(f"variable {bad}: lower bound exceeds upper bound")
@@ -254,7 +265,7 @@ class _Tableau:
     """Dense tableau state shared by both phases."""
 
     def __init__(self, mat, rhs, spans, basis, pivot_tol, rc_tol, bland_after, max_iter):
-        self.mat = mat  # (m, ncols)
+        self.mat = np.ascontiguousarray(mat)  # (m, ncols); _pivot writes through a flat view
         self.rhs = rhs  # (m,)
         self.spans = spans  # (ncols,) upper range of each column variable, inf allowed
         self.basis = basis  # (m,) column index basic in each row
@@ -326,7 +337,13 @@ class _Tableau:
         self.rhs[r] /= piv
         col = self.mat[:, q].copy()
         col[r] = 0.0
-        self.mat -= np.outer(col, self.mat[r])
+        prow = self.mat[r]
+        # the rank-1 update would subtract exact zeros outside the rows where
+        # the pivot column is nonzero and the columns where the pivot row is
+        rows = col.nonzero()[0]
+        cols = prow.nonzero()[0]
+        cells = (rows[:, None] * len(prow) + cols).ravel()
+        self.mat.reshape(-1)[cells] -= np.multiply.outer(col[rows], prow[cols]).ravel()
         self.rhs -= col * self.rhs[r]
         red -= red[q] * self.mat[r]
         red[q] = 0.0

@@ -132,7 +132,10 @@ class Schedule:
 
 
 def _base_rows(sc: Scenario, vm: VariableMap) -> list[Constraint]:
-    """Demand, socket-cap, grid-cap, and net-purchase rows, in that order."""
+    """Demand, grid-cap, and net-purchase rows, in that order.
+
+    Socket caps are column bounds (see :func:`_bounds`), not rows.
+    """
     n, T = sc.num_sessions, sc.num_slots
     dt = sc.grid.slot_hours
     eta = sc.station.charge_efficiency
@@ -147,16 +150,6 @@ def _base_rows(sc: Scenario, vm: VariableMap) -> list[Constraint]:
                 sess.required_energy,
             )
         )
-    for i, sess in enumerate(sc.sessions):
-        for t in range(T):
-            rows.append(
-                Constraint(
-                    (vm.charge(i, t),),
-                    (1.0,),
-                    LESS_EQUAL,
-                    sess.max_power * sc.availability[i, t],
-                )
-            )
     for t in range(T):
         idx = tuple(vm.charge(i, t) for i in range(n)) + (vm.solar(t),)
         cf = tuple(1.0 for _ in range(n)) + (-1.0,)
@@ -168,9 +161,16 @@ def _base_rows(sc: Scenario, vm: VariableMap) -> list[Constraint]:
     return rows
 
 
+def _socket_caps(sc: Scenario) -> np.ndarray:
+    """Upper bounds of the session-major charging columns: ``max_power * availability``."""
+    max_power = np.array([s.max_power for s in sc.sessions])
+    return (max_power[:, None] * sc.availability).reshape(-1)
+
+
 def _bounds(sc: Scenario, vm: VariableMap) -> np.ndarray:
     bounds = np.zeros((vm.num_vars, 2))
     bounds[:, 1] = INF
+    bounds[: sc.num_sessions * sc.num_slots, 1] = _socket_caps(sc)
     for t in range(sc.num_slots):
         bounds[vm.solar(t), 1] = sc.solar.cap[t]
     return bounds
@@ -226,8 +226,7 @@ def max_delivery(sc: Scenario) -> np.ndarray:
     eta = sc.station.charge_efficiency
     num = n * T + T  # charging powers then solar
     bounds = np.zeros((num, 2))
-    for i, sess in enumerate(sc.sessions):
-        bounds[i * T : (i + 1) * T, 1] = sess.max_power * sc.availability[i]
+    bounds[: n * T, 1] = _socket_caps(sc)
     bounds[n * T :, 1] = sc.solar.cap
     obj = np.zeros(num)
     obj[: n * T] = -eta * dt  # maximize delivered energy

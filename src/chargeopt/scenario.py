@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
@@ -101,6 +102,10 @@ class PriceSeries:
         )
         if self.nominal.shape != self.deviation_bound.shape:
             raise ScenarioError("price series length mismatch")
+        for name, values in (("price", self.nominal), ("deviation bound", self.deviation_bound)):
+            bad = np.flatnonzero(~np.isfinite(values))
+            if len(bad):
+                raise ScenarioError(f"slot {bad[0]}: non-finite {name} {float(values[bad[0]])!r}")
         if np.any(self.nominal < 0) or np.any(self.deviation_bound < 0):
             raise ScenarioError("prices and deviation bounds must be nonnegative")
 
@@ -288,9 +293,10 @@ def parse_sessions(path, grid: TimeGrid, station: StationConfig):
 
     Returns ``(sessions, report)``.  Rows whose departure does not follow the
     arrival are rejected (counted in the report, echoed to stderr); rows that
-    cannot be parsed at all raise :class:`ScenarioError` naming the row and
-    field.  Sessions entirely outside the window are dropped; a missing
-    per-session power column falls back to ``station.default_max_power``.
+    cannot be parsed at all, or that repeat an earlier session ID, raise
+    :class:`ScenarioError` naming the row and field.  Sessions entirely
+    outside the window are dropped; a missing per-session power column falls
+    back to ``station.default_max_power``.
     """
     path = Path(path)
     if path.suffix.lower() == ".json":
@@ -300,7 +306,14 @@ def parse_sessions(path, grid: TimeGrid, station: StationConfig):
 
     report = SessionParseReport()
     sessions = []
+    first_row: dict[str, int] = {}
     for row_num, rec in raw:
+        if rec["id"] in first_row:
+            raise ScenarioError(
+                f"{path} row {row_num}, field 'session_id': duplicate {rec['id']!r} "
+                f"(first on row {first_row[rec['id']]})"
+            )
+        first_row[rec["id"]] = row_num
         if rec["power"] is None:
             rec["power"] = station.default_max_power
             report.defaulted_power += 1
@@ -420,6 +433,8 @@ def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
                 values[ts] = float(row[1])
             except (ValueError, IndexError) as exc:
                 raise ScenarioError(f"{path} row {row_num}: bad value") from exc
+            if not math.isfinite(values[ts]):
+                raise ScenarioError(f"{path} row {row_num}, field 'value': non-finite {row[1]!r}")
     out = np.empty(grid.num_slots)
     missing = []
     for t in range(grid.num_slots):

@@ -125,6 +125,32 @@ def budget_worst_case_bruteforce(terms, gamma):
     return best
 
 
+def highs_objective(lp: LinearProgram) -> float:
+    """Optimal objective of ``lp`` from HiGHS through scipy, for LPs far beyond enumeration.
+
+    Needs scipy, which is a test-only dependency; callers skip without it.
+    """
+    from scipy.optimize import linprog
+    from scipy.sparse import csr_matrix
+
+    def stacked(cons):
+        if not cons:
+            return None, None
+        sign = [-1.0 if con.relation == GREATER_EQUAL else 1.0 for con in cons]
+        rows = [k for k, con in enumerate(cons) for _ in con.indices]
+        cols = [j for con in cons for j in con.indices]
+        vals = [s * a for con, s in zip(cons, sign) for a in con.coeffs]
+        mat = csr_matrix((vals, (rows, cols)), shape=(len(cons), lp.num_vars))
+        return mat, [s * con.rhs for con, s in zip(cons, sign)]
+
+    a_ub, b_ub = stacked([con for con in lp.constraints if con.relation != EQUAL])
+    a_eq, b_eq = stacked([con for con in lp.constraints if con.relation == EQUAL])
+    res = linprog(lp.objective, a_ub, b_ub, a_eq, b_eq, bounds=lp.var_bounds, method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not reach an optimum: {res.message}")
+    return float(res.fun)
+
+
 def schedule_violations(sc, charging_power, net_purchase, solar_used, tol=1e-6):
     """All physical-constraint violations of a decoded schedule, from raw arrays.
 

@@ -103,6 +103,17 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_nan_price_exits_1(self, toy_dir, tmp_path, capsys):
+        lines = (toy_dir / "prices.csv").read_text().splitlines()
+        lines[10] = lines[10].split(",")[0] + ",nan"
+        (tmp_path / "prices.csv").write_text("\n".join(lines) + "\n")
+        for name in ("sessions.csv", "irradiance.csv"):
+            (tmp_path / name).write_text((toy_dir / name).read_text())
+        assert main(["simulate", *toy_flags(tmp_path, tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert "prices.csv row 11, field 'value': non-finite 'nan'" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_strict_policy_unreachable_exits_2(self, toy_dir, tmp_path, capsys):
         # 1 kW sockets cannot deliver the toy demands
         code = main(

@@ -96,6 +96,12 @@ class TestSolveExamples:
         lp = LinearProgram(1, [1.0], [[2.0, 1.0]])
         with pytest.raises(LpFormatError):
             solve_lp(lp)
+        for obj in (float("nan"), INF, -INF):
+            with pytest.raises(LpFormatError, match="variable 1: non-finite objective"):
+                solve_lp(LinearProgram(2, [1.0, obj], [[0.0, 1.0], [0.0, 1.0]]))
+        for bound in ([float("nan"), 1.0], [0.0, float("nan")]):
+            with pytest.raises(LpFormatError, match="variable 0: NaN bound"):
+                solve_lp(LinearProgram(2, [1.0, 1.0], [bound, [0.0, 1.0]]))
 
 
 class TestCheckPoint:

@@ -28,6 +28,7 @@ from chargeopt.scenario import (
     build_scenario,
 )
 from chargeopt.synth import random_scenario
+from oracles import highs_objective
 
 UTC = timezone.utc
 DAY = datetime(2019, 6, 3, tzinfo=UTC)
@@ -77,12 +78,26 @@ class TestNominal:
         for seed, n_evs in [(1, 2), (2, 5)]:
             sc = random_scenario(n_evs, seed=seed)
             n, t = sc.num_sessions, sc.num_slots
+            # demand, grid-cap, net-purchase (and robust dual) rows; socket caps are bounds
             lp, vm = build_nominal_lp(sc)
             assert lp.num_vars == n * t + 2 * t == vm.num_vars
-            assert len(lp.constraints) == n + n * t + t + t
+            assert len(lp.constraints) == n + 2 * t
             lp, vm = build_robust_lp(sc, 3.0)
             assert lp.num_vars == n * t + 3 * t + 1 == vm.num_vars
-            assert len(lp.constraints) == n + n * t + t + t + t
+            assert len(lp.constraints) == n + 3 * t
+            for i, sess in enumerate(sc.sessions):
+                for k in range(t):
+                    assert lp.var_bounds[vm.charge(i, k), 1] == sess.max_power * sc.availability[i, k]
+
+    def test_over_cap_charge_is_upper_bound_violation(self):
+        sc = two_slot_scenario()
+        lp, vm = build_nominal_lp(sc)
+        x = np.zeros(vm.num_vars)
+        x[vm.charge(0, 1)] = 10.5  # socket cap is 10 kW
+        x[vm.purchase(1)] = 10.5
+        violations = check_point(lp, x, 1e-9)
+        assert [(v.kind, v.index) for v in violations] == [("upper_bound", vm.charge(0, 1))]
+        assert violations[0].amount == pytest.approx(0.5)
 
     def test_variable_map_json(self):
         sc = two_slot_scenario()
@@ -124,6 +139,14 @@ class TestRobust:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             build_robust_lp(two_slot_scenario(), -1.0)
+
+    def test_week_scale_matches_highs(self):
+        pytest.importorskip("scipy")
+        sc, _ = apply_demand_policy(random_scenario(40, seed=1, num_slots=168), "clamp")
+        lp, _ = build_robust_lp(sc, 12.0)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(highs_objective(lp), rel=1e-6)
 
 
 class TestDemandPolicy:

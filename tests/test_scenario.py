@@ -9,6 +9,7 @@ import pytest
 from chargeopt.scenario import (
     ChargingSession,
     DeviationRule,
+    PriceSeries,
     ScenarioError,
     SolarSeries,
     StationConfig,
@@ -92,6 +93,13 @@ class TestParseSessions:
         assert len(report.rejected) == 1 and report.rejected[0][0] == 2
         assert "row 2" in capsys.readouterr().err
 
+    def test_duplicate_session_id_names_row_and_field(self, toy_dir, tmp_path):
+        lines = (toy_dir / "sessions.csv").read_text().splitlines()
+        dup = [ln for ln in lines if ln.startswith("ev-a,")]
+        path = write(tmp_path / "s.csv", "\n".join(lines + dup) + "\n")
+        with pytest.raises(ScenarioError, match=f"row {len(lines) + 1}, field 'session_id'.*'ev-a'"):
+            parse_sessions(path, day_grid(), StationConfig())
+
     def test_acn_json_layout(self, tmp_path):
         payload = {
             "_items": [
@@ -149,6 +157,23 @@ class TestSeries:
         )
         with pytest.raises(ScenarioError, match="2019-06-03T01:00:00Z"):
             parse_prices(path, grid)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_row_and_field(self, tmp_path, text):
+        grid = TimeGrid(DAY, 2, 1.0)
+        path = write(
+            tmp_path / "p.csv",
+            f"timestamp,value\n2019-06-03T00:00:00Z,0.1\n2019-06-03T01:00:00Z,{text}\n",
+        )
+        with pytest.raises(ScenarioError, match=f"p.csv row 3, field 'value': non-finite '{text}'"):
+            parse_prices(path, grid)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_price_series_rejects_non_finite(self, bad):
+        with pytest.raises(ScenarioError, match="slot 1: non-finite price"):
+            PriceSeries(np.array([0.1, bad]), np.zeros(2))
+        with pytest.raises(ScenarioError, match="slot 0: non-finite deviation bound"):
+            PriceSeries(np.array([0.1, 0.1]), np.array([bad, 0.0]))
 
     def test_negative_irradiance_rejected(self, tmp_path):
         grid = TimeGrid(DAY, 1, 1.0)
