@@ -27,14 +27,16 @@ def run_fcfs(sc: Scenario) -> FcfsResult:
     n, T = sc.num_sessions, sc.num_slots
     dt = sc.grid.slot_hours
     eta = sc.station.charge_efficiency
-    order = sorted(range(n), key=lambda i: (sc.sessions[i].arrival, sc.sessions[i].id))
+    order = np.array(
+        sorted(range(n), key=lambda i: (sc.sessions[i].arrival, sc.sessions[i].id)), dtype=int
+    )
     residual = np.array([s.required_energy for s in sc.sessions], dtype=float)
     allocation = np.zeros((n, T))
     draw = np.zeros(T)
     for t in range(T):
         headroom = sc.station.grid_capacity + sc.solar.cap[t]
-        for i in order:
-            if residual[i] <= 1e-12 or sc.availability[i, t] <= 0 or headroom <= 1e-12:
+        for i in order[sc.availability[order, t] > 0].tolist():
+            if residual[i] <= 1e-12 or headroom <= 1e-12:
                 continue
             power = min(
                 sc.sessions[i].max_power * sc.availability[i, t],

@@ -217,10 +217,22 @@ def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, Variable
 def max_delivery(sc: Scenario) -> np.ndarray:
     """Most energy (kWh) each session can receive, jointly, under the caps.
 
-    Solves the auxiliary LP maximizing total delivered energy subject to the
-    socket, grid, and solar constraints with per-session ceilings at the
-    requested amounts.
+    This is the optimum of the auxiliary LP maximizing total delivered energy
+    subject to the socket, grid, and solar constraints with per-session
+    ceilings at the requested amounts.  When the socket caps in every slot
+    sum to at most the grid capacity, the grid row cannot bind (solar only
+    loosens it), the LP splits by session, and each session gets
+    ``min(required, eta * dt * sum of its caps)`` without an LP solve.
     """
+    caps = _socket_caps(sc).reshape(sc.num_sessions, sc.num_slots)
+    if np.all(caps.sum(axis=0) <= sc.station.grid_capacity):
+        reachable = sc.station.charge_efficiency * sc.grid.slot_hours * caps.sum(axis=1)
+        return np.minimum([s.required_energy for s in sc.sessions], reachable)
+    return _max_delivery_lp(sc)
+
+
+def _max_delivery_lp(sc: Scenario) -> np.ndarray:
+    """:func:`max_delivery` by solving its auxiliary LP."""
     n, T = sc.num_sessions, sc.num_slots
     dt = sc.grid.slot_hours
     eta = sc.station.charge_efficiency

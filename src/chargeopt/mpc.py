@@ -141,9 +141,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
         arrivals = np.nonzero(first_slot == k)[0]
         residual[arrivals] = demand[arrivals]
         departures = np.nonzero(last_slot == k - 1)[0]
-        members = [
-            i for i in range(n) if sc.availability[i, k] > 0 and residual[i] > RESIDUAL_TOL
-        ]
+        members = np.flatnonzero((sc.availability[:, k] > 0) & (residual > RESIDUAL_TOL)).tolist()
         labels = set()
         if len(arrivals):
             labels.add(TRIGGER_ARRIVAL)

@@ -82,6 +82,11 @@ class ChargingSession:
     def __post_init__(self):
         if self.departure <= self.arrival:
             raise ScenarioError(f"session {self.id}: departure not after arrival")
+        if not (math.isfinite(self.required_energy) and math.isfinite(self.max_power)):
+            raise ScenarioError(
+                f"session {self.id}: non-finite required energy or max power "
+                f"({self.required_energy!r} kWh, {self.max_power!r} kW)"
+            )
         if self.required_energy < 0:
             raise ScenarioError(f"session {self.id}: negative required energy")
         if self.max_power <= 0:
@@ -195,21 +200,27 @@ class Scenario:
         return self.grid.num_slots
 
 
-def overlap_fraction(session: ChargingSession, grid: TimeGrid, t: int) -> float:
-    s = grid.slot_start(t)
-    e = grid.slot_start(t + 1)
-    lo = max(session.arrival, s)
-    hi = min(session.departure, e)
-    if hi <= lo:
-        return 0.0
-    return (hi - lo).total_seconds() / 3600.0 / grid.slot_hours
-
-
 def availability_matrix(sessions, grid: TimeGrid) -> np.ndarray:
-    a = np.zeros((len(sessions), grid.num_slots))
-    for i, sess in enumerate(sessions):
-        for t in range(grid.num_slots):
-            a[i, t] = overlap_fraction(sess, grid, t)
+    """Fraction of each slot each session is plugged in, shape ``(len(sessions), num_slots)``.
+
+    Works on integer microsecond offsets from ``grid.start``: slot edges come
+    from :meth:`TimeGrid.slot_start`, so fractional slot lengths round as
+    ``timedelta`` does, and ``us / 1e6 / 3600 / slot_hours`` rounds as
+    ``timedelta.total_seconds()`` followed by the same divisions.
+    """
+    us = timedelta(microseconds=1)
+    edges = np.array(
+        [(grid.slot_start(t) - grid.start) // us for t in range(grid.num_slots + 1)],
+        dtype=np.int64,
+    )
+    arrive = np.array([(s.arrival - grid.start) // us for s in sessions], dtype=np.int64)
+    depart = np.array([(s.departure - grid.start) // us for s in sessions], dtype=np.int64)
+    overlap = np.minimum(depart[:, None], edges[None, 1:])
+    overlap -= np.maximum(arrive[:, None], edges[None, :-1])
+    np.maximum(overlap, 0, out=overlap)
+    a = overlap / 1e6
+    a /= 3600.0
+    a /= grid.slot_hours
     return a
 
 
@@ -337,6 +348,15 @@ def parse_sessions(path, grid: TimeGrid, station: StationConfig):
     return sessions, report
 
 
+def _finite_float(value, field: str | None = None) -> float:
+    """``float(value)``, rejecting nan and inf; ``field`` prefixes the message."""
+    out = float(value)
+    if not math.isfinite(out):
+        where = f"field {field!r}: " if field else ""
+        raise ScenarioError(f"{where}non-finite {value!r}")
+    return out
+
+
 def _read_session_csv(path: Path):
     out = []
     with open(path, newline="") as fh:
@@ -356,14 +376,14 @@ def _read_session_csv(path: Path):
                 except (ScenarioError, ValueError, TypeError) as exc:
                     raise ScenarioError(f"{path} row {row_num}, field {key!r}: {exc}") from exc
             try:
-                rec["energy"] = float(row[cols["energy"]])
-            except (ValueError, TypeError) as exc:
+                rec["energy"] = _finite_float(row[cols["energy"]])
+            except (ScenarioError, ValueError, TypeError) as exc:
                 raise ScenarioError(f"{path} row {row_num}, field 'energy': {exc}") from exc
             rec["power"] = None
             if cols["power"] and row.get(cols["power"], "").strip():
                 try:
-                    rec["power"] = float(row[cols["power"]])
-                except ValueError as exc:
+                    rec["power"] = _finite_float(row[cols["power"]])
+                except (ScenarioError, ValueError) as exc:
                     raise ScenarioError(f"{path} row {row_num}, field 'power': {exc}") from exc
             out.append((row_num, rec))
     return out
@@ -382,8 +402,12 @@ def _read_acn_json(path: Path):
                 "id": str(item.get("sessionID", f"item{k}")),
                 "arrival": parse_timestamp(item["connectionTime"]),
                 "departure": parse_timestamp(item["disconnectTime"]),
-                "energy": float(item["kWhDelivered"]),
-                "power": float(item["maxPower"]) if item.get("maxPower") is not None else None,
+                "energy": _finite_float(item["kWhDelivered"], "kWhDelivered"),
+                "power": (
+                    _finite_float(item["maxPower"], "maxPower")
+                    if item.get("maxPower") is not None
+                    else None
+                ),
             }
         except KeyError as exc:
             raise ScenarioError(f"{path} item {k}: missing field {exc}") from exc

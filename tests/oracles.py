@@ -125,6 +125,18 @@ def budget_worst_case_bruteforce(terms, gamma):
     return best
 
 
+def availability_reference(sessions, grid) -> np.ndarray:
+    """Availability matrix by the definition: one datetime overlap per (session, slot)."""
+    a = np.zeros((len(sessions), grid.num_slots))
+    for i, sess in enumerate(sessions):
+        for t in range(grid.num_slots):
+            lo = max(sess.arrival, grid.slot_start(t))
+            hi = min(sess.departure, grid.slot_start(t + 1))
+            if hi > lo:
+                a[i, t] = (hi - lo).total_seconds() / 3600.0 / grid.slot_hours
+    return a
+
+
 def highs_objective(lp: LinearProgram) -> float:
     """Optimal objective of ``lp`` from HiGHS through scipy, for LPs far beyond enumeration.
 

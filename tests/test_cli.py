@@ -114,6 +114,21 @@ class TestSimulate:
         assert "prices.csv row 11, field 'value': non-finite 'nan'" in err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("column, field", [(3, "energy"), (4, "power")])
+    def test_nan_session_value_exits_1(self, toy_dir, tmp_path, capsys, column, field):
+        lines = (toy_dir / "sessions.csv").read_text().splitlines()
+        row = next(k for k, ln in enumerate(lines) if ln.startswith("ev-b,"))
+        cells = lines[row].split(",")
+        cells[column] = "nan"
+        lines[row] = ",".join(cells)
+        (tmp_path / "sessions.csv").write_text("\n".join(lines) + "\n")
+        for name in ("prices.csv", "irradiance.csv"):
+            (tmp_path / name).write_text((toy_dir / name).read_text())
+        assert main(["simulate", *toy_flags(tmp_path, tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert f"sessions.csv row {row + 1}, field '{field}': non-finite 'nan'" in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_strict_policy_unreachable_exits_2(self, toy_dir, tmp_path, capsys):
         # 1 kW sockets cannot deliver the toy demands
         code = main(

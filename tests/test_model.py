@@ -6,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+import chargeopt.model
 from chargeopt.fcfs import run_fcfs
 from chargeopt.lp import LpStatus, check_point, solve_lp
 from chargeopt.model import (
@@ -17,6 +18,7 @@ from chargeopt.model import (
     build_robust_lp,
     extract_schedule,
     max_delivery,
+    _max_delivery_lp,
     solve_offline,
 )
 from chargeopt.scenario import (
@@ -186,6 +188,65 @@ class TestDemandPolicy:
         sc = build_scenario(sessions, [0.1], SolarSeries(np.zeros(1)), grid, station)
         total = max_delivery(sc).sum()
         assert total == pytest.approx(10.0, abs=1e-6)
+
+
+def slack_unreachable(seed):
+    """Grid above the sum of all socket caps; some demands exceed what the sockets reach."""
+    return random_scenario(25, seed=seed, num_slots=12, ample_grid=True, demand_fill=(0.5, 1.8))
+
+
+def congested(seed):
+    return random_scenario(
+        25, seed=seed, num_slots=12, peak_overlap=True,
+        station=StationConfig(grid_capacity=40.0, default_max_power=11.0),
+    )
+
+
+def count_lp_calls(monkeypatch):
+    calls = []
+
+    def counting(lp):
+        calls.append(lp)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(chargeopt.model, "solve_lp", counting)
+    return calls
+
+
+class TestMaxDeliveryClosedForm:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_delivery_lp_on_slack_grid(self, seed):
+        sc = slack_unreachable(seed)
+        required = np.array([s.required_energy for s in sc.sessions])
+        closed = max_delivery(sc)
+        assert np.any(closed < required - 1e-6)  # the ceilings do real work
+        np.testing.assert_allclose(closed, _max_delivery_lp(sc), rtol=1e-9, atol=0)
+
+    def test_slack_grid_solves_no_lp(self, monkeypatch):
+        calls = count_lp_calls(monkeypatch)
+        max_delivery(slack_unreachable(0))
+        apply_demand_policy(slack_unreachable(1), "clamp")
+        assert calls == []
+
+    def test_congested_grid_still_solves_the_lp(self, monkeypatch):
+        sc = congested(0)
+        caps = np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability
+        assert caps.sum(axis=0).max() > sc.station.grid_capacity
+        calls = count_lp_calls(monkeypatch)
+        max_delivery(sc)
+        assert len(calls) == 1
+
+    def test_strict_on_slack_grid_lists_lp_deliverable(self):
+        sc = slack_unreachable(2)
+        lp_amounts = _max_delivery_lp(sc)
+        with pytest.raises(DemandInfeasibleError) as err:
+            apply_demand_policy(sc, "strict")
+        ids = [s.id for s in sc.sessions]
+        assert err.value.shortfalls
+        for short in err.value.shortfalls:
+            i = ids.index(short.session_id)
+            assert short.required == sc.sessions[i].required_energy
+            assert short.deliverable == pytest.approx(lp_amounts[i], rel=1e-9)
 
 
 class TestExtract:

@@ -14,6 +14,7 @@ from chargeopt.scenario import (
     SolarSeries,
     StationConfig,
     TimeGrid,
+    availability_matrix,
     build_scenario,
     parse_irradiance,
     parse_prices,
@@ -23,6 +24,7 @@ from chargeopt.scenario import (
     write_series_csv,
     write_sessions_csv,
 )
+from oracles import availability_reference
 
 UTC = timezone.utc
 DAY = datetime(2019, 6, 3, tzinfo=UTC)
@@ -98,6 +100,36 @@ class TestParseSessions:
         dup = [ln for ln in lines if ln.startswith("ev-a,")]
         path = write(tmp_path / "s.csv", "\n".join(lines + dup) + "\n")
         with pytest.raises(ScenarioError, match=f"row {len(lines) + 1}, field 'session_id'.*'ev-a'"):
+            parse_sessions(path, day_grid(), StationConfig())
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kwh_delivered", "nan"), ("kwh_delivered", "inf"), ("max_power_kw", "inf"), ("max_power_kw", "nan")],
+    )
+    def test_non_finite_energy_or_power_names_row_and_field(self, tmp_path, field, value):
+        row = {"kwh_delivered": "10.0", "max_power_kw": "11.0", field: value}
+        path = write(
+            tmp_path / "s.csv",
+            "session_id,connection_time,disconnect_time,kwh_delivered,max_power_kw\n"
+            "a,2019-06-03T08:00:00Z,2019-06-03T10:00:00Z,5.0,11.0\n"
+            f"b,2019-06-03T08:00:00Z,2019-06-03T10:00:00Z,{row['kwh_delivered']},{row['max_power_kw']}\n",
+        )
+        name = "energy" if field == "kwh_delivered" else "power"
+        with pytest.raises(ScenarioError, match=f"s.csv row 3, field '{name}': non-finite '{value}'"):
+            parse_sessions(path, day_grid(), StationConfig())
+
+    @pytest.mark.parametrize("field", ["kWhDelivered", "maxPower"])
+    def test_acn_json_non_finite_names_item_and_field(self, tmp_path, field):
+        item = {
+            "sessionID": "x",
+            "connectionTime": "2019-06-03T08:00:00Z",
+            "disconnectTime": "2019-06-03T10:00:00Z",
+            "kWhDelivered": 12.5,
+            "maxPower": 11.0,
+        }
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps({"_items": [item, {**item, "sessionID": "y", field: float("nan")}]}))
+        with pytest.raises(ScenarioError, match=f"s.json item 2: field '{field}': non-finite nan"):
             parse_sessions(path, day_grid(), StationConfig())
 
     def test_acn_json_layout(self, tmp_path):
@@ -255,6 +287,30 @@ class TestBuildScenario:
             assert sc.availability[i].sum() * grid.slot_hours == pytest.approx(hours, abs=1e-9)
         assert np.all(sc.availability >= 0) and np.all(sc.availability <= 1 + 1e-12)
 
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.25, 1 / 3, 2.0])
+    def test_availability_matches_scalar_reference(self, slot_hours):
+        rng = np.random.default_rng(5)
+        grid = TimeGrid(DAY + timedelta(microseconds=250_001), 30, slot_hours)
+        span_us = int(grid.num_slots * slot_hours * 3600e6)
+        sessions = []
+        for k in range(60):
+            # from before the grid to after it, with microsecond-resolution times
+            a = int(rng.integers(-span_us // 4, span_us))
+            longest = int(slot_hours * 3600e6) if k % 3 == 0 else span_us // 2  # a third within one slot
+            stay = int(rng.integers(1, longest))
+            sessions.append(
+                ChargingSession(
+                    f"s{k}", grid.start + timedelta(microseconds=a),
+                    grid.start + timedelta(microseconds=a + stay), 1.0, 10.0,
+                )
+            )
+        sessions.append(ChargingSession("before", grid.start - timedelta(hours=3), grid.start, 1.0, 10.0))
+        sessions.append(ChargingSession("whole", grid.start - timedelta(hours=1), grid.end + timedelta(hours=1), 1.0, 10.0))
+        got = availability_matrix(sessions, grid)
+        want = availability_reference(sessions, grid)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
     def test_session_outside_grid_rejected(self):
         sess = ChargingSession("a", DAY + timedelta(days=2), DAY + timedelta(days=2, hours=1), 1.0, 10.0)
         with pytest.raises(ScenarioError, match="overlap"):
@@ -279,3 +335,11 @@ class TestBuildScenario:
             StationConfig(charge_efficiency=0.0)
         with pytest.raises(ScenarioError):
             StationConfig(grid_capacity=-1.0)
+
+    @pytest.mark.parametrize(
+        "energy, power",
+        [(float("nan"), 10.0), (float("inf"), 10.0), (1.0, float("inf")), (1.0, float("nan"))],
+    )
+    def test_session_rejects_non_finite_energy_and_power(self, energy, power):
+        with pytest.raises(ScenarioError, match="non-finite"):
+            ChargingSession("a", DAY, DAY + timedelta(hours=1), energy, power)
