@@ -201,12 +201,10 @@ def cmd_simulate(args) -> int:
             report.slot_series["robust_solar_kw"] = [float(v) for v in rsched.solar_used]
             headline = rsched.nominal_cost
             optimized_slot_cost = reports.slot_costs(sc, rsched.grid_draw)
-            if args.dump_lp:
-                lp, _ = build_robust_lp(sc, gamma)
-                with open(args.dump_lp, "w") as fh:
-                    fh.write(dump_lp(lp))
-        elif args.dump_lp:
-            lp, _ = build_nominal_lp(sc)
+        if args.dump_lp:
+            # the LP solve_offline solved: built on the demand-clamped scenario
+            eff, _ = apply_demand_policy(sc, args.demand_policy)
+            lp, _ = build_robust_lp(eff, gamma) if args.policy == "robust" else build_nominal_lp(eff)
             with open(args.dump_lp, "w") as fh:
                 fh.write(dump_lp(lp))
         if args.policy == "mpc":

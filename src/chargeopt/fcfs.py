@@ -47,5 +47,4 @@ def run_fcfs(sc: Scenario) -> FcfsResult:
             residual[i] -= eta * power * dt
             headroom -= power
         draw[t] = max(allocation[:, t].sum() - sc.solar.cap[t], 0.0)
-    cost = float(sc.prices.nominal @ draw) * dt
-    return FcfsResult(allocation, np.maximum(residual, 0.0), cost, draw)
+    return FcfsResult(allocation, np.maximum(residual, 0.0), sc.energy_cost(draw), draw)

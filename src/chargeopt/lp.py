@@ -137,6 +137,11 @@ def check_point(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL) 
     Returns an empty list iff ``x`` is feasible within ``tol``.
     """
     lp.validate()
+    return _violations(lp, x, tol)
+
+
+def _violations(lp: LinearProgram, x: np.ndarray, tol: float) -> list[Violation]:
+    """:func:`check_point` on a program already validated."""
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LpFormatError(f"point has length {x.shape}, expected {lp.num_vars}")
@@ -500,7 +505,7 @@ def solve_lp(
         return LpSolution(LpStatus.INFEASIBLE, None, None, 0)
     if len(pre.active) == 0:
         x = pre.restore(np.empty(0))
-        bad = check_point(lp, x, feasibility_tol)
+        bad = _violations(lp, x, feasibility_tol)
         if bad:
             return LpSolution(LpStatus.INFEASIBLE, None, None, 0)
         return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), 0)
@@ -510,7 +515,7 @@ def solve_lp(
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status, None, None, iters)
     x = pre.restore(x_active)
-    bad = check_point(lp, x, feasibility_tol)
+    bad = _violations(lp, x, feasibility_tol)
     if bad:
         worst = max(v.amount for v in bad)
         raise LpSolverError(

@@ -1,9 +1,12 @@
 """Build charging LPs from a scenario and decode solver output into schedules.
 
-The nominal program minimizes grid energy cost over charging powers, net
-purchases, and solar usage.  The robust variant charges extra for protection
-against bounded price deviations: a budget-priced scalar dual plus one dual
-per slot, tied to the net purchases by the dual feasibility rows.
+The nominal program minimizes grid energy cost over the charging powers of
+the plugged-in (session, slot) cells and the per-slot net purchases, bounded
+by the grid capacity.  Free solar is substituted out: a supply row
+``load[t] - purchase[t] <= S_t`` replaces the paper's grid-cap and
+net-purchase rows, and the decoder sets ``solar_used = min(load, S)``.  The
+robust variant adds a budget-priced scalar dual plus one dual per slot, tied
+to the net purchases by the dual feasibility rows.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
-    EQUAL,
     GREATER_EQUAL,
     LESS_EQUAL,
     Constraint,
@@ -56,50 +58,66 @@ class DemandAdjustment:
     deliverable: float  # kWh actually achievable
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VariableMap:
     """Column layout of a charging LP.
 
-    Columns run charging powers (session-major), then net purchases, then
-    solar usage, then for robust programs the budget dual followed by the
-    per-slot deviation duals.
+    Columns run one charging power per plugged-in cell (``availability >
+    0``), session-major, then one net purchase per slot, then for robust
+    programs the budget dual followed by the per-slot deviation duals.
+    Cells where the session is not plugged in have no column.  ``cells``
+    holds the flat index ``i * num_slots + t`` of each charging column.
     """
 
     num_sessions: int
     num_slots: int
     robust: bool
+    cells: np.ndarray
+
+    @classmethod
+    def for_scenario(cls, sc: Scenario, robust: bool) -> "VariableMap":
+        return cls(sc.num_sessions, sc.num_slots, robust, np.flatnonzero(sc.availability > 0))
+
+    @property
+    def num_charge(self) -> int:
+        return len(self.cells)
 
     def charge(self, i: int, t: int) -> int:
-        return i * self.num_slots + t
+        flat = i * self.num_slots + t
+        k = int(np.searchsorted(self.cells, flat))
+        if k == self.num_charge or self.cells[k] != flat:
+            raise KeyError(f"session {i} is not plugged in at slot {t}")
+        return k
 
     def purchase(self, t: int) -> int:
-        return self.num_sessions * self.num_slots + t
-
-    def solar(self, t: int) -> int:
-        return self.num_sessions * self.num_slots + self.num_slots + t
+        return self.num_charge + t
 
     @property
     def budget_dual(self) -> int:
         if not self.robust:
             raise ValueError("nominal programs have no protection variables")
-        return self.num_sessions * self.num_slots + 2 * self.num_slots
+        return self.num_charge + self.num_slots
 
     def deviation_dual(self, t: int) -> int:
         return self.budget_dual + 1 + t
 
     @property
     def num_vars(self) -> int:
-        base = self.num_sessions * self.num_slots + 2 * self.num_slots
+        base = self.num_charge + self.num_slots
         return base + self.num_slots + 1 if self.robust else base
+
+    def slot_columns(self) -> list[np.ndarray]:
+        """Charging columns of the sessions plugged in at each slot, in session order."""
+        slots = self.cells % self.num_slots
+        order = np.argsort(slots, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(slots, minlength=self.num_slots))[:-1])
 
     def to_json_dict(self) -> dict[str, int]:
         names = {}
-        for i in range(self.num_sessions):
-            for t in range(self.num_slots):
-                names[f"charge[{i},{t}]"] = self.charge(i, t)
+        for k, flat in enumerate(self.cells.tolist()):
+            names[f"charge[{flat // self.num_slots},{flat % self.num_slots}]"] = k
         for t in range(self.num_slots):
             names[f"purchase[{t}]"] = self.purchase(t)
-            names[f"solar[{t}]"] = self.solar(t)
         if self.robust:
             names["budget_dual"] = self.budget_dual
             for t in range(self.num_slots):
@@ -131,58 +149,61 @@ class Schedule:
         return np.maximum(self.charging_power.sum(axis=0) - self.solar_used, 0.0)
 
 
-def _base_rows(sc: Scenario, vm: VariableMap) -> list[Constraint]:
-    """Demand, grid-cap, and net-purchase rows, in that order.
-
-    Socket caps are column bounds (see :func:`_bounds`), not rows.
-    """
-    n, T = sc.num_sessions, sc.num_slots
-    dt = sc.grid.slot_hours
-    eta = sc.station.charge_efficiency
-    rows: list[Constraint] = []
-    for i, sess in enumerate(sc.sessions):
-        present = np.nonzero(sc.availability[i] > 0)[0]
-        rows.append(
-            Constraint(
-                tuple(vm.charge(i, int(t)) for t in present),
-                tuple(eta * dt for _ in present),
-                GREATER_EQUAL,
-                sess.required_energy,
-            )
+def _demand_rows(sc: Scenario, vm: VariableMap, relation: str) -> list[Constraint]:
+    """One row per session: energy delivered over its plugged-in cells vs its requirement."""
+    coeff = sc.station.charge_efficiency * sc.grid.slot_hours
+    first = np.searchsorted(vm.cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
+    return [
+        Constraint(
+            tuple(range(first[i], first[i + 1])),
+            (coeff,) * int(first[i + 1] - first[i]),
+            relation,
+            sess.required_energy,
         )
-    for t in range(T):
-        idx = tuple(vm.charge(i, t) for i in range(n)) + (vm.solar(t),)
-        cf = tuple(1.0 for _ in range(n)) + (-1.0,)
-        rows.append(Constraint(idx, cf, LESS_EQUAL, sc.station.grid_capacity))
-    for t in range(T):
-        idx = tuple(vm.charge(i, t) for i in range(n)) + (vm.solar(t), vm.purchase(t))
-        cf = tuple(1.0 for _ in range(n)) + (-1.0, -1.0)
-        rows.append(Constraint(idx, cf, LESS_EQUAL, 0.0))
-    return rows
+        for i, sess in enumerate(sc.sessions)
+    ]
 
 
 def _socket_caps(sc: Scenario) -> np.ndarray:
-    """Upper bounds of the session-major charging columns: ``max_power * availability``."""
+    """Per-cell power ceilings ``max_power * availability``, shape ``(N, T)``."""
     max_power = np.array([s.max_power for s in sc.sessions])
-    return (max_power[:, None] * sc.availability).reshape(-1)
+    return max_power[:, None] * sc.availability
 
 
-def _bounds(sc: Scenario, vm: VariableMap) -> np.ndarray:
+def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearProgram:
+    """Demand rows, one supply row ``load[t] - purchase[t] <= S_t`` per slot, then for
+    robust maps the dual rows; socket and grid caps are column bounds."""
+    T, dt = sc.num_slots, sc.grid.slot_hours
+    purchases = slice(vm.purchase(0), vm.purchase(0) + T)
+    obj = np.zeros(vm.num_vars)
+    obj[purchases] = sc.prices.nominal * dt
     bounds = np.zeros((vm.num_vars, 2))
     bounds[:, 1] = INF
-    bounds[: sc.num_sessions * sc.num_slots, 1] = _socket_caps(sc)
-    for t in range(sc.num_slots):
-        bounds[vm.solar(t), 1] = sc.solar.cap[t]
-    return bounds
+    bounds[: vm.num_charge, 1] = _socket_caps(sc).reshape(-1)[vm.cells]
+    bounds[purchases, 1] = sc.station.grid_capacity
+    rows = _demand_rows(sc, vm, GREATER_EQUAL)
+    for t, cols in enumerate(vm.slot_columns()):
+        idx = tuple(cols.tolist()) + (vm.purchase(t),)
+        rows.append(Constraint(idx, (1.0,) * len(cols) + (-1.0,), LESS_EQUAL, sc.solar.cap[t]))
+    if vm.robust:
+        obj[vm.budget_dual] = gamma
+        obj[vm.budget_dual + 1 :] = 1.0
+        for t in range(T):
+            rows.append(
+                Constraint(
+                    (vm.deviation_dual(t), vm.budget_dual, vm.purchase(t)),
+                    (1.0, 1.0, -sc.prices.deviation_bound[t] * dt),
+                    GREATER_EQUAL,
+                    0.0,
+                )
+            )
+    return LinearProgram(vm.num_vars, obj, bounds, rows)
 
 
 def build_nominal_lp(sc: Scenario) -> tuple[LinearProgram, VariableMap]:
     """Nominal cost-minimization LP; demand policy must already be applied."""
-    vm = VariableMap(sc.num_sessions, sc.num_slots, robust=False)
-    obj = np.zeros(vm.num_vars)
-    for t in range(sc.num_slots):
-        obj[vm.purchase(t)] = sc.prices.nominal[t] * sc.grid.slot_hours
-    return LinearProgram(vm.num_vars, obj, _bounds(sc, vm), _base_rows(sc, vm)), vm
+    vm = VariableMap.for_scenario(sc, robust=False)
+    return _charging_lp(sc, vm, None), vm
 
 
 def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, VariableMap]:
@@ -194,67 +215,50 @@ def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, Variable
     """
     if gamma < 0:
         raise ValueError("gamma must be nonnegative")
-    vm = VariableMap(sc.num_sessions, sc.num_slots, robust=True)
-    dt = sc.grid.slot_hours
-    obj = np.zeros(vm.num_vars)
-    for t in range(sc.num_slots):
-        obj[vm.purchase(t)] = sc.prices.nominal[t] * dt
-        obj[vm.deviation_dual(t)] = 1.0
-    obj[vm.budget_dual] = gamma
-    rows = _base_rows(sc, vm)
-    for t in range(sc.num_slots):
-        rows.append(
-            Constraint(
-                (vm.deviation_dual(t), vm.budget_dual, vm.purchase(t)),
-                (1.0, 1.0, -sc.prices.deviation_bound[t] * dt),
-                GREATER_EQUAL,
-                0.0,
-            )
-        )
-    return LinearProgram(vm.num_vars, obj, _bounds(sc, vm), rows), vm
+    vm = VariableMap.for_scenario(sc, robust=True)
+    return _charging_lp(sc, vm, gamma), vm
 
 
 def max_delivery(sc: Scenario) -> np.ndarray:
     """Most energy (kWh) each session can receive, jointly, under the caps.
 
     This is the optimum of the auxiliary LP maximizing total delivered energy
-    subject to the socket, grid, and solar constraints with per-session
-    ceilings at the requested amounts.  When the socket caps in every slot
-    sum to at most the grid capacity, the grid row cannot bind (solar only
-    loosens it), the LP splits by session, and each session gets
-    ``min(required, eta * dt * sum of its caps)`` without an LP solve.
+    subject to the socket caps, the per-slot supply ``G + S_t`` (grid plus
+    solar), and per-session ceilings at the requested amounts.  When the
+    socket caps in every slot sum to at most that slot's supply, no slot row
+    can bind, the LP splits by session, and each session gets ``min(required,
+    eta * dt * sum of its caps)`` without an LP solve.
     """
-    caps = _socket_caps(sc).reshape(sc.num_sessions, sc.num_slots)
-    if np.all(caps.sum(axis=0) <= sc.station.grid_capacity):
+    caps = _socket_caps(sc)
+    if np.all(caps.sum(axis=0) <= sc.station.grid_capacity + sc.solar.cap):
         reachable = sc.station.charge_efficiency * sc.grid.slot_hours * caps.sum(axis=1)
         return np.minimum([s.required_energy for s in sc.sessions], reachable)
     return _max_delivery_lp(sc)
 
 
 def _max_delivery_lp(sc: Scenario) -> np.ndarray:
-    """:func:`max_delivery` by solving its auxiliary LP."""
-    n, T = sc.num_sessions, sc.num_slots
-    dt = sc.grid.slot_hours
-    eta = sc.station.charge_efficiency
-    num = n * T + T  # charging powers then solar
-    bounds = np.zeros((num, 2))
-    bounds[: n * T, 1] = _socket_caps(sc)
-    bounds[n * T :, 1] = sc.solar.cap
-    obj = np.zeros(num)
-    obj[: n * T] = -eta * dt  # maximize delivered energy
-    rows = []
-    for t in range(T):
-        idx = tuple(i * T + t for i in range(n)) + (n * T + t,)
-        cf = tuple(1.0 for _ in range(n)) + (-1.0,)
-        rows.append(Constraint(idx, cf, LESS_EQUAL, sc.station.grid_capacity))
-    for i, sess in enumerate(sc.sessions):
-        idx = tuple(i * T + t for t in range(T))
-        rows.append(Constraint(idx, tuple(eta * dt for _ in range(T)), LESS_EQUAL, sess.required_energy))
-    sol = solve_lp(LinearProgram(num, obj, bounds, rows))
+    """:func:`max_delivery` by solving its auxiliary LP over the plugged-in cells."""
+    vm = VariableMap.for_scenario(sc, robust=False)
+    coeff = sc.station.charge_efficiency * sc.grid.slot_hours
+    bounds = np.column_stack([np.zeros(vm.num_charge), _socket_caps(sc).reshape(-1)[vm.cells]])
+    obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
+    supply = sc.station.grid_capacity + sc.solar.cap
+    rows = [
+        Constraint(tuple(cols.tolist()), (1.0,) * len(cols), LESS_EQUAL, supply[t])
+        for t, cols in enumerate(vm.slot_columns())
+    ]
+    rows += _demand_rows(sc, vm, LESS_EQUAL)
+    sol = solve_lp(LinearProgram(vm.num_charge, obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"delivery LP ended {sol.status}; it is feasible by construction")
-    power = sol.x[: n * T].reshape(n, T)
-    return eta * dt * power.sum(axis=1)
+    return coeff * _charging_matrix(sol.x, vm).sum(axis=1)
+
+
+def _charging_matrix(x: np.ndarray, vm: VariableMap) -> np.ndarray:
+    """``(N, T)`` charging powers from a point; unplugged cells are 0."""
+    power = np.zeros(vm.num_sessions * vm.num_slots)
+    power[vm.cells] = x[: vm.num_charge]
+    return power.reshape(vm.num_sessions, vm.num_slots)
 
 
 def apply_demand_policy(sc: Scenario, policy: str = "clamp"):
@@ -287,22 +291,21 @@ def extract_schedule(
 ) -> Schedule:
     """Decode an optimal solution and verify it against the scenario.
 
-    Costs are recomputed from the variable values and cross-checked against
-    the solver's objective; any physical-constraint violation raises
-    :class:`ScheduleConsistencyError` rather than passing silently.
+    Solar usage is ``min(load, S)`` per slot.  Costs are recomputed from the
+    variable values and cross-checked against the solver's objective; any
+    physical-constraint violation raises :class:`ScheduleConsistencyError`
+    rather than passing silently.
     """
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a schedule from a {sol.status.value} solution")
-    n, T = vm.num_sessions, vm.num_slots
-    dt = sc.grid.slot_hours
     x = sol.x
-    charging = x[: n * T].reshape(n, T).copy()
-    purchase = np.array([x[vm.purchase(t)] for t in range(T)])
-    solar = np.array([x[vm.solar(t)] for t in range(T)])
-    nominal_cost = float(sc.prices.nominal @ purchase) * dt
+    charging = _charging_matrix(x, vm)
+    purchase = x[vm.purchase(0) : vm.purchase(0) + vm.num_slots].copy()
+    solar = np.minimum(charging.sum(axis=0), sc.solar.cap)
+    nominal_cost = sc.energy_cost(purchase)
     if vm.robust:
         budget_dual = float(x[vm.budget_dual])
-        dev_duals = np.array([x[vm.deviation_dual(t)] for t in range(T)])
+        dev_duals = x[vm.budget_dual + 1 :].copy()
         protection = float(gamma) * budget_dual + float(dev_duals.sum())
     else:
         budget_dual, dev_duals, protection = None, None, 0.0
@@ -368,18 +371,16 @@ def solve_offline(
 def allocation_to_point(allocation: np.ndarray, sc: Scenario, vm: VariableMap) -> np.ndarray:
     """Map a feasible power allocation onto the nominal LP's variable vector.
 
-    Solar usage is set to cover as much of the load as the ceiling allows and
-    the net purchase to the remaining draw, so a valid allocation yields a
-    feasible LP point.
+    The net purchase is set to the draw left after solar, so a valid
+    allocation yields a feasible LP point.  Power in a cell where the
+    session is not plugged in has no column and raises :class:`ValueError`.
     """
     if vm.robust:
         raise ValueError("expected the nominal variable map")
-    total = allocation.sum(axis=0)
-    solar = np.minimum(total, sc.solar.cap)
-    purchase = np.maximum(total - solar, 0.0)
+    flat = np.asarray(allocation, dtype=float).reshape(-1)
+    if np.any(np.delete(flat, vm.cells) != 0.0):
+        raise ValueError("allocation charges a session in a slot where it is not plugged in")
     x = np.zeros(vm.num_vars)
-    x[: vm.num_sessions * vm.num_slots] = allocation.reshape(-1)
-    for t in range(vm.num_slots):
-        x[vm.purchase(t)] = purchase[t]
-        x[vm.solar(t)] = solar[t]
+    x[: vm.num_charge] = flat[vm.cells]
+    x[vm.num_charge :] = np.maximum(allocation.sum(axis=0) - sc.solar.cap, 0.0)
     return x

@@ -57,7 +57,6 @@ class PlanRecord:
     end: int
     session_indices: tuple[int, ...]
     charging_power: np.ndarray  # (len(sessions), end - start)
-    solar_used: np.ndarray  # (end - start,)
 
 
 @dataclass(frozen=True)
@@ -128,14 +127,12 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     demand = np.array([s.required_energy for s in sc.sessions], dtype=float)
     residual = np.zeros(n)
     applied = np.zeros((n, T))
-    applied_solar = np.zeros(T)
     history = np.zeros((T, n))
     events: list[SolveEvent] = []
     adjustments: list[tuple[int, DemandAdjustment]] = []
     plans: list[PlanRecord] = []
     plan: PlanRecord | None = None
     last_solve = -np.inf
-    total_cost = 0.0
 
     for k in range(T):
         arrivals = np.nonzero(first_slot == k)[0]
@@ -156,15 +153,12 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
             wall = time.perf_counter() - t0
             events.append(SolveEvent(k, trigger, end - k, wall))
             adjustments.extend((k, a) for a in adjs)
-            plan = PlanRecord(
-                k, end, tuple(members), schedule.charging_power, schedule.solar_used
-            )
+            plan = PlanRecord(k, end, tuple(members), schedule.charging_power)
             plans.append(plan)
             last_solve = k
 
         if plan is not None and plan.start <= k < plan.end:
             col = k - plan.start
-            applied_solar[k] = plan.solar_used[col]
             in_plan = {i: row for i, row in zip(plan.session_indices, plan.charging_power)}
             for i in members:
                 if i in in_plan:
@@ -172,16 +166,15 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
         for i in members:
             residual[i] = max(0.0, residual[i] - eta * applied[i, k] * dt)
         history[k] = residual
-        total_cost += (
-            sc.prices.nominal[k] * max(applied[:, k].sum() - applied_solar[k], 0.0) * dt
-        )
 
+    load = applied.sum(axis=0)
+    applied_solar = np.minimum(load, sc.solar.cap)
     return MpcTrace(
         applied_power=applied,
         applied_solar=applied_solar,
         solve_events=tuple(events),
         residual_demand_history=history,
-        total_cost=float(total_cost),
+        total_cost=sc.energy_cost(np.maximum(load - applied_solar, 0.0)),
         unmet_energy=residual.copy(),
         demand_adjustments=tuple(adjustments),
         plans=tuple(plans),

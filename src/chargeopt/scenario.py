@@ -199,6 +199,10 @@ class Scenario:
     def num_slots(self) -> int:
         return self.grid.num_slots
 
+    def energy_cost(self, draw) -> float:
+        """Cost (EUR) of a per-slot grid draw (kW) at the nominal prices."""
+        return float(self.prices.nominal @ draw) * self.grid.slot_hours
+
 
 def availability_matrix(sessions, grid: TimeGrid) -> np.ndarray:
     """Fraction of each slot each session is plugged in, shape ``(len(sessions), num_slots)``.

@@ -163,6 +163,60 @@ def highs_objective(lp: LinearProgram) -> float:
     return float(res.fun)
 
 
+def highs_physical_objective(sc, gamma=None) -> float:
+    """Optimal cost of the paper's unfolded charging LP, built from the scenario arrays.
+
+    Columns: all N*T charging powers (session-major, capped at ``max_power *
+    availability``), solar per slot in ``[0, S_t]``, net purchase per slot,
+    and for a budget ``gamma`` the budget dual and one deviation dual per
+    slot.  Rows: delivered energy >= demand, ``sum charge - solar <= G``,
+    ``sum charge - solar - purchase <= 0`` and ``bound * dt * purchase <=
+    deviation dual + budget dual``.  Solved by HiGHS through scipy, a
+    test-only dependency; callers skip without it.
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, T = sc.availability.shape
+    dt = sc.grid.slot_hours
+    eta = sc.station.charge_efficiency
+    eye = sparse.identity(T, format="csr")
+    per_slot = sparse.hstack([eye] * n)  # (T, N*T): total charging power per slot
+    per_session = sparse.kron(sparse.identity(n), np.ones((1, T)))  # (N, N*T)
+    blocks = [
+        [-eta * dt * per_session, None, None],
+        [per_slot, -eye, None],
+        [per_slot, -eye, -eye],
+    ]
+    rhs = [
+        -np.array([s.required_energy for s in sc.sessions]),
+        np.full(T, sc.station.grid_capacity),
+        np.zeros(T),
+    ]
+    cost = [np.zeros(n * T), np.zeros(T), sc.prices.nominal * dt]
+    caps = np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability
+    upper = [caps.reshape(-1), sc.solar.cap, np.full(T, np.inf)]
+    if gamma is not None:
+        for row in blocks:
+            row += [None, None]
+        deviation = sparse.diags(sc.prices.deviation_bound * dt)
+        blocks.append([None, None, deviation, -np.ones((T, 1)), -eye])
+        rhs.append(np.zeros(T))
+        cost += [np.array([gamma]), np.ones(T)]
+        upper += [np.array([np.inf]), np.full(T, np.inf)]
+    upper = np.concatenate(upper)
+    res = linprog(
+        np.concatenate(cost),
+        A_ub=sparse.bmat(blocks, format="csr"),
+        b_ub=np.concatenate(rhs),
+        bounds=np.column_stack([np.zeros(len(upper)), upper]),
+        method="highs",
+    )
+    if res.status != 0:
+        raise RuntimeError(f"HiGHS did not reach an optimum: {res.message}")
+    return float(res.fun)
+
+
 def schedule_violations(sc, charging_power, net_purchase, solar_used, tol=1e-6):
     """All physical-constraint violations of a decoded schedule, from raw arrays.
 

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from chargeopt.cli import main
+from chargeopt.cli import _load_scenario, build_parser, main
+from chargeopt.lp import dump_lp
+from chargeopt.model import apply_demand_policy, build_robust_lp
 from chargeopt.reports import RunReport
 
 TOY_ARGS = [
@@ -65,6 +67,17 @@ class TestSimulate:
         assert report["costs"]["robust_objective"] >= report["costs"]["robust_nominal"] - 1e-9
         text = dump.read_text()
         assert text.count("\nc: ") >= 24  # one line per constraint
+
+    def test_dump_lp_is_the_solved_lp(self, toy_dir, tmp_path):
+        out = tmp_path / "r.json"
+        dump = tmp_path / "lp.txt"
+        flags = [*toy_flags(toy_dir, out, solar=False), "--grid-capacity", "3"]
+        code = main(["simulate", *flags, "--policy", "robust", "--gamma", "6", "--dump-lp", str(dump)])
+        assert code == 0
+        args = build_parser().parse_args(["simulate", *flags])
+        clamped, adjustments = apply_demand_policy(_load_scenario(args), "clamp")
+        assert adjustments  # the 3 kW grid cannot meet every demand
+        assert dump.read_text() == dump_lp(build_robust_lp(clamped, 6.0)[0])
 
     def test_mpc_policy_writes_trace_and_events(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"

@@ -121,6 +121,20 @@ class TestCheckPoint:
         with pytest.raises(LpFormatError):
             check_point(lp, np.array([1.0, 2.0]), 1e-9)
 
+    def test_solve_validates_once(self, monkeypatch):
+        calls = []
+        validate = LinearProgram.validate
+
+        def counting(lp):
+            calls.append(lp)
+            return validate(lp)
+
+        monkeypatch.setattr(LinearProgram, "validate", counting)
+        rng = np.random.default_rng(5)
+        for k in range(1, 21):
+            solve_lp(random_box_lp(rng))
+            assert len(calls) == k
+
     def test_bound_violations_reported(self):
         lp = LinearProgram(2, [0.0, 0.0], [[0.0, 1.0], [0.0, 1.0]])
         report = check_point(lp, np.array([-0.25, 1.5]), 1e-9)

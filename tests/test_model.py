@@ -30,7 +30,7 @@ from chargeopt.scenario import (
     build_scenario,
 )
 from chargeopt.synth import random_scenario
-from oracles import highs_objective
+from oracles import highs_objective, highs_physical_objective
 
 UTC = timezone.utc
 DAY = datetime(2019, 6, 3, tzinfo=UTC)
@@ -80,16 +80,36 @@ class TestNominal:
         for seed, n_evs in [(1, 2), (2, 5)]:
             sc = random_scenario(n_evs, seed=seed)
             n, t = sc.num_sessions, sc.num_slots
-            # demand, grid-cap, net-purchase (and robust dual) rows; socket caps are bounds
+            live = int(np.count_nonzero(sc.availability > 0))
+            assert live < n * t  # unplugged cells get no column
+            # demand and supply (and robust dual) rows; socket and grid caps are bounds
             lp, vm = build_nominal_lp(sc)
-            assert lp.num_vars == n * t + 2 * t == vm.num_vars
-            assert len(lp.constraints) == n + 2 * t
+            assert lp.num_vars == live + t == vm.num_vars
+            assert len(lp.constraints) == n + t
             lp, vm = build_robust_lp(sc, 3.0)
-            assert lp.num_vars == n * t + 3 * t + 1 == vm.num_vars
-            assert len(lp.constraints) == n + 3 * t
+            assert lp.num_vars == live + 2 * t + 1 == vm.num_vars
+            assert len(lp.constraints) == n + 2 * t
             for i, sess in enumerate(sc.sessions):
-                for k in range(t):
+                for k in np.flatnonzero(sc.availability[i] > 0):
                     assert lp.var_bounds[vm.charge(i, k), 1] == sess.max_power * sc.availability[i, k]
+            purchases = lp.var_bounds[vm.purchase(0) : vm.purchase(0) + t]
+            assert np.all(purchases == [0.0, sc.station.grid_capacity])
+
+    def test_rows_list_only_plugged_in_sessions(self):
+        sc = random_scenario(5, seed=2)
+        lp, vm = build_nominal_lp(sc)
+        n, t = sc.num_sessions, sc.num_slots
+        for i in range(n):
+            row = lp.constraints[i]
+            assert row.indices == tuple(vm.charge(i, k) for k in np.flatnonzero(sc.availability[i] > 0))
+        for k in range(t):
+            row = lp.constraints[n + k]
+            plugged = np.flatnonzero(sc.availability[:, k] > 0)
+            assert row.indices == tuple(vm.charge(i, k) for i in plugged) + (vm.purchase(k),)
+            assert (row.relation, row.rhs) == ("<=", sc.solar.cap[k])
+        i, k = np.argwhere(sc.availability == 0)[0]
+        with pytest.raises(KeyError):
+            vm.charge(int(i), int(k))
 
     def test_over_cap_charge_is_upper_bound_violation(self):
         sc = two_slot_scenario()
@@ -106,7 +126,7 @@ class TestNominal:
         _, vm = build_robust_lp(sc, 1.0)
         names = vm.to_json_dict()
         assert names["charge[0,1]"] == 1
-        assert names["budget_dual"] == 1 * 2 + 2 * 2
+        assert names["budget_dual"] == 2 + 2  # two plugged-in cells, two purchases
         assert len(names) == vm.num_vars
 
 
@@ -149,6 +169,18 @@ class TestRobust:
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(highs_objective(lp), rel=1e-6)
+        # against the unfolded model, so a wrong fold of solar or the grid cap shows;
+        # the grid cap binds on the 15 kW station
+        congested = random_scenario(
+            40, seed=1, num_slots=168, station=StationConfig(grid_capacity=15.0)
+        )
+        for raw in (sc, congested):
+            eff, _ = apply_demand_policy(raw, "clamp")
+            assert np.any(eff.solar.cap > 0)
+            for gamma in (None, 12.0):
+                sched, _ = solve_offline(raw, gamma)
+                expected = highs_physical_objective(eff, gamma)
+                assert sched.objective_value == pytest.approx(expected, rel=1e-6)
 
 
 class TestDemandPolicy:
@@ -236,6 +268,22 @@ class TestMaxDeliveryClosedForm:
         max_delivery(sc)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_solar_widens_closed_form(self, seed, monkeypatch):
+        sc = slack_unreachable(seed)
+        load = (np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability).sum(axis=0)
+        grid = 0.5 * load.max()
+        station = dataclasses.replace(sc.station, grid_capacity=grid)
+        sc = dataclasses.replace(sc, station=station, solar=SolarSeries(np.maximum(load - grid, 0.0)))
+        assert np.any(load > grid) and np.all(load <= grid + sc.solar.cap)
+        calls = count_lp_calls(monkeypatch)
+        closed = max_delivery(sc)
+        assert calls == []
+        np.testing.assert_allclose(closed, _max_delivery_lp(sc), rtol=1e-9, atol=0)
+        calls.clear()
+        max_delivery(dataclasses.replace(sc, solar=SolarSeries(0.5 * sc.solar.cap)))
+        assert len(calls) == 1  # some slot's caps now exceed grid plus solar
+
     def test_strict_on_slack_grid_lists_lp_deliverable(self):
         sc = slack_unreachable(2)
         lp_amounts = _max_delivery_lp(sc)
@@ -297,3 +345,12 @@ class TestFcfsDominance:
             assert check_point(lp, point, 1e-6) == []
             sched, _ = solve_offline(sc)
             assert sched.nominal_cost <= result.cost + 1e-6 * (1 + result.cost)
+
+    def test_unplugged_power_rejected(self):
+        sc = random_scenario(4, seed=0, ample_grid=True)
+        _, vm = build_nominal_lp(sc)
+        allocation = run_fcfs(sc).allocation
+        i, t = np.argwhere(sc.availability == 0)[0]
+        allocation[i, t] = 1e-3
+        with pytest.raises(ValueError, match="not plugged in"):
+            allocation_to_point(allocation, sc, vm)

@@ -116,6 +116,15 @@ class TestOnlineRun:
             net = trace.applied_power.sum(axis=0) - trace.applied_solar
             assert np.all(net <= sc.station.grid_capacity + 1e-6)
 
+    def test_applied_solar_covers_load_up_to_cap(self):
+        for seed in range(4):
+            sc = random_scenario(5, seed=seed)
+            trace = run_online(sc, MpcConfig(resolve_interval=2))
+            load = trace.applied_power.sum(axis=0)
+            assert np.array_equal(trace.applied_solar, np.minimum(load, sc.solar.cap))
+            draw = np.maximum(load - trace.applied_solar, 0.0)
+            assert trace.total_cost == sc.energy_cost(draw)
+
     def test_clamped_residuals_recorded(self):
         sc = random_scenario(3, seed=4, demand_fill=(1.4, 1.6))  # unreachable on purpose
         trace = run_online(sc, MpcConfig(resolve_interval=1, demand_policy="clamp"))
