@@ -24,6 +24,7 @@ from .model import (
     build_robust_lp,
     extract_schedule,
     max_delivery,
+    solve_deliverable,
     solve_offline,
 )
 from .mpc import MpcConfig, MpcTrace, PlanRecord, SolveEvent, detect_trigger, run_online

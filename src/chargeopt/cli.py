@@ -30,7 +30,7 @@ from .model import (
     apply_demand_policy,
     build_nominal_lp,
     build_robust_lp,
-    solve_offline,
+    solve_deliverable,
 )
 from .mpc import MpcConfig, run_online, trace_to_json_dict, write_events_csv
 from .scenario import (
@@ -184,7 +184,8 @@ def cmd_simulate(args) -> int:
     optimized_slot_cost = fcfs_slot_cost
     if args.policy != "fcfs":
         gamma = args.gamma if args.policy in ("robust", "mpc") else None
-        schedule, adjustments = solve_offline(sc, gamma=None, demand_policy=args.demand_policy)
+        eff, adjustments = apply_demand_policy(sc, args.demand_policy)
+        schedule = solve_deliverable(eff)
         report.costs["nominal"] = schedule.nominal_cost
         report.unmet_energy_kwh["nominal"] = float(
             sum(a.required - a.deliverable for a in adjustments)
@@ -194,7 +195,7 @@ def cmd_simulate(args) -> int:
         headline = schedule.nominal_cost
         optimized_slot_cost = reports.slot_costs(sc, schedule.grid_draw)
         if args.policy == "robust":
-            rsched, _ = solve_offline(sc, gamma=gamma, demand_policy=args.demand_policy)
+            rsched = solve_deliverable(eff, gamma)
             report.costs["robust_nominal"] = rsched.nominal_cost
             report.costs["robust_objective"] = rsched.objective_value
             report.slot_series["robust_grid_kw"] = [float(v) for v in rsched.grid_draw]
@@ -202,8 +203,7 @@ def cmd_simulate(args) -> int:
             headline = rsched.nominal_cost
             optimized_slot_cost = reports.slot_costs(sc, rsched.grid_draw)
         if args.dump_lp:
-            # the LP solve_offline solved: built on the demand-clamped scenario
-            eff, _ = apply_demand_policy(sc, args.demand_policy)
+            # the offline LP as solved above: built on the demand-clamped scenario
             lp, _ = build_robust_lp(eff, gamma) if args.policy == "robust" else build_nominal_lp(eff)
             with open(args.dump_lp, "w") as fh:
                 fh.write(dump_lp(lp))
@@ -241,8 +241,8 @@ def cmd_simulate(args) -> int:
 
 
 def _sensitivity_point(payload):
-    sc, gamma, eval_gamma, demand_policy = payload
-    schedule, _ = solve_offline(sc, gamma=gamma, demand_policy=demand_policy)
+    sc, gamma, eval_gamma = payload
+    schedule = solve_deliverable(sc, gamma)
     budget = UncertaintyBudget(eval_gamma, sc.prices.deviation_bound)
     worst = worst_case_total_cost(schedule, sc.prices, sc.grid.slot_hours, budget)
     return gamma, schedule.nominal_cost, worst
@@ -254,9 +254,11 @@ def cmd_sensitivity(args) -> int:
     if any(g < 0 for g in gammas):
         raise ScenarioError("budgets must be nonnegative")
     eval_gamma = args.eval_gamma if args.eval_gamma is not None else max(gammas)
-    work = [(sc, g, eval_gamma, args.demand_policy) for g in gammas]
+    # one demand pass: every budget solves the same deliverable scenario
+    eff, _ = apply_demand_policy(sc, args.demand_policy)
+    work = [(eff, g, eval_gamma) for g in gammas]
     if 0.0 not in gammas:
-        work.insert(0, (sc, 0.0, eval_gamma, args.demand_policy))
+        work.insert(0, (eff, 0.0, eval_gamma))
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_sensitivity_point, work))

@@ -1,11 +1,14 @@
 """Bounded-variable linear programs and a deterministic two-phase simplex solver.
 
-The solver operates on a dense tableau after a light presolve that folds
-single-variable rows into bounds and eliminates fixed variables.  Pricing is
-Dantzig (most negative reduced cost, first index on ties) and switches to
-Bland's rule after ``10 * (rows + cols)`` iterations so that degenerate
-instances are guaranteed to terminate.  Upper bounds are handled natively
-with the bound-flip technique rather than as extra rows.
+The solver runs on a dense tableau built straight from the program's rows:
+a repeated index in a row sums its coefficients, and singleton rows, empty
+rows and fixed variables (``lower == upper``) enter as they are.  Phase 1
+reports infeasibility and drops redundant rows.  Pricing is Dantzig (most
+negative reduced cost, first index on ties) and switches to Bland's rule
+after ``10 * (rows + cols)`` iterations so that degenerate instances are
+guaranteed to terminate.  Upper bounds are handled natively with the
+bound-flip technique rather than as extra rows; a fixed variable has span
+zero and so only ever flips or enters at zero.
 
 A pivot's rank-1 update of the tableau matrix touches only the rows where the
 pivot column is nonzero, and in them only the columns where the pivot row is
@@ -165,101 +168,20 @@ def _violations(lp: LinearProgram, x: np.ndarray, tol: float) -> list[Violation]
 
 
 def dump_lp(lp: LinearProgram) -> str:
-    """Plain-text dump for bug reports: one ``c:`` line per constraint."""
+    """Plain-text dump for bug reports: one ``c:`` line per constraint.
+
+    Every number is written as the ``repr`` of a Python float, never of a
+    numpy scalar.
+    """
     lines = [f"vars {lp.num_vars}"]
-    obj = " ".join(f"{j}:{c!r}" for j, c in enumerate(lp.objective) if c != 0.0)
+    obj = " ".join(f"{j}:{float(c)!r}" for j, c in enumerate(lp.objective) if c != 0.0)
     lines.append(f"obj: {obj}")
     for j, (lo, up) in enumerate(lp.var_bounds):
-        lines.append(f"b{j}: {lo!r} {up!r}")
+        lines.append(f"b{j}: {float(lo)!r} {float(up)!r}")
     for con in lp.constraints:
-        body = " ".join(f"{j}:{c!r}" for j, c in zip(con.indices, con.coeffs))
-        lines.append(f"c: {body} {con.relation} {con.rhs!r}")
+        body = " ".join(f"{j}:{float(c)!r}" for j, c in zip(con.indices, con.coeffs))
+        lines.append(f"c: {body} {con.relation} {float(con.rhs)!r}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# presolve
-
-
-class _Presolved:
-    """Bound-tightened program with fixed variables substituted out."""
-
-    def __init__(self, lp: LinearProgram, feas_tol: float):
-        n = lp.num_vars
-        lower = lp.var_bounds[:, 0].copy()
-        upper = lp.var_bounds[:, 1].copy()
-        # rows kept as (indices array, coeffs array, relation, rhs)
-        rows = []
-        for con in lp.constraints:
-            idx = np.asarray(con.indices, dtype=int)
-            cf = np.asarray(con.coeffs, dtype=float)
-            if len(idx) != len(np.unique(idx)):
-                idx, inv = np.unique(idx, return_inverse=True)
-                cf = np.bincount(inv, weights=cf, minlength=len(idx))
-            keep = np.abs(cf) > 0.0
-            rows.append([idx[keep], cf[keep], con.relation, float(con.rhs)])
-
-        self.infeasible = False
-        fixed = np.zeros(n, dtype=bool)
-        fixed_val = np.zeros(n)
-
-        changed = True
-        while changed and not self.infeasible:
-            changed = False
-            survivors = []
-            for idx, cf, rel, rhs in rows:
-                if fixed[idx].any():
-                    sub = fixed[idx]
-                    rhs -= float(cf[sub] @ fixed_val[idx[sub]])
-                    idx, cf = idx[~sub], cf[~sub]
-                if len(idx) == 0:
-                    ok = (
-                        rhs >= -feas_tol
-                        if rel == LESS_EQUAL
-                        else rhs <= feas_tol
-                        if rel == GREATER_EQUAL
-                        else abs(rhs) <= feas_tol
-                    )
-                    if not ok:
-                        self.infeasible = True
-                        return
-                    changed = True
-                    continue
-                if len(idx) == 1:
-                    j, a = int(idx[0]), float(cf[0])
-                    v = rhs / a
-                    if rel == EQUAL:
-                        lower[j] = max(lower[j], v)
-                        upper[j] = min(upper[j], v)
-                    elif (rel == LESS_EQUAL) == (a > 0):
-                        upper[j] = min(upper[j], v)
-                    else:
-                        lower[j] = max(lower[j], v)
-                    changed = True
-                    continue
-                survivors.append([idx, cf, rel, rhs])
-            rows = survivors
-            if np.any(lower > upper + feas_tol):
-                self.infeasible = True
-                return
-            upper = np.maximum(upper, lower)
-            newly = ~fixed & (upper - lower <= 1e-11)
-            if newly.any():
-                fixed |= newly
-                fixed_val[newly] = lower[newly]
-                changed = True
-
-        self.lower, self.upper = lower, upper
-        self.fixed, self.fixed_val = fixed, fixed_val
-        self.active = np.nonzero(~fixed)[0]
-        self.rows = rows
-        self.col_of = np.full(n, -1, dtype=int)
-        self.col_of[self.active] = np.arange(len(self.active))
-
-    def restore(self, x_active: np.ndarray) -> np.ndarray:
-        x = self.fixed_val.copy()
-        x[self.active] = x_active
-        return x
 
 
 # ---------------------------------------------------------------------------
@@ -366,26 +288,23 @@ class _Tableau:
         return val[:ncols]
 
 
-def _solve_reduced(pre: _Presolved, objective, feas_tol, pivot_tol, rc_tol):
-    """Two-phase simplex over the presolved rows; returns (status, x_active, iterations)."""
-    act = pre.active
-    lo, up = pre.lower[act], pre.upper[act]
-    c = objective[act]
+def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
+    """Two-phase simplex over the rows of ``lp``; returns (status, x, iterations)."""
+    lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
+    c = lp.objective
 
     # affine map x = off + sgn * y with y in [0, span]; free variables get a
     # mirrored partner column so every column variable is nonnegative
-    off = np.where(np.isfinite(lo), lo, np.where(np.isfinite(up), up, 0.0))
-    sgn = np.where(np.isfinite(lo), 1.0, -1.0)
-    sgn[~np.isfinite(lo) & ~np.isfinite(up)] = 1.0
-    span = np.where(
-        np.isfinite(lo) & np.isfinite(up), up - lo, np.inf
-    )
-    free = ~np.isfinite(lo) & ~np.isfinite(up)
-    n_main = len(act)
+    fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
+    free = ~fin_lo & ~fin_up
+    off = np.where(fin_lo, lo, np.where(fin_up, up, 0.0))
+    sgn = np.where(fin_lo | free, 1.0, -1.0)
+    span = np.where(fin_lo & fin_up, up - lo, np.inf)
+    n_main = lp.num_vars
     mirror = np.nonzero(free)[0]
     n_struct = n_main + len(mirror)
 
-    m = len(pre.rows)
+    m = len(lp.constraints)
     if m == 0:
         # pure box problem: each variable sits at whichever bound its cost prefers
         x = np.where(c > 0, lo, np.where(c < 0, up, off))
@@ -393,21 +312,20 @@ def _solve_reduced(pre: _Presolved, objective, feas_tol, pivot_tol, rc_tol):
             return LpStatus.UNBOUNDED, None, 0
         return LpStatus.OPTIMAL, x, 0
 
-    n_slack = sum(1 for row in pre.rows if row[2] != EQUAL)
+    n_slack = sum(1 for con in lp.constraints if con.relation != EQUAL)
     dense = np.zeros((m, n_struct + n_slack))
     rhs = np.zeros(m)
     slack_col = n_struct
     basis = np.full(m, -1, dtype=int)
     need_art = []
-    for i, (idx, cf, rel, b) in enumerate(pre.rows):
-        cols = pre.col_of[idx]
+    for i, con in enumerate(lp.constraints):
+        idx = np.asarray(con.indices, dtype=int)
+        cf = np.asarray(con.coeffs, dtype=float)
         row = np.zeros(n_struct)
-        row[cols] = cf * sgn[cols]
-        for k, jm in enumerate(mirror):
-            if row[jm] != 0.0:
-                row[n_main + k] = -row[jm]
-        b = b - float(cf @ off[cols])
-        s = 0 if rel == EQUAL else (1 if rel == LESS_EQUAL else -1)
+        np.add.at(row, idx, cf * sgn[idx])  # a repeated index sums its coefficients
+        row[n_main:] = -row[mirror]
+        b = con.rhs - float(cf @ off[idx])
+        s = 0 if con.relation == EQUAL else (1 if con.relation == LESS_EQUAL else -1)
         if b < 0 or (b == 0 and s < 0):
             row, b, s = -row, -b, -s
         dense[i, :n_struct] = row
@@ -500,21 +418,9 @@ def solve_lp(
     well-formed program returns status ``INFEASIBLE``.
     """
     lp.validate()
-    pre = _Presolved(lp, feasibility_tol)
-    if pre.infeasible:
-        return LpSolution(LpStatus.INFEASIBLE, None, None, 0)
-    if len(pre.active) == 0:
-        x = pre.restore(np.empty(0))
-        bad = _violations(lp, x, feasibility_tol)
-        if bad:
-            return LpSolution(LpStatus.INFEASIBLE, None, None, 0)
-        return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), 0)
-    status, x_active, iters = _solve_reduced(
-        pre, lp.objective, feasibility_tol, pivot_tol, reduced_cost_tol
-    )
+    status, x, iters = _simplex(lp, feasibility_tol, pivot_tol, reduced_cost_tol)
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status, None, None, iters)
-    x = pre.restore(x_active)
     bad = _violations(lp, x, feasibility_tol)
     if bad:
         worst = max(v.amount for v in bad)

@@ -351,21 +351,30 @@ def _verify_phys134(sc: Scenario, charging, purchase, solar, tol=CONSTRAINT_TOL)
         raise ScheduleConsistencyError("; ".join(problems))
 
 
-def solve_offline(
-    sc: Scenario, gamma: float | None = None, demand_policy: str = "clamp"
-) -> tuple[Schedule, list[DemandAdjustment]]:
-    """Apply the demand policy, build, solve, and decode in one step."""
-    eff, adjustments = apply_demand_policy(sc, demand_policy)
+def solve_deliverable(sc: Scenario, gamma: float | None = None) -> Schedule:
+    """Build, solve, and decode the charging LP of a scenario whose demands are deliverable.
+
+    The demands must already have passed :func:`apply_demand_policy`; a
+    budget ``gamma`` selects the robust LP, ``None`` the nominal one.
+    """
     if gamma is None:
-        lp, vm = build_nominal_lp(eff)
+        lp, vm = build_nominal_lp(sc)
     else:
-        lp, vm = build_robust_lp(eff, gamma)
+        lp, vm = build_robust_lp(sc, gamma)
     sol = solve_lp(lp)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(
             f"charging LP ended {sol.status.value} although demands were made deliverable"
         )
-    return extract_schedule(sol, vm, eff, gamma), adjustments
+    return extract_schedule(sol, vm, sc, gamma)
+
+
+def solve_offline(
+    sc: Scenario, gamma: float | None = None, demand_policy: str = "clamp"
+) -> tuple[Schedule, list[DemandAdjustment]]:
+    """Apply the demand policy, then :func:`solve_deliverable`, in one step."""
+    eff, adjustments = apply_demand_policy(sc, demand_policy)
+    return solve_deliverable(eff, gamma), adjustments
 
 
 def allocation_to_point(allocation: np.ndarray, sc: Scenario, vm: VariableMap) -> np.ndarray:

@@ -53,7 +53,7 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
     rhs = np.zeros(len(lp.constraints))
     rels = []
     for k, con in enumerate(lp.constraints):
-        rows[k, list(con.indices)] = con.coeffs
+        np.add.at(rows[k], list(con.indices), con.coeffs)  # a repeated index sums
         rhs[k] = con.rhs
         rels.append(con.relation)
     eq_rows = [k for k, rel in enumerate(rels) if rel == EQUAL]
@@ -75,29 +75,38 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
         return float(np.min(X[ok] @ lp.objective))
 
     best = None
-    cols = np.arange(n)
     for k in range(min(m, n) + 1):
-        for active in combinations(range(m), k):
-            if any(e not in active for e in eq_rows):
-                continue  # equality rows are always active
-            act = np.array(active, dtype=int)
-            for free in combinations(range(n), k):
-                fr = np.array(free, dtype=int)
-                pin = np.setdiff1d(cols, fr)
-                npin = len(pin)
-                bits = (np.arange(1 << npin)[:, None] >> np.arange(npin)) & 1
-                xpin = np.where(bits == 1, up[pin], lo[pin])
-                X = np.empty((1 << npin, n))
-                X[:, pin] = xpin
-                if k:
-                    a_free = rows[act][:, fr]
-                    if abs(np.linalg.det(a_free)) < 1e-12:
-                        continue
-                    b = rhs[act][None, :] - xpin @ rows[act][:, pin].T
-                    X[:, fr] = np.linalg.solve(a_free, b.T).T
-                val = best_feasible(X)
-                if val is not None and (best is None or val < best):
-                    best = val
+        # every (k active rows, k free variables) pair at once, active-major
+        actives = [a for a in combinations(range(m), k) if all(e in a for e in eq_rows)]
+        if not actives:
+            continue  # equality rows are always active
+        frees = list(combinations(range(n), k))
+        act = np.repeat(np.array(actives, dtype=int).reshape(len(actives), k), len(frees), axis=0)
+        fr = np.tile(np.array(frees, dtype=int).reshape(len(frees), k), (len(actives), 1))
+        pinned = np.ones((len(fr), n), dtype=bool)
+        pinned[np.arange(len(fr))[:, None], fr] = False
+        pin = np.nonzero(pinned)[1].reshape(len(fr), n - k)
+        if k:
+            a_free = rows[act[:, :, None], fr[:, None, :]]
+            regular = np.abs(np.linalg.det(a_free)) >= 1e-12
+            act, fr, pin, a_free = act[regular], fr[regular], pin[regular], a_free[regular]
+        if not len(pin):
+            continue
+        npin = n - k
+        bits = (np.arange(1 << npin)[:, None] >> np.arange(npin)) & 1
+        xpin = np.where(bits == 1, up[pin][:, None, :], lo[pin][:, None, :])  # (pairs, 2^npin, npin)
+        at_pair = np.arange(len(pin))[:, None, None]
+        at_point = np.arange(1 << npin)[None, :, None]
+        X = np.empty((len(pin), 1 << npin, n))
+        X[at_pair, at_point, pin[:, None, :]] = xpin
+        if k:
+            pin_rows = rows[act[:, :, None], pin[:, None, :]]  # (pairs, k, npin)
+            b = rhs[act][:, None, :] - xpin @ pin_rows.transpose(0, 2, 1)
+            solved = np.linalg.solve(a_free, b.transpose(0, 2, 1))  # (pairs, k, 2^npin)
+            X[at_pair, at_point, fr[:, None, :]] = solved.transpose(0, 2, 1)
+        val = best_feasible(X.reshape(-1, n))
+        if val is not None and (best is None or val < best):
+            best = val
     if best is None:
         return "infeasible", None
     return "optimal", best

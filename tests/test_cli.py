@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from chargeopt import model
 from chargeopt.cli import _load_scenario, build_parser, main
 from chargeopt.lp import dump_lp
 from chargeopt.model import apply_demand_policy, build_robust_lp
@@ -78,6 +79,7 @@ class TestSimulate:
         clamped, adjustments = apply_demand_policy(_load_scenario(args), "clamp")
         assert adjustments  # the 3 kW grid cannot meet every demand
         assert dump.read_text() == dump_lp(build_robust_lp(clamped, 6.0)[0])
+        assert "np." not in dump.read_text()  # plain numbers, not numpy scalar reprs
 
     def test_mpc_policy_writes_trace_and_events(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
@@ -160,6 +162,44 @@ class TestSimulate:
         )
         assert code == 2
         assert "unreachable demand" in capsys.readouterr().err
+
+
+class TestDemandPolicyOnce:
+    """Each command clamps a scenario once, however many LPs it then solves."""
+
+    @pytest.fixture
+    def delivery_calls(self, monkeypatch):
+        calls = []
+        real = model.max_delivery
+
+        def counting(sc):
+            calls.append(sc)
+            return real(sc)
+
+        monkeypatch.setattr(model, "max_delivery", counting)
+        return calls
+
+    @staticmethod
+    def congested(toy_dir, out):
+        # a 3 kW grid without solar cannot meet every toy demand
+        return [*toy_flags(toy_dir, out, solar=False), "--grid-capacity", "3"]
+
+    def test_simulate_robust_with_dump(self, toy_dir, tmp_path, delivery_calls):
+        flags = self.congested(toy_dir, tmp_path / "r.json")
+        code = main(
+            ["simulate", *flags, "--policy", "robust", "--gamma", "6",
+             "--dump-lp", str(tmp_path / "lp.txt")]
+        )
+        assert code == 0
+        assert load(tmp_path / "r.json")["unmet_energy_kwh"]["nominal"] > 0
+        assert len(delivery_calls) == 1
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sensitivity_every_budget(self, toy_dir, tmp_path, delivery_calls, workers):
+        flags = self.congested(toy_dir, tmp_path / "s.json")
+        code = main(["sensitivity", *flags, "--gamma", "0,6,12", "--workers", workers])
+        assert code == 0
+        assert len(delivery_calls) == 1
 
 
 class TestSensitivity:

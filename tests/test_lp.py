@@ -104,6 +104,84 @@ class TestSolveExamples:
                 solve_lp(LinearProgram(2, [1.0, 1.0], [bound, [0.0, 1.0]]))
 
 
+class TestRowsAsGiven:
+    """Repeated indices, empty and singleton rows, and fixed variables reach the simplex unfolded."""
+
+    def test_repeated_indices_solve_like_merged_row(self):
+        def lp(con):
+            return LinearProgram(2, [-1.0, -2.0], [[0.0, 2.0], [0.0, 2.0]], [con])
+
+        repeated_row = Constraint((0, 1, 1, 0), (1.0, 0.5, 1.5, 1.0), LESS_EQUAL, 3.0)
+        repeated = solve_lp(lp(repeated_row))
+        merged = solve_lp(lp(Constraint((0, 1), (2.0, 2.0), LESS_EQUAL, 3.0)))
+        assert repeated.status is merged.status is LpStatus.OPTIMAL
+        assert repeated.objective_value == pytest.approx(merged.objective_value, abs=1e-12)
+        assert repeated.objective_value == pytest.approx(-3.0, abs=1e-9)
+        np.testing.assert_allclose(repeated.x, merged.x, atol=1e-12)
+        status, oracle = vertex_enumeration_optimum(lp(repeated_row))
+        assert status == "optimal" and oracle == pytest.approx(-3.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "relation, rhs, status",
+        [
+            (LESS_EQUAL, 1.0, LpStatus.OPTIMAL),
+            (LESS_EQUAL, -1.0, LpStatus.INFEASIBLE),
+            (GREATER_EQUAL, -1.0, LpStatus.OPTIMAL),
+            (GREATER_EQUAL, 1.0, LpStatus.INFEASIBLE),
+            (EQUAL, 0.0, LpStatus.OPTIMAL),
+            (EQUAL, 0.5, LpStatus.INFEASIBLE),
+        ],
+    )
+    def test_empty_row(self, relation, rhs, status):
+        lp = LinearProgram(
+            2,
+            [1.0, -1.0],
+            [[0.0, 1.0], [0.0, 1.0]],
+            [Constraint((), (), relation, rhs), Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 1.5)],
+        )
+        sol = solve_lp(lp)
+        assert sol.status is status
+        if status is LpStatus.OPTIMAL:
+            assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "rows, status",
+        [
+            ([Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 3.0)], LpStatus.OPTIMAL),
+            ([Constraint((0, 1), (1.0, -1.0), EQUAL, -1.0)], LpStatus.OPTIMAL),
+            ([Constraint((0, 1), (1.0, 1.0), GREATER_EQUAL, 4.0)], LpStatus.INFEASIBLE),
+            ([Constraint((1,), (1.0,), EQUAL, 2.5)], LpStatus.INFEASIBLE),
+        ],
+    )
+    def test_all_variables_fixed(self, rows, status):
+        lp = LinearProgram(2, [3.0, -1.0], [[1.0, 1.0], [2.0, 2.0]], rows)
+        sol = solve_lp(lp)
+        assert sol.status is status
+        if status is LpStatus.OPTIMAL:
+            np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-12)
+            assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+
+    def test_singleton_equality_row(self):
+        def lp(rhs):
+            return LinearProgram(
+                2,
+                [1.0, 1.0],
+                [[0.0, 4.0], [0.0, 4.0]],
+                [
+                    Constraint((0,), (2.0,), EQUAL, rhs),
+                    Constraint((0, 1), (1.0, 1.0), GREATER_EQUAL, 2.0),
+                ],
+            )
+
+        sol = solve_lp(lp(3.0))
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.x[0] == pytest.approx(1.5, abs=1e-9)
+        assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
+        status, oracle = vertex_enumeration_optimum(lp(3.0))
+        assert status == "optimal" and oracle == pytest.approx(sol.objective_value, abs=1e-9)
+        assert solve_lp(lp(10.0)).status is LpStatus.INFEASIBLE  # x0 = 5 is above its bound
+
+
 class TestCheckPoint:
     def test_feasible_point_empty_report(self):
         lp = lp_1d([Constraint((0,), (1.0,), GREATER_EQUAL, 1.0)])
