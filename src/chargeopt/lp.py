@@ -1,14 +1,25 @@
-"""Bounded-variable linear programs and a deterministic two-phase simplex solver.
+"""Bounded-variable linear programs and a deterministic simplex solver.
 
 The solver runs on a dense tableau built straight from the program's rows:
 a repeated index in a row sums its coefficients, and singleton rows, empty
-rows and fixed variables (``lower == upper``) enter as they are.  Phase 1
-reports infeasibility and drops redundant rows.  Pricing is Dantzig (most
-negative reduced cost, first index on ties) and switches to Bland's rule
-after ``10 * (rows + cols)`` iterations so that degenerate instances are
-guaranteed to terminate.  Upper bounds are handled natively with the
-bound-flip technique rather than as extra rows; a fixed variable has span
-zero and so only ever flips or enters at zero.
+rows and fixed variables (``lower == upper``) enter as they are.  Every row
+gets one logical column: a slack on a ``<=`` row (a ``>=`` row is negated
+first) and a fixed logical of span zero on an ``=`` row.  Upper bounds are
+handled natively with the bound-flip technique rather than as extra rows.
+
+Phase 1 is a dual simplex from the all-logical basis.  Each column starts at
+the bound its cost prefers, so that basis is dual feasible; a column whose
+preferred bound is infinite is priced 0 for phase 1 only.  The leaving row
+is the basic variable with the largest bound violation, and the entering
+column comes from a bound-flipping ratio test (Maros, EJOR 146(3), 2003):
+each boxed column passed on the way moves to its other bound while the row
+stays violated.  A violated row that no column can repair proves the
+program infeasible.  Phase 2 is the primal simplex with the true costs from
+the final basis, with Dantzig pricing (most negative reduced cost, first
+index on ties); on a program that phase 1 did not re-price it has nothing
+to do.  Both phases switch to Bland's rule after ``10 * (rows + cols)``
+iterations so that degenerate instances are guaranteed to terminate.  A
+fixed column never enters the basis.
 
 A pivot's rank-1 update of the tableau matrix touches only the rows where the
 pivot column is nonzero, and in them only the columns where the pivot row is
@@ -21,7 +32,9 @@ bit-identical result.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -127,11 +140,33 @@ class Violation:
 
 
 @dataclass(frozen=True)
+class SolverStats:
+    """What the simplex did on one solve.
+
+    ``bound_flips`` counts the columns the ratio tests moved to their other
+    bound instead of pivoting them in.  ``check_seconds`` and
+    ``worst_residual`` (the largest bound or row violation of the returned
+    point, 0 when it violates none) describe the final feasibility check and
+    stay 0 and ``None`` when no point is returned.
+    """
+
+    dual_iterations: int
+    primal_iterations: int
+    bound_flips: int
+    bland: bool  # whether Bland's rule chose any iteration of either phase
+    dual_seconds: float
+    primal_seconds: float
+    check_seconds: float = 0.0
+    worst_residual: float | None = None
+
+
+@dataclass(frozen=True)
 class LpSolution:
     status: LpStatus
     x: np.ndarray | None
     objective_value: float | None
-    iterations: int
+    iterations: int  # both phases
+    stats: SolverStats
 
 
 def check_point(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> list[Violation]:
@@ -189,37 +224,99 @@ def dump_lp(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Dense tableau state shared by both phases."""
+    """Dense tableau state shared by both phases.
 
-    def __init__(self, mat, rhs, spans, basis, pivot_tol, rc_tol, bland_after, max_iter):
-        self.mat = np.ascontiguousarray(mat)  # (m, ncols); _pivot writes through a flat view
-        self.rhs = rhs  # (m,)
-        self.spans = spans  # (ncols,) upper range of each column variable, inf allowed
+    Every column variable lives in ``[0, span]`` and every nonbasic one sits
+    at 0: ``flipped`` marks the columns substituted by ``span - y``.
+    """
+
+    bland_factor = 10  # Bland's rule after this many iterations per row and column
+
+    def __init__(self, mat, rhs, spans, basis, pivot_tol, rc_tol):
+        m, n = mat.shape
+        self.mat = mat  # (m, n), C-contiguous: _pivot writes through a flat view
+        self.rhs = rhs  # (m,) value of the basic variable of each row
+        self.spans = spans  # (n,) upper range of each column variable, inf allowed
         self.basis = basis  # (m,) column index basic in each row
-        self.flipped = np.zeros(mat.shape[1], dtype=bool)
-        self.in_basis = np.zeros(mat.shape[1], dtype=bool)
-        self.in_basis[basis] = True
+        self.flipped = np.zeros(n, dtype=bool)
+        # columns that may not enter: the basic ones, and the fixed ones (span 0),
+        # which cannot move and so are dual feasible at any reduced cost
+        self.locked = spans == 0
+        self.locked[basis] = True
         self.pivot_tol = pivot_tol
         self.rc_tol = rc_tol
-        self.bland_after = bland_after
-        self.max_iter = max_iter
+        self.bland_after = self.bland_factor * (m + n)
+        self.max_iter = 50_000 + 200 * (m + n)
         self.iterations = 0
+        self.flips = 0  # columns moved to their other bound by a ratio test
+        self.bland = False  # whether Bland's rule chose any iteration
 
-    def _enter(self, red):
-        if self.iterations < self.bland_after:
-            masked = np.where(self.in_basis, np.inf, red)
-            q = int(np.argmin(masked))
-            return q if masked[q] < -self.rc_tol else -1
-        eligible = np.nonzero(~self.in_basis & (red < -self.rc_tol))[0]
-        return int(eligible[0]) if len(eligible) else -1
+    def _bland_due(self) -> bool:
+        """Whether Bland's rule picks the next iteration; raises past the iteration limit."""
+        if self.iterations > self.max_iter:
+            raise LpSolverError("simplex iteration limit exceeded")
+        return self.iterations >= self.bland_after
 
-    def run(self, red, phase: int) -> LpStatus:
-        """Pivot until optimal; mutates tableau and ``red`` in place."""
+    def run_dual(self, red, feas_tol) -> LpStatus:
+        """Dual simplex from a dual feasible basis (``red >= 0``) until every
+        basic variable is within ``feas_tol`` of its range; INFEASIBLE when a
+        violated row cannot be repaired.  Mutates tableau and ``red`` in place."""
+        while True:
+            bland = self._bland_due()
+            above = self.rhs - self.spans[self.basis]
+            viol = np.maximum(-self.rhs, above)
+            if bland:
+                # dual Bland rule: the violated row with the lowest basic index
+                rows = np.nonzero(viol > feas_tol)[0]
+                if not len(rows):
+                    return LpStatus.OPTIMAL
+                r = int(rows[np.argmin(self.basis[rows])])
+            else:
+                r = int(np.argmax(viol))
+                if not viol[r] > feas_tol:
+                    return LpStatus.OPTIMAL
+            leaves_at_upper = bool(above[r] > 0)
+            # raising nonbasic column j by t moves the leaving variable by -mat[r, j] * t;
+            # slope[j] > 0 moves it towards the bound it violates
+            slope = self.mat[r] if leaves_at_upper else -self.mat[r]
+            cand = np.nonzero((slope > self.pivot_tol) & ~self.locked)[0]
+            if not len(cand):
+                return LpStatus.INFEASIBLE
+            ratios = np.maximum(red[cand], 0.0) / slope[cand]
+            self.iterations += 1
+            self.bland |= bland
+            if bland:
+                t = ratios.min()
+                q = int(cand[np.argmax(ratios <= t + 1e-12 * (1.0 + t))])
+            else:
+                # bound-flipping ratio test: pass each breakpoint whose boxed column,
+                # moved to its other bound, leaves the row violated in the same direction
+                cand = cand[np.argsort(ratios, kind="stable")]
+                reach = np.cumsum(slope[cand] * self.spans[cand])
+                k = int(np.searchsorted(reach, viol[r]))
+                if k == len(cand) and viol[r] - reach[-1] > feas_tol:
+                    return LpStatus.INFEASIBLE
+                if k:
+                    self._flip(cand[:k], red)
+                    self.flips += k
+                if k == len(cand):
+                    continue  # the flips alone bring the row within tolerance
+                q = int(cand[k])
+            self._pivot(r, q, red, leaves_at_upper)
+
+    def run(self, red) -> LpStatus:
+        """Primal simplex from a primal feasible basis until optimal; mutates
+        tableau and ``red`` in place."""
         m = self.mat.shape[0]
         while True:
-            if self.iterations > self.max_iter:
-                raise LpSolverError(f"iteration limit exceeded in phase {phase}")
-            q = self._enter(red)
+            bland = self._bland_due()
+            masked = np.where(self.locked, np.inf, red)
+            if bland:
+                eligible = np.nonzero(masked < -self.rc_tol)[0]
+                q = int(eligible[0]) if len(eligible) else -1
+            else:
+                q = int(np.argmin(masked))
+                q = q if masked[q] < -self.rc_tol else -1
             if q < 0:
                 return LpStatus.OPTIMAL
             col = self.mat[:, q]
@@ -232,30 +329,32 @@ class _Tableau:
             ratios = np.maximum(ratios, 0.0)
             r = int(np.argmin(ratios))
             t_row = ratios[r]
-            if self.iterations >= self.bland_after and np.isfinite(t_row):
+            if bland and np.isfinite(t_row):
                 # Bland leaving rule: lowest basic variable index among ties
                 tied = np.nonzero(ratios <= t_row + 1e-12 * (1.0 + t_row))[0]
                 r = int(tied[np.argmin(self.basis[tied])])
                 t_row = ratios[r]
             t_own = self.spans[q]
             if not np.isfinite(min(t_row, t_own)):
-                if phase == 1:
-                    raise LpSolverError("phase-1 objective unbounded (internal bug)")
                 return LpStatus.UNBOUNDED
             self.iterations += 1
+            self.bland |= bland
             if t_own < t_row:
-                self._flip(q, red)
+                self._flip([q], red)
+                self.flips += 1
             else:
                 self._pivot(r, q, red, leaves_at_upper=bool(neg[r]))
             tiny = (self.rhs < 0.0) & (self.rhs > -1e-9)
             if tiny.any():
                 self.rhs[tiny] = 0.0
 
-    def _flip(self, q, red):
-        self.rhs -= self.spans[q] * self.mat[:, q]
-        self.mat[:, q] *= -1.0
-        red[q] = -red[q]
-        self.flipped[q] = ~self.flipped[q]
+    def _flip(self, cols, red):
+        """Move each column in ``cols`` (nonbasic, finite span) to its other bound."""
+        sub = self.mat[:, cols]
+        self.rhs -= sub @ self.spans[cols]
+        self.mat[:, cols] = -sub
+        red[cols] = -red[cols]
+        self.flipped[cols] = ~self.flipped[cols]
 
     def _pivot(self, r, q, red, leaves_at_upper):
         leaving = self.basis[r]
@@ -275,10 +374,10 @@ class _Tableau:
         red -= red[q] * self.mat[r]
         red[q] = 0.0
         self.basis[r] = q
-        self.in_basis[q] = True
-        self.in_basis[leaving] = False
+        self.locked[q] = True
+        self.locked[leaving] = self.spans[leaving] == 0
         if leaves_at_upper:
-            self._flip(leaving, red)
+            self._flip([leaving], red)
 
     def values(self, ncols: int) -> np.ndarray:
         """Current value of the first ``ncols`` column variables, flips undone."""
@@ -289,120 +388,86 @@ class _Tableau:
 
 
 def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
-    """Two-phase simplex over the rows of ``lp``; returns (status, x, iterations)."""
+    """Dual phase 1, then primal phase 2, over the rows of ``lp``.
+
+    Returns ``(status, x, stats)``; the stats carry no check figures yet.
+    """
     lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
     c = lp.objective
 
-    # affine map x = off + sgn * y with y in [0, span]; free variables get a
-    # mirrored partner column so every column variable is nonnegative
+    # affine map x = off + sgn * y with y in [0, span]: each column starts at
+    # the bound its cost prefers, and free variables get a mirrored partner
+    # column so every column variable is nonnegative
     fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
-    free = ~fin_lo & ~fin_up
-    off = np.where(fin_lo, lo, np.where(fin_up, up, 0.0))
-    sgn = np.where(fin_lo | free, 1.0, -1.0)
+    at_up = fin_up & (~fin_lo | (c < 0))
+    off = np.where(at_up, up, np.where(fin_lo, lo, 0.0))
+    sgn = np.where(at_up, -1.0, 1.0)
     span = np.where(fin_lo & fin_up, up - lo, np.inf)
     n_main = lp.num_vars
-    mirror = np.nonzero(free)[0]
+    mirror = np.nonzero(~fin_lo & ~fin_up)[0]
     n_struct = n_main + len(mirror)
 
     m = len(lp.constraints)
     if m == 0:
         # pure box problem: each variable sits at whichever bound its cost prefers
+        stats = SolverStats(0, 0, 0, False, 0.0, 0.0)
         x = np.where(c > 0, lo, np.where(c < 0, up, off))
         if not np.all(np.isfinite(x)):
-            return LpStatus.UNBOUNDED, None, 0
-        return LpStatus.OPTIMAL, x, 0
+            return LpStatus.UNBOUNDED, None, stats
+        return LpStatus.OPTIMAL, x, stats
 
-    n_slack = sum(1 for con in lp.constraints if con.relation != EQUAL)
-    dense = np.zeros((m, n_struct + n_slack))
+    # every row gets one logical column, basic at the start: a slack of span inf
+    # on a "<=" row (a ">=" row is negated first), a fixed logical of span 0 on
+    # an "=" row
+    mat = np.zeros((m, n_struct + m))
     rhs = np.zeros(m)
-    slack_col = n_struct
-    basis = np.full(m, -1, dtype=int)
-    need_art = []
     for i, con in enumerate(lp.constraints):
         idx = np.asarray(con.indices, dtype=int)
         cf = np.asarray(con.coeffs, dtype=float)
-        row = np.zeros(n_struct)
+        row = mat[i, :n_struct]
         np.add.at(row, idx, cf * sgn[idx])  # a repeated index sums its coefficients
         row[n_main:] = -row[mirror]
-        b = con.rhs - float(cf @ off[idx])
-        s = 0 if con.relation == EQUAL else (1 if con.relation == LESS_EQUAL else -1)
-        if b < 0 or (b == 0 and s < 0):
-            row, b, s = -row, -b, -s
-        dense[i, :n_struct] = row
-        rhs[i] = b
-        if s != 0:
-            dense[i, slack_col] = float(s)
-            if s > 0:
-                basis[i] = slack_col
-            slack_col += 1
-        if basis[i] < 0:
-            need_art.append(i)
+        rhs[i] = con.rhs - float(cf @ off[idx])
+        if con.relation == GREATER_EQUAL:
+            row *= -1.0
+            rhs[i] = -rhs[i]
+    basis = n_struct + np.arange(m)
+    mat[np.arange(m), basis] = 1.0
+    fixed = np.array([con.relation == EQUAL for con in lp.constraints])
+    spans = np.concatenate([span, np.full(len(mirror), np.inf), np.where(fixed, 0.0, np.inf)])
+    tab = _Tableau(mat, rhs, spans, basis, pivot_tol, rc_tol)
 
-    n_art = len(need_art)
-    spans = np.concatenate([span, np.full(len(mirror) + n_slack + n_art, np.inf)])
-    if n_art:
-        art = np.zeros((m, n_art))
-        for k, i in enumerate(need_art):
-            art[i, k] = 1.0
-            basis[i] = n_struct + n_slack + k
-        dense = np.hstack([dense, art])
-
-    tab = _Tableau(
-        dense,
-        rhs,
-        spans,
-        basis,
-        pivot_tol,
-        rc_tol,
-        bland_after=10 * (m + dense.shape[1]),
-        max_iter=50_000 + 200 * (m + dense.shape[1]),
-    )
-
-    n_keep = n_struct + n_slack
-    if n_art:
-        red1 = np.zeros(dense.shape[1])
-        red1[n_keep:] = 1.0
-        for i in need_art:
-            red1 -= tab.mat[i]
-        tab.run(red1, phase=1)
-        art_rows = [i for i in range(len(tab.basis)) if tab.basis[i] >= n_keep]
-        if sum(tab.rhs[i] for i in art_rows) > feas_tol:
-            return LpStatus.INFEASIBLE, None, tab.iterations
-        drop = []
-        for i in art_rows:
-            cand = np.nonzero(
-                (np.abs(tab.mat[i, :n_keep]) > pivot_tol) & ~tab.in_basis[:n_keep]
-            )[0]
-            if len(cand):
-                tab._pivot(i, int(cand[0]), red1, leaves_at_upper=False)
-            else:
-                drop.append(i)  # redundant row
-        if drop:
-            keep = np.setdiff1d(np.arange(tab.mat.shape[0]), drop)
-            tab.mat = tab.mat[keep]
-            tab.rhs = tab.rhs[keep]
-            tab.basis = tab.basis[keep]
-        tab.mat = np.ascontiguousarray(tab.mat[:, :n_keep])
-        tab.spans = tab.spans[:n_keep]
-        tab.flipped = tab.flipped[:n_keep]
-        tab.in_basis = tab.in_basis[:n_keep]
-
-    cost = np.zeros(n_keep)
+    cost = np.zeros(n_struct + m)
     cost[:n_main] = c * sgn
-    if len(mirror):
-        cost[n_main:n_struct] = -cost[mirror]
-    cost = np.where(tab.flipped, -cost, cost)
-    red2 = cost - cost[tab.basis] @ tab.mat
-    red2[tab.basis] = 0.0
-    status = tab.run(red2, phase=2)
+    cost[n_main:n_struct] = -cost[mirror]
+    t0 = time.perf_counter()
+    # only a column of span inf can price below zero at its preferred bound;
+    # pricing it at 0 makes the all-logical basis dual feasible
+    status = tab.run_dual(np.maximum(cost, 0.0), feas_tol)
+    dual_iterations = tab.iterations
+    t1 = time.perf_counter()
+    if status is LpStatus.OPTIMAL:
+        cost = np.where(tab.flipped, -cost, cost)
+        red = cost - cost[tab.basis] @ tab.mat
+        red[tab.basis] = 0.0
+        status = tab.run(red)
+    stats = SolverStats(
+        dual_iterations,
+        tab.iterations - dual_iterations,
+        tab.flips,
+        tab.bland,
+        t1 - t0,
+        time.perf_counter() - t1,
+    )
     if status is not LpStatus.OPTIMAL:
-        return status, None, tab.iterations
+        return status, None, stats
 
     y = tab.values(n_struct)
     x = off + sgn * y[:n_main]
-    if len(mirror):
-        x[mirror] -= y[n_main:]
-    return LpStatus.OPTIMAL, x, tab.iterations
+    x[mirror] -= y[n_main:]
+    # the dual phase stops within the feasibility tolerance of a bound, not on
+    # it, and lower + span can round past upper: the point keeps its box exactly
+    return LpStatus.OPTIMAL, np.clip(x, lo, up), stats
 
 
 def solve_lp(
@@ -418,13 +483,19 @@ def solve_lp(
     well-formed program returns status ``INFEASIBLE``.
     """
     lp.validate()
-    status, x, iters = _simplex(lp, feasibility_tol, pivot_tol, reduced_cost_tol)
+    status, x, stats = _simplex(lp, feasibility_tol, pivot_tol, reduced_cost_tol)
+    iterations = stats.dual_iterations + stats.primal_iterations
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(status, None, None, iters)
-    bad = _violations(lp, x, feasibility_tol)
+        return LpSolution(status, None, None, iterations, stats)
+    t0 = time.perf_counter()
+    residuals = _violations(lp, x, 0.0)
+    worst = max((v.amount for v in residuals), default=0.0)
+    stats = dataclasses.replace(
+        stats, check_seconds=time.perf_counter() - t0, worst_residual=worst
+    )
+    bad = [v for v in residuals if v.amount > feasibility_tol]
     if bad:
-        worst = max(v.amount for v in bad)
         raise LpSolverError(
             f"solver returned an infeasible point ({len(bad)} violations, worst {worst:.3e})"
         )
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), iters)
+    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), iterations, stats)

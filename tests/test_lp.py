@@ -11,10 +11,13 @@ from chargeopt.lp import (
     LinearProgram,
     LpFormatError,
     LpStatus,
+    _Tableau,
     check_point,
     dump_lp,
     solve_lp,
 )
+from chargeopt.model import apply_demand_policy, build_nominal_lp, build_robust_lp
+from chargeopt.synth import bench_scenario
 from oracles import random_box_lp, vertex_enumeration_optimum
 
 INF = float("inf")
@@ -180,6 +183,175 @@ class TestRowsAsGiven:
         status, oracle = vertex_enumeration_optimum(lp(3.0))
         assert status == "optimal" and oracle == pytest.approx(sol.objective_value, abs=1e-9)
         assert solve_lp(lp(10.0)).status is LpStatus.INFEASIBLE  # x0 = 5 is above its bound
+
+
+def criterion_2_lps():
+    """The 200 random LPs of acceptance criterion 2."""
+    rng = np.random.default_rng(1002)
+    return [random_box_lp(rng) for _ in range(200)]
+
+
+def bounds_as_rows(lp):
+    """The same program with some box sides moved into rows, so that columns of
+    span inf start at a bound their cost does not prefer (negative-cost columns
+    lose their upper bound, every third variable becomes free)."""
+    bounds = lp.var_bounds.copy()
+    rows = list(lp.constraints)
+    for j, (lo, up) in enumerate(lp.var_bounds):
+        if j % 3 == 2:
+            bounds[j] = [-INF, INF]
+            rows.append(Constraint((j,), (1.0,), GREATER_EQUAL, lo))
+        elif lp.objective[j] >= 0:
+            continue
+        bounds[j, 1] = INF
+        rows.append(Constraint((j,), (1.0,), LESS_EQUAL, up))
+    return LinearProgram(lp.num_vars, lp.objective, bounds, rows)
+
+
+def assert_matches_enumeration(lp, sol):
+    status, oracle = vertex_enumeration_optimum(lp)
+    if status == "infeasible":
+        assert sol.status is LpStatus.INFEASIBLE
+    else:
+        assert sol.status is LpStatus.OPTIMAL
+        assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle))
+
+
+class TestDualPhase:
+    """Dual phase 1 from the all-logical basis, then primal phase 2."""
+
+    @pytest.mark.parametrize("moved", [False, True], ids=["boxed", "bounds-as-rows"])
+    def test_bland_from_the_first_iteration(self, monkeypatch, moved):
+        monkeypatch.setattr(_Tableau, "bland_factor", 0)
+        used = {"dual": 0, "primal": 0}
+        for lp in criterion_2_lps():
+            sol = solve_lp(bounds_as_rows(lp) if moved else lp)
+            assert_matches_enumeration(lp, sol)
+            assert sol.stats.bland == (sol.iterations > 0)
+            used["dual"] += sol.stats.dual_iterations
+            used["primal"] += sol.stats.primal_iterations
+        assert used["dual"] > 0
+        assert (used["primal"] > 0) == moved  # boxed columns never need phase 2
+
+    def test_bland_in_phase_2_on_a_cycling_instance(self, monkeypatch):
+        monkeypatch.setattr(_Tableau, "bland_factor", 0)
+        lp = LinearProgram(
+            4,
+            [-0.75, 150.0, -0.02, 6.0],
+            [[0.0, INF]] * 4,
+            [
+                Constraint((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
+                Constraint((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
+                Constraint((2,), (1.0,), LESS_EQUAL, 1.0),
+            ],
+        )
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+        assert sol.stats.bland and sol.stats.primal_iterations > 0
+
+    def test_dual_infeasible_start_goes_through_phase_2(self):
+        phase_2 = 0
+        for lp in criterion_2_lps():
+            sol = solve_lp(bounds_as_rows(lp))
+            assert_matches_enumeration(lp, sol)
+            phase_2 += sol.stats.primal_iterations
+        assert phase_2 > 0
+
+    def test_unbounded_through_phase_2(self):
+        # the row starts violated, so the dual phase runs before phase 2 finds the ray
+        lp = LinearProgram(
+            2,
+            [-1.0, 1.0],
+            [[0.0, INF], [0.0, 1.0]],
+            [Constraint((0, 1), (1.0, -1.0), GREATER_EQUAL, 0.5)],
+        )
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.UNBOUNDED
+        assert sol.stats.dual_iterations == 1
+        free = LinearProgram(
+            2, [1.0, 0.0], [[-INF, INF], [0.0, 1.0]], [Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)]
+        )
+        assert solve_lp(free).status is LpStatus.UNBOUNDED
+
+    def test_infeasible_row_without_an_eligible_column(self):
+        # -x0 >= 1 with x0 >= 0: no column can raise the row's slack
+        lp = LinearProgram(
+            2,
+            [1.0, 1.0],
+            [[0.0, INF], [0.0, 1.0]],
+            [Constraint((0, 1), (-1.0, 0.0), GREATER_EQUAL, 1.0)],
+        )
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.INFEASIBLE
+        assert sol.stats.bound_flips == 0
+
+    def test_infeasible_when_the_boxed_breakpoints_run_out(self):
+        def lp(up):
+            return LinearProgram(
+                2,
+                [1.0, 2.0],
+                [[0.0, 1.0], [0.0, up]],
+                [Constraint((0, 1), (1.0, 1.0), GREATER_EQUAL, 3.0)],
+            )
+
+        sol = solve_lp(lp(1.0))  # both columns at their upper bound still leave it short
+        assert sol.status is LpStatus.INFEASIBLE
+        assert sol.stats.bound_flips == 0
+        sol = solve_lp(lp(5.0))  # x0 is passed at its upper bound, x1 enters
+        assert sol.status is LpStatus.OPTIMAL
+        assert sol.stats.bound_flips == 1
+        np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_equality_pairs(self, monkeypatch, bland):
+        if bland:
+            monkeypatch.setattr(_Tableau, "bland_factor", 0)
+
+        def lp(second_rhs):
+            return LinearProgram(
+                3,
+                [1.0, 2.0, -1.0],
+                [[0.0, 2.0], [0.0, 2.0], [0.0, 1.0]],
+                [
+                    Constraint((0, 1, 2), (1.0, 1.0, 1.0), EQUAL, 2.0),
+                    Constraint((0, 1, 2), (2.0, 2.0, 2.0), EQUAL, second_rhs),
+                    Constraint((0, 2), (1.0, -1.0), GREATER_EQUAL, 0.0),
+                ],
+            )
+
+        redundant = solve_lp(lp(4.0))
+        # the enumeration oracle needs independent equality rows: give it one of the pair
+        single = lp(4.0)
+        del single.constraints[1]
+        assert_matches_enumeration(single, redundant)
+        assert redundant.objective_value == pytest.approx(0.0, abs=1e-9)
+        assert solve_lp(lp(4.5)).status is LpStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("gamma", [None, 12.0])
+    def test_charging_lps_skip_phase_2(self, gamma):
+        sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
+        lp, _ = build_nominal_lp(sc) if gamma is None else build_robust_lp(sc, gamma)
+        sol = solve_lp(lp)
+        assert sol.status is LpStatus.OPTIMAL
+        stats = sol.stats
+        assert stats.primal_iterations == 0
+        assert stats.dual_iterations == sol.iterations > 0
+        assert not stats.bland
+        assert 0.0 <= stats.worst_residual <= 1e-6
+        assert min(stats.dual_seconds, stats.primal_seconds, stats.check_seconds) >= 0.0
+
+    def test_points_keep_their_box_exactly(self):
+        rng = np.random.default_rng(2)
+        lps = criterion_2_lps() + [random_box_lp(rng) for _ in range(1000)]
+        optimal = 0
+        for lp in lps:
+            sol = solve_lp(lp)
+            if sol.status is LpStatus.OPTIMAL:
+                optimal += 1
+                assert np.all(lp.var_bounds[:, 0] <= sol.x)
+                assert np.all(sol.x <= lp.var_bounds[:, 1])
+        assert optimal >= 500
 
 
 class TestCheckPoint:

@@ -19,6 +19,7 @@ from chargeopt.model import (
     extract_schedule,
     max_delivery,
     _max_delivery_lp,
+    solve_deliverable,
     solve_offline,
 )
 from chargeopt.scenario import (
@@ -181,6 +182,27 @@ class TestRobust:
                 sched, _ = solve_offline(raw, gamma)
                 expected = highs_physical_objective(eff, gamma)
                 assert sched.objective_value == pytest.approx(expected, rel=1e-6)
+
+
+    def test_month_scale_matches_highs(self):
+        pytest.importorskip("scipy")
+        sc, _ = apply_demand_policy(random_scenario(600, seed=2, num_slots=720), "clamp")
+        for lp, _ in (build_nominal_lp(sc), build_robust_lp(sc, 12.0)):
+            sol = solve_lp(lp)
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.objective_value == pytest.approx(highs_objective(lp), rel=1e-6)
+
+    def test_net_purchase_never_negative(self):
+        # the simplex stops within its tolerance of a bound; the decoded
+        # purchases must still be nonnegative, as the worst-case scoring requires
+        for seed in range(100):
+            sc = random_scenario(
+                2 + seed % 4, seed=9000 + seed, ample_grid=(seed % 3 == 0), demand_fill=(0.2, 1.1)
+            )
+            eff, _ = apply_demand_policy(sc, "clamp")
+            sched = solve_deliverable(eff, [None, 0.0, 4.5, 24.0][seed % 4])
+            assert np.all(sched.net_purchase >= 0.0), f"seed {seed}"
+            assert np.all(sched.charging_power >= 0.0), f"seed {seed}"
 
 
 class TestDemandPolicy:
