@@ -8,6 +8,7 @@ from .lp import (
     LpSolution,
     LpSolverError,
     LpStatus,
+    Rows,
     SolverStats,
     check_point,
     dump_lp,

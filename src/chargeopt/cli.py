@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -160,11 +161,20 @@ def _load_scenario(args):
     return sc
 
 
+def _finite(flag: str, value: float) -> float:
+    """The value of a numeric flag; a nan or infinite value is an input error."""
+    if not math.isfinite(value):
+        raise ScenarioError(f"{flag} must be finite, got {value!r}")
+    return value
+
+
 def _out_path(base: str, suffix: str) -> str:
     return (base[:-5] if base.endswith(".json") else base) + suffix
 
 
 def cmd_simulate(args) -> int:
+    if args.gamma is not None:
+        _finite("--gamma", args.gamma)
     sc = _load_scenario(args)
     if args.policy == "robust" and args.gamma is None:
         raise ScenarioError("--policy robust requires --gamma")
@@ -186,6 +196,7 @@ def cmd_simulate(args) -> int:
         gamma = args.gamma if args.policy in ("robust", "mpc") else None
         eff, adjustments = apply_demand_policy(sc, args.demand_policy)
         schedule = solve_deliverable(eff)
+        report.solver.append(reports.SolverRecord("nominal", schedule.stats))
         report.costs["nominal"] = schedule.nominal_cost
         report.unmet_energy_kwh["nominal"] = float(
             sum(a.required - a.deliverable for a in adjustments)
@@ -196,6 +207,7 @@ def cmd_simulate(args) -> int:
         optimized_slot_cost = reports.slot_costs(sc, schedule.grid_draw)
         if args.policy == "robust":
             rsched = solve_deliverable(eff, gamma)
+            report.solver.append(reports.SolverRecord(f"robust gamma={gamma!r}", rsched.stats))
             report.costs["robust_nominal"] = rsched.nominal_cost
             report.costs["robust_objective"] = rsched.objective_value
             report.slot_series["robust_grid_kw"] = [float(v) for v in rsched.grid_draw]
@@ -245,14 +257,17 @@ def _sensitivity_point(payload):
     schedule = solve_deliverable(sc, gamma)
     budget = UncertaintyBudget(eval_gamma, sc.prices.deviation_bound)
     worst = worst_case_total_cost(schedule, sc.prices, sc.grid.slot_hours, budget)
-    return gamma, schedule.nominal_cost, worst
+    return gamma, schedule.nominal_cost, worst, schedule.stats
 
 
 def cmd_sensitivity(args) -> int:
-    sc = _load_scenario(args)
-    gammas = sorted({float(g) for g in str(args.gamma).split(",") if g.strip() != ""})
+    gammas = [float(g) for g in str(args.gamma).split(",") if g.strip() != ""]
+    gammas = sorted({_finite("--gamma", g) for g in gammas})
     if any(g < 0 for g in gammas):
         raise ScenarioError("budgets must be nonnegative")
+    if args.eval_gamma is not None:
+        _finite("--eval-gamma", args.eval_gamma)
+    sc = _load_scenario(args)
     eval_gamma = args.eval_gamma if args.eval_gamma is not None else max(gammas)
     # one demand pass: every budget solves the same deliverable scenario
     eff, _ = apply_demand_policy(sc, args.demand_policy)
@@ -264,10 +279,12 @@ def cmd_sensitivity(args) -> int:
             results = list(pool.map(_sensitivity_point, work))
     else:
         results = [_sensitivity_point(w) for w in work]
-    by_gamma = {g: (nom, worst) for g, nom, worst in results}
+    by_gamma = {g: (nom, worst) for g, nom, worst, _ in results}
     base_nominal = by_gamma[0.0][0]
 
     report = reports.RunReport(command="sensitivity")
+    for g, _, _, stats in results:
+        report.solver.append(reports.SolverRecord(f"robust gamma={g!r}", stats))
     report.notes.append(f"worst cases scored at budget {eval_gamma}")
     for g in gammas:
         nom, worst = by_gamma[g]
@@ -286,6 +303,9 @@ def cmd_bench(args) -> int:
     counts = [int(c) for c in str(args.ev_counts).split(",") if c.strip() != ""]
     if any(c < 1 for c in counts):
         raise ScenarioError("EV counts must be positive")
+    if args.repetitions < 1:
+        raise ScenarioError(f"--repetitions must be at least 1, got {args.repetitions}")
+    _finite("--gamma", args.gamma)
     report = reports.RunReport(command="bench")
     for count in counts:
         sc = bench_scenario(count, seed=args.seed)

@@ -1,10 +1,19 @@
 """Bounded-variable linear programs and a deterministic simplex solver.
 
-The solver runs on a dense tableau built straight from the program's rows:
-a repeated index in a row sums its coefficients, and singleton rows, empty
-rows and fixed variables (``lower == upper``) enter as they are.  Every row
-gets one logical column: a slack on a ``<=`` row (a ``>=`` row is negated
-first) and a fixed logical of span zero on an ``=`` row.  Upper bounds are
+A program keeps its rows as CSR arrays (:class:`Rows`): ``indptr``,
+``indices``, ``coeffs``, a relation code per row and ``rhs``.  The model
+builders emit those arrays directly; a list of :class:`Constraint` tuples is
+converted once when the program is made, and reading ``lp.constraints`` row
+by row builds the tuples back.  Validation, the feasibility check and the
+plain-text dump work on the arrays.
+
+The solver runs on one dense tableau of shape ``(rows + 1, cols + 1)``: the
+basic values are its last column and the reduced costs its last row.  It is
+built with a single scatter of the rows' nonzeros: a repeated index in a row
+sums its coefficients, and singleton rows, empty rows and fixed variables
+(``lower == upper``) enter as they are.  Every row gets one logical column: a
+slack on a ``<=`` row (a ``>=`` row is negated, its sign folded into the
+scatter) and a fixed logical of span zero on an ``=`` row.  Upper bounds are
 handled natively with the bound-flip technique rather than as extra rows.
 
 Phase 1 is a dual simplex from the all-logical basis.  Each column starts at
@@ -21,10 +30,12 @@ to do.  Both phases switch to Bland's rule after ``10 * (rows + cols)``
 iterations so that degenerate instances are guaranteed to terminate.  A
 fixed column never enters the basis.
 
-A pivot's rank-1 update of the tableau matrix touches only the rows where the
-pivot column is nonzero, and in them only the columns where the pivot row is
-nonzero.  Every other entry would change by an exact zero, so the pivots are
-the same as with a full dense update while the work follows the sparsity.
+A pivot is one rank-1 update of the whole tableau, matrix, basic values and
+reduced costs together.  It touches only the rows where the pivot column is
+nonzero, and in them only the columns where the pivot row is nonzero.  Every
+other entry would change by an exact zero, so the pivots are the same as
+with a full dense update while the work follows the sparsity.  A bound flip
+negates whole columns, reduced-cost row included.
 
 Every tie-break is by lowest index, so re-solving the same program gives a
 bit-identical result.
@@ -33,9 +44,10 @@ bit-identical result.
 from __future__ import annotations
 
 import dataclasses
-import math
+import functools
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -47,7 +59,9 @@ REDUCED_COST_TOL = 1e-7
 LESS_EQUAL = "<="
 GREATER_EQUAL = ">="
 EQUAL = "="
-_RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)
+_RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)  # a row's relation code indexes this
+_EQ = _RELATIONS.index(EQUAL)
+_ROW_SIGN = np.array([1.0, -1.0, 1.0])  # by relation code: -1 turns ">=" into "<="
 
 
 class LpError(Exception):
@@ -78,22 +92,108 @@ class Constraint:
     rhs: float
 
 
+@dataclass(frozen=True, eq=False)
+class Rows(Sequence):
+    """Constraint rows in CSR form.
+
+    Row ``k`` is ``sum(coeffs[p] * x[indices[p]]) <relation> rhs[k]`` over
+    ``p`` in ``indptr[k]:indptr[k + 1]``, its relation the code
+    ``relation[k]`` into ``("<=", ">=", "=")``.  A single relation string
+    gives every row that relation.  Reading a row builds its
+    :class:`Constraint`.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    coeffs: np.ndarray
+    relation: np.ndarray
+    rhs: np.ndarray
+
+    def __post_init__(self):
+        rhs = np.asarray(self.rhs, dtype=float)
+        relation = self.relation
+        if isinstance(relation, str):
+            relation = np.full(len(rhs), _RELATIONS.index(relation))
+        object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.intp))
+        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.intp))
+        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
+        object.__setattr__(self, "relation", np.asarray(relation, dtype=np.intp))
+        object.__setattr__(self, "rhs", rhs)
+
+    @classmethod
+    def of(cls, constraints: Rows | Iterable[Constraint]) -> Rows:
+        """The rows of ``constraints``, converting a sequence of :class:`Constraint` once."""
+        if isinstance(constraints, Rows):
+            return constraints
+        cons = list(constraints)
+        for k, con in enumerate(cons):
+            if con.relation not in _RELATIONS:
+                raise LpFormatError(f"constraint {k}: unknown relation {con.relation!r}")
+            if len(con.indices) != len(con.coeffs):
+                raise LpFormatError(f"constraint {k}: indices/coeffs length mismatch")
+        return cls(
+            np.cumsum([0] + [len(con.indices) for con in cons]),
+            [j for con in cons for j in con.indices],
+            [c for con in cons for c in con.coeffs],
+            [_RELATIONS.index(con.relation) for con in cons],
+            [con.rhs for con in cons],
+        )
+
+    @classmethod
+    def stack(cls, blocks: list[Rows]) -> Rows:
+        """The rows of every block, in order."""
+        nnz = np.cumsum([0] + [len(b.indices) for b in blocks])
+        return cls(
+            np.concatenate([[0]] + [b.indptr[1:] + s for b, s in zip(blocks, nnz)]),
+            np.concatenate([b.indices for b in blocks]),
+            np.concatenate([b.coeffs for b in blocks]),
+            np.concatenate([b.relation for b in blocks]),
+            np.concatenate([b.rhs for b in blocks]),
+        )
+
+    @functools.cached_property
+    def row_of(self) -> np.ndarray:
+        """The row of each nonzero."""
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+
+    def __len__(self) -> int:
+        return len(self.rhs)
+
+    def __getitem__(self, k: int) -> Constraint:
+        if not -len(self) <= k < len(self):
+            raise IndexError(f"row {k} out of range")
+        k %= len(self)
+        span = slice(self.indptr[k], self.indptr[k + 1])
+        return Constraint(
+            tuple(self.indices[span].tolist()),
+            tuple(self.coeffs[span].tolist()),
+            _RELATIONS[self.relation[k]],
+            float(self.rhs[k]),
+        )
+
+    def __add__(self, other: Rows | Iterable[Constraint]) -> Rows:
+        return Rows.stack([self, Rows.of(other)])
+
+
 @dataclass
 class LinearProgram:
     """Minimize ``objective @ x`` subject to box bounds and sparse rows.
 
     ``var_bounds`` is an ``(num_vars, 2)`` array of ``[lower, upper]`` pairs;
     ``math.inf`` marks an unbounded side (never a large finite stand-in).
+    ``constraints`` is given as :class:`Rows` or as :class:`Constraint`
+    tuples, and is kept as :class:`Rows`.
     """
 
     num_vars: int
     objective: np.ndarray
     var_bounds: np.ndarray
-    constraints: list[Constraint] = field(default_factory=list)
+    constraints: Rows = ()
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.var_bounds = np.asarray(self.var_bounds, dtype=float).reshape(-1, 2)
+        self.constraints = Rows.of(self.constraints)
 
     def validate(self):
         """Raise :class:`LpFormatError` on any invariant violation."""
@@ -118,16 +218,29 @@ class LinearProgram:
             np.isneginf(self.var_bounds[:, 1])
         ):
             raise LpFormatError("bounds must satisfy lower < +inf and upper > -inf")
-        for k, con in enumerate(self.constraints):
-            if con.relation not in _RELATIONS:
-                raise LpFormatError(f"constraint {k}: unknown relation {con.relation!r}")
-            if len(con.indices) != len(con.coeffs):
-                raise LpFormatError(f"constraint {k}: indices/coeffs length mismatch")
-            for j in con.indices:
-                if not 0 <= j < self.num_vars:
-                    raise LpFormatError(f"constraint {k}: variable index {j} out of range")
-            if not math.isfinite(con.rhs):
-                raise LpFormatError(f"constraint {k}: non-finite right-hand side")
+        rows = self.constraints
+        m, nnz = len(rows.rhs), len(rows.indices)
+        if (
+            rows.indptr.shape != (m + 1,)
+            or rows.relation.shape != (m,)
+            or rows.coeffs.shape != (nnz,)
+            or rows.indptr[0] != 0
+            or rows.indptr[-1] != nnz
+            or (rows.indptr[1:] < rows.indptr[:-1]).any()
+        ):
+            raise LpFormatError("constraint rows are not in CSR form")
+        rel = rows.relation
+        if m and (rel.min() < 0 or rel.max() >= len(_RELATIONS)):
+            k = int(np.flatnonzero((rel < 0) | (rel >= len(_RELATIONS)))[0])
+            raise LpFormatError(f"constraint {k}: unknown relation code {rel[k]}")
+        idx = rows.indices
+        if nnz and (idx.min() < 0 or idx.max() >= self.num_vars):
+            p = int(np.flatnonzero((idx < 0) | (idx >= self.num_vars))[0])
+            k = int(np.searchsorted(rows.indptr, p, side="right")) - 1
+            raise LpFormatError(f"constraint {k}: variable index {idx[p]} out of range")
+        if not np.isfinite(rows.rhs).all():
+            k = int(np.argmin(np.isfinite(rows.rhs)))
+            raise LpFormatError(f"constraint {k}: non-finite right-hand side")
 
 
 @dataclass(frozen=True)
@@ -189,16 +302,12 @@ def _violations(lp: LinearProgram, x: np.ndarray, tol: float) -> list[Violation]
         out.append(Violation("lower_bound", int(j), float(lo[j] - x[j])))
     for j in np.nonzero(x > up + tol)[0]:
         out.append(Violation("upper_bound", int(j), float(x[j] - up[j])))
-    for k, con in enumerate(lp.constraints):
-        lhs = float(np.dot(con.coeffs, x[list(con.indices)])) if con.indices else 0.0
-        if con.relation == LESS_EQUAL:
-            gap = lhs - con.rhs
-        elif con.relation == GREATER_EQUAL:
-            gap = con.rhs - lhs
-        else:
-            gap = abs(lhs - con.rhs)
-        if gap > tol:
-            out.append(Violation("constraint", k, float(gap)))
+    rows = lp.constraints
+    # one sparse product for every row's left-hand side, less the right-hand side
+    excess = np.bincount(rows.row_of, rows.coeffs * x[rows.indices], len(rows)) - rows.rhs
+    gap = np.where(rows.relation == _EQ, np.abs(excess), _ROW_SIGN[rows.relation] * excess)
+    for k in np.nonzero(gap > tol)[0]:
+        out.append(Violation("constraint", int(k), float(gap[k])))
     return out
 
 
@@ -213,9 +322,12 @@ def dump_lp(lp: LinearProgram) -> str:
     lines.append(f"obj: {obj}")
     for j, (lo, up) in enumerate(lp.var_bounds):
         lines.append(f"b{j}: {float(lo)!r} {float(up)!r}")
-    for con in lp.constraints:
-        body = " ".join(f"{j}:{float(c)!r}" for j, c in zip(con.indices, con.coeffs))
-        lines.append(f"c: {body} {con.relation} {float(con.rhs)!r}")
+    rows = lp.constraints
+    indptr, indices, coeffs = rows.indptr.tolist(), rows.indices.tolist(), rows.coeffs.tolist()
+    for k, (rel, rhs) in enumerate(zip(rows.relation.tolist(), rows.rhs.tolist())):
+        span = range(indptr[k], indptr[k + 1])
+        body = " ".join(f"{indices[p]}:{coeffs[p]!r}" for p in span)
+        lines.append(f"c: {body} {_RELATIONS[rel]} {rhs!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -226,16 +338,22 @@ def dump_lp(lp: LinearProgram) -> str:
 class _Tableau:
     """Dense tableau state shared by both phases.
 
-    Every column variable lives in ``[0, span]`` and every nonbasic one sits
-    at 0: ``flipped`` marks the columns substituted by ``span - y``.
+    ``tab`` is ``(m + 1, n + 1)`` and C-contiguous (``_pivot`` writes through
+    a flat view): ``mat`` is its ``(m, n)`` block, ``rhs`` its last column
+    (the value of each row's basic variable) and ``red`` its last row (the
+    reduced costs).  The corner cell means nothing and is never read.  Every
+    column variable lives in ``[0, span]`` and every nonbasic one sits at 0:
+    ``flipped`` marks the columns substituted by ``span - y``.
     """
 
     bland_factor = 10  # Bland's rule after this many iterations per row and column
 
-    def __init__(self, mat, rhs, spans, basis, pivot_tol, rc_tol):
-        m, n = mat.shape
-        self.mat = mat  # (m, n), C-contiguous: _pivot writes through a flat view
-        self.rhs = rhs  # (m,) value of the basic variable of each row
+    def __init__(self, tab, spans, basis, pivot_tol, rc_tol):
+        m, n = tab.shape[0] - 1, tab.shape[1] - 1
+        self.tab = tab
+        self.mat = tab[:m, :n]
+        self.rhs = tab[:m, n]
+        self.red = tab[m, :n]
         self.spans = spans  # (n,) upper range of each column variable, inf allowed
         self.basis = basis  # (m,) column index basic in each row
         self.flipped = np.zeros(n, dtype=bool)
@@ -257,14 +375,16 @@ class _Tableau:
             raise LpSolverError("simplex iteration limit exceeded")
         return self.iterations >= self.bland_after
 
-    def run_dual(self, red, feas_tol) -> LpStatus:
+    def run_dual(self, feas_tol) -> LpStatus:
         """Dual simplex from a dual feasible basis (``red >= 0``) until every
         basic variable is within ``feas_tol`` of its range; INFEASIBLE when a
-        violated row cannot be repaired.  Mutates tableau and ``red`` in place."""
+        violated row cannot be repaired.  Mutates the tableau in place."""
+        red = self.red
         while True:
             bland = self._bland_due()
-            above = self.rhs - self.spans[self.basis]
-            viol = np.maximum(-self.rhs, above)
+            rhs = self.rhs.copy()  # one pass over the strided last column
+            above = rhs - self.spans[self.basis]
+            viol = np.maximum(-rhs, above)
             if bland:
                 # dual Bland rule: the violated row with the lowest basic index
                 rows = np.nonzero(viol > feas_tol)[0]
@@ -297,20 +417,20 @@ class _Tableau:
                 if k == len(cand) and viol[r] - reach[-1] > feas_tol:
                     return LpStatus.INFEASIBLE
                 if k:
-                    self._flip(cand[:k], red)
+                    self._flip(cand[:k])
                     self.flips += k
                 if k == len(cand):
                     continue  # the flips alone bring the row within tolerance
                 q = int(cand[k])
-            self._pivot(r, q, red, leaves_at_upper)
+            self._pivot(r, q, leaves_at_upper)
 
-    def run(self, red) -> LpStatus:
+    def run(self) -> LpStatus:
         """Primal simplex from a primal feasible basis until optimal; mutates
-        tableau and ``red`` in place."""
+        the tableau in place."""
         m = self.mat.shape[0]
         while True:
             bland = self._bland_due()
-            masked = np.where(self.locked, np.inf, red)
+            masked = np.where(self.locked, np.inf, self.red)
             if bland:
                 eligible = np.nonzero(masked < -self.rc_tol)[0]
                 q = int(eligible[0]) if len(eligible) else -1
@@ -340,44 +460,41 @@ class _Tableau:
             self.iterations += 1
             self.bland |= bland
             if t_own < t_row:
-                self._flip([q], red)
+                self._flip([q])
                 self.flips += 1
             else:
-                self._pivot(r, q, red, leaves_at_upper=bool(neg[r]))
+                self._pivot(r, q, leaves_at_upper=bool(neg[r]))
             tiny = (self.rhs < 0.0) & (self.rhs > -1e-9)
             if tiny.any():
                 self.rhs[tiny] = 0.0
 
-    def _flip(self, cols, red):
+    def _flip(self, cols):
         """Move each column in ``cols`` (nonbasic, finite span) to its other bound."""
-        sub = self.mat[:, cols]
-        self.rhs -= sub @ self.spans[cols]
-        self.mat[:, cols] = -sub
-        red[cols] = -red[cols]
+        sub = self.tab[:, cols]
+        # the (m, k) product of the rows alone: BLAS may round a taller one differently
+        self.rhs -= sub[:-1] @ self.spans[cols]
+        self.tab[:, cols] = np.negative(sub, out=sub)
         self.flipped[cols] = ~self.flipped[cols]
 
-    def _pivot(self, r, q, red, leaves_at_upper):
+    def _pivot(self, r, q, leaves_at_upper):
+        tab = self.tab
         leaving = self.basis[r]
-        piv = self.mat[r, q]
-        self.mat[r] /= piv
-        self.rhs[r] /= piv
-        col = self.mat[:, q].copy()
+        tab[r] /= tab[r, q]
+        col = tab[:, q].copy()
         col[r] = 0.0
-        prow = self.mat[r]
-        # the rank-1 update would subtract exact zeros outside the rows where
-        # the pivot column is nonzero and the columns where the pivot row is
+        prow = tab[r]
+        # one rank-1 update of matrix, basic values and reduced costs; it would
+        # subtract exact zeros outside the rows where the pivot column is nonzero
+        # and the columns where the pivot row is
         rows = col.nonzero()[0]
         cols = prow.nonzero()[0]
         cells = (rows[:, None] * len(prow) + cols).ravel()
-        self.mat.reshape(-1)[cells] -= np.multiply.outer(col[rows], prow[cols]).ravel()
-        self.rhs -= col * self.rhs[r]
-        red -= red[q] * self.mat[r]
-        red[q] = 0.0
+        tab.reshape(-1)[cells] -= np.multiply.outer(col[rows], prow[cols]).ravel()
         self.basis[r] = q
         self.locked[q] = True
         self.locked[leaving] = self.spans[leaving] == 0
         if leaves_at_upper:
-            self._flip([leaving], red)
+            self._flip([leaving])
 
     def values(self, ncols: int) -> np.ndarray:
         """Current value of the first ``ncols`` column variables, flips undone."""
@@ -385,6 +502,21 @@ class _Tableau:
         val[self.basis] = self.rhs
         val = np.where(self.flipped, self.spans - val, val)
         return val[:ncols]
+
+
+def _row_dots(rows: Rows, v: np.ndarray) -> np.ndarray:
+    """``coeffs @ v[indices]`` of every row, each rounded as the 1-D dot product
+    of that row alone: BLAS sums a dot product in an order that depends on its
+    length, so the rows are taken one length at a time."""
+    lengths = np.diff(rows.indptr)
+    out = np.zeros(len(rows))
+    for n in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
+        which = np.flatnonzero(lengths == n)
+        at = rows.indptr[which, None] + np.arange(n)
+        # a stack of (1, n) @ (n, 1) products: one BLAS dot product per row
+        dots = np.matmul(rows.coeffs[at][:, None, :], v[rows.indices[at]][:, :, None])
+        out[which] = dots[:, 0, 0]
+    return out
 
 
 def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
@@ -407,7 +539,8 @@ def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
     mirror = np.nonzero(~fin_lo & ~fin_up)[0]
     n_struct = n_main + len(mirror)
 
-    m = len(lp.constraints)
+    rows = lp.constraints
+    m = len(rows)
     if m == 0:
         # pure box problem: each variable sits at whichever bound its cost prefers
         stats = SolverStats(0, 0, 0, False, 0.0, 0.0)
@@ -417,40 +550,43 @@ def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
         return LpStatus.OPTIMAL, x, stats
 
     # every row gets one logical column, basic at the start: a slack of span inf
-    # on a "<=" row (a ">=" row is negated first), a fixed logical of span 0 on
-    # an "=" row
-    mat = np.zeros((m, n_struct + m))
-    rhs = np.zeros(m)
-    for i, con in enumerate(lp.constraints):
-        idx = np.asarray(con.indices, dtype=int)
-        cf = np.asarray(con.coeffs, dtype=float)
-        row = mat[i, :n_struct]
-        np.add.at(row, idx, cf * sgn[idx])  # a repeated index sums its coefficients
-        row[n_main:] = -row[mirror]
-        rhs[i] = con.rhs - float(cf @ off[idx])
-        if con.relation == GREATER_EQUAL:
-            row *= -1.0
-            rhs[i] = -rhs[i]
+    # on a "<=" row (a ">=" row is negated), a fixed logical of span 0 on an "=" row
+    n = n_struct + m
+    dense = np.zeros((m + 1, n + 1))
+    sign = _ROW_SIGN[rows.relation]
+    # one scatter of every nonzero, its row's sign folded in; a repeated index
+    # in a row sums its coefficients
+    np.add.at(
+        dense.reshape(-1),
+        rows.row_of * (n + 1) + rows.indices,
+        rows.coeffs * (sgn[rows.indices] * sign[rows.row_of]),
+    )
+    dense[:m, n_main:n_struct] = -dense[:m, mirror]
+    # the charging LPs start every column at 0, and so shift no right-hand side
+    shift = _row_dots(rows, off) if off.any() else 0.0
+    dense[:m, n] = sign * (rows.rhs - shift)
     basis = n_struct + np.arange(m)
-    mat[np.arange(m), basis] = 1.0
-    fixed = np.array([con.relation == EQUAL for con in lp.constraints])
-    spans = np.concatenate([span, np.full(len(mirror), np.inf), np.where(fixed, 0.0, np.inf)])
-    tab = _Tableau(mat, rhs, spans, basis, pivot_tol, rc_tol)
-
-    cost = np.zeros(n_struct + m)
-    cost[:n_main] = c * sgn
-    cost[n_main:n_struct] = -cost[mirror]
-    t0 = time.perf_counter()
+    dense[np.arange(m), basis] = 1.0
+    spans = np.concatenate(
+        [span, np.full(len(mirror), np.inf), np.where(rows.relation == _EQ, 0.0, np.inf)]
+    )
     # only a column of span inf can price below zero at its preferred bound;
     # pricing it at 0 makes the all-logical basis dual feasible
-    status = tab.run_dual(np.maximum(cost, 0.0), feas_tol)
+    cost = np.zeros(n)
+    cost[:n_main] = c * sgn
+    cost[n_main:n_struct] = -cost[mirror]
+    dense[m, :n] = np.maximum(cost, 0.0)
+    tab = _Tableau(dense, spans, basis, pivot_tol, rc_tol)
+
+    t0 = time.perf_counter()
+    status = tab.run_dual(feas_tol)
     dual_iterations = tab.iterations
     t1 = time.perf_counter()
     if status is LpStatus.OPTIMAL:
         cost = np.where(tab.flipped, -cost, cost)
-        red = cost - cost[tab.basis] @ tab.mat
-        red[tab.basis] = 0.0
-        status = tab.run(red)
+        tab.red[:] = cost - cost[tab.basis] @ tab.mat
+        tab.red[tab.basis] = 0.0
+        status = tab.run()
     stats = SolverStats(
         dual_iterations,
         tab.iterations - dual_iterations,

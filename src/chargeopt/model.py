@@ -19,11 +19,12 @@ import numpy as np
 from .lp import (
     GREATER_EQUAL,
     LESS_EQUAL,
-    Constraint,
     LinearProgram,
     LpSolution,
     LpSolverError,
     LpStatus,
+    Rows,
+    SolverStats,
     solve_lp,
 )
 from .scenario import Scenario
@@ -106,11 +107,18 @@ class VariableMap:
         base = self.num_charge + self.num_slots
         return base + self.num_slots + 1 if self.robust else base
 
-    def slot_columns(self) -> list[np.ndarray]:
-        """Charging columns of the sessions plugged in at each slot, in session order."""
-        slots = self.cells % self.num_slots
-        order = np.argsort(slots, kind="stable")
-        return np.split(order, np.cumsum(np.bincount(slots, minlength=self.num_slots))[:-1])
+    def slot_rows(self, purchases: bool) -> tuple[np.ndarray, np.ndarray]:
+        """One row per slot listing the charging columns of the sessions plugged in
+        there, in session order, then with ``purchases`` the slot's purchase column,
+        as ``(indptr, columns)``: slot ``t`` holds ``columns[indptr[t]:indptr[t + 1]]``."""
+        slot_of = self.cells % self.num_slots
+        if purchases:
+            slot_of = np.concatenate([slot_of, np.arange(self.num_slots)])
+        indptr = np.zeros(self.num_slots + 1, dtype=np.intp)
+        np.cumsum(np.bincount(slot_of, minlength=self.num_slots), out=indptr[1:])
+        # the charging columns come first and the purchases follow them, so a
+        # column's index is its position in slot_of
+        return indptr, np.argsort(slot_of, kind="stable")
 
     def to_json_dict(self) -> dict[str, int]:
         names = {}
@@ -131,7 +139,8 @@ class Schedule:
 
     ``protection_cost`` is the worst-case premium priced into the robust
     objective (zero for nominal runs); ``objective_value`` is always
-    ``nominal_cost + protection_cost``.
+    ``nominal_cost + protection_cost``.  ``stats`` is what the simplex did
+    on the solve, ``None`` for a schedule made without one.
     """
 
     charging_power: np.ndarray  # (N, T) kW
@@ -142,6 +151,7 @@ class Schedule:
     nominal_cost: float
     protection_cost: float
     objective_value: float
+    stats: SolverStats | None = None
 
     @property
     def grid_draw(self) -> np.ndarray:
@@ -149,19 +159,17 @@ class Schedule:
         return np.maximum(self.charging_power.sum(axis=0) - self.solar_used, 0.0)
 
 
-def _demand_rows(sc: Scenario, vm: VariableMap, relation: str) -> list[Constraint]:
+def _demand_rows(sc: Scenario, vm: VariableMap, relation: str) -> Rows:
     """One row per session: energy delivered over its plugged-in cells vs its requirement."""
     coeff = sc.station.charge_efficiency * sc.grid.slot_hours
     first = np.searchsorted(vm.cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
-    return [
-        Constraint(
-            tuple(range(first[i], first[i + 1])),
-            (coeff,) * int(first[i + 1] - first[i]),
-            relation,
-            sess.required_energy,
-        )
-        for i, sess in enumerate(sc.sessions)
-    ]
+    return Rows(
+        first,
+        np.arange(vm.num_charge),
+        np.full(vm.num_charge, coeff),
+        relation,
+        [sess.required_energy for sess in sc.sessions],
+    )
 
 
 def _socket_caps(sc: Scenario) -> np.ndarray:
@@ -181,23 +189,28 @@ def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearPr
     bounds[:, 1] = INF
     bounds[: vm.num_charge, 1] = _socket_caps(sc).reshape(-1)[vm.cells]
     bounds[purchases, 1] = sc.station.grid_capacity
-    rows = _demand_rows(sc, vm, GREATER_EQUAL)
-    for t, cols in enumerate(vm.slot_columns()):
-        idx = tuple(cols.tolist()) + (vm.purchase(t),)
-        rows.append(Constraint(idx, (1.0,) * len(cols) + (-1.0,), LESS_EQUAL, sc.solar.cap[t]))
+    indptr, cols = vm.slot_rows(purchases=True)
+    rows = [
+        _demand_rows(sc, vm, GREATER_EQUAL),
+        Rows(indptr, cols, np.where(cols < vm.num_charge, 1.0, -1.0), LESS_EQUAL, sc.solar.cap),
+    ]
     if vm.robust:
         obj[vm.budget_dual] = gamma
         obj[vm.budget_dual + 1 :] = 1.0
-        for t in range(T):
-            rows.append(
-                Constraint(
-                    (vm.deviation_dual(t), vm.budget_dual, vm.purchase(t)),
-                    (1.0, 1.0, -sc.prices.deviation_bound[t] * dt),
-                    GREATER_EQUAL,
-                    0.0,
-                )
+        # dev_dual[t] + budget_dual - bound[t] * dt * purchase[t] >= 0
+        slot = np.arange(T)
+        members = [vm.deviation_dual(0) + slot, np.full(T, vm.budget_dual), vm.purchase(0) + slot]
+        weights = [np.ones(T), np.ones(T), -sc.prices.deviation_bound * dt]
+        rows.append(
+            Rows(
+                3 * np.arange(T + 1),
+                np.column_stack(members).ravel(),
+                np.column_stack(weights).ravel(),
+                GREATER_EQUAL,
+                np.zeros(T),
             )
-    return LinearProgram(vm.num_vars, obj, bounds, rows)
+        )
+    return LinearProgram(vm.num_vars, obj, bounds, Rows.stack(rows))
 
 
 def build_nominal_lp(sc: Scenario) -> tuple[LinearProgram, VariableMap]:
@@ -243,11 +256,9 @@ def _max_delivery_lp(sc: Scenario) -> np.ndarray:
     bounds = np.column_stack([np.zeros(vm.num_charge), _socket_caps(sc).reshape(-1)[vm.cells]])
     obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
     supply = sc.station.grid_capacity + sc.solar.cap
-    rows = [
-        Constraint(tuple(cols.tolist()), (1.0,) * len(cols), LESS_EQUAL, supply[t])
-        for t, cols in enumerate(vm.slot_columns())
-    ]
-    rows += _demand_rows(sc, vm, LESS_EQUAL)
+    indptr, cols = vm.slot_rows(purchases=False)
+    supply_rows = Rows(indptr, cols, np.ones(len(cols)), LESS_EQUAL, supply)
+    rows = Rows.stack([supply_rows, _demand_rows(sc, vm, LESS_EQUAL)])
     sol = solve_lp(LinearProgram(vm.num_charge, obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"delivery LP ended {sol.status}; it is feasible by construction")
@@ -324,6 +335,7 @@ def extract_schedule(
         nominal_cost=nominal_cost,
         protection_cost=protection,
         objective_value=objective,
+        stats=sol.stats,
     )
 
 

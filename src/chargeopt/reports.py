@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from .lp import SolverStats
 from .scenario import Scenario
 
 
@@ -36,6 +37,14 @@ class BenchRow:
 
 
 @dataclass
+class SolverRecord:
+    """What the simplex did on one LP of the run; ``label`` names the LP."""
+
+    label: str
+    stats: SolverStats
+
+
+@dataclass
 class RunReport:
     """Everything a run emits; unused sections stay empty."""
 
@@ -48,6 +57,7 @@ class RunReport:
     slot_timestamps: list[str] = field(default_factory=list)
     sensitivity: list[SensitivityRow] = field(default_factory=list)
     bench: list[BenchRow] = field(default_factory=list)
+    solver: list[SolverRecord] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
@@ -59,6 +69,9 @@ class RunReport:
         data["monthly"] = [MonthlyRow(**r) for r in data.get("monthly", [])]
         data["sensitivity"] = [SensitivityRow(**r) for r in data.get("sensitivity", [])]
         data["bench"] = [BenchRow(**r) for r in data.get("bench", [])]
+        data["solver"] = [
+            SolverRecord(r["label"], SolverStats(**r["stats"])) for r in data.get("solver", [])
+        ]
         return cls(**data)
 
     def write_json(self, path) -> None:

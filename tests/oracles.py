@@ -56,7 +56,13 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
         np.add.at(rows[k], list(con.indices), con.coeffs)  # a repeated index sums
         rhs[k] = con.rhs
         rels.append(con.relation)
-    eq_rows = [k for k, rel in enumerate(rels) if rel == EQUAL]
+    # every feasible point makes each equality row active, and a vertex's active
+    # set can always include a maximal independent subset of them: force only
+    # that subset, and leave the dependent rows to the feasibility check
+    eq_rows = []
+    for k in (k for k, rel in enumerate(rels) if rel == EQUAL):
+        if np.linalg.matrix_rank(rows[eq_rows + [k]]) > len(eq_rows):
+            eq_rows.append(k)
     m = len(lp.constraints)
 
     le = np.array([rel == LESS_EQUAL for rel in rels])
@@ -79,7 +85,7 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
         # every (k active rows, k free variables) pair at once, active-major
         actives = [a for a in combinations(range(m), k) if all(e in a for e in eq_rows)]
         if not actives:
-            continue  # equality rows are always active
+            continue  # the independent equality rows are always active
         frees = list(combinations(range(n), k))
         act = np.repeat(np.array(actives, dtype=int).reshape(len(actives), k), len(frees), axis=0)
         fr = np.tile(np.array(frees, dtype=int).reshape(len(frees), k), (len(actives), 1))

@@ -7,8 +7,8 @@ import pytest
 
 from chargeopt import model
 from chargeopt.cli import _load_scenario, build_parser, main
-from chargeopt.lp import dump_lp
-from chargeopt.model import apply_demand_policy, build_robust_lp
+from chargeopt.lp import SolverStats, dump_lp, solve_lp
+from chargeopt.model import apply_demand_policy, build_nominal_lp, build_robust_lp
 from chargeopt.reports import RunReport
 
 TOY_ARGS = [
@@ -105,10 +105,35 @@ class TestSimulate:
 
     def test_json_report_roundtrip(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
-        main(["simulate", *toy_flags(toy_dir, out)])
+        main(["simulate", *toy_flags(toy_dir, out), "--policy", "robust", "--gamma", "6"])
         raw = load(out)
-        again = RunReport.from_json_dict(raw).to_json_dict()
-        assert again == raw  # floats survive the round trip exactly
+        assert len(raw["solver"]) == 2
+        again = RunReport.from_json_dict(raw)
+        assert isinstance(again.solver[0].stats, SolverStats)
+        assert again.to_json_dict() == raw  # floats survive the round trip exactly
+
+    def test_solver_records_one_per_lp(self, toy_dir, tmp_path):
+        out = tmp_path / "r.json"
+        flags = toy_flags(toy_dir, out)
+        assert main(["simulate", *flags, "--policy", "robust", "--gamma", "6"]) == 0
+        records = load(out)["solver"]
+        assert [r["label"] for r in records] == ["nominal", "robust gamma=6.0"]
+        args = build_parser().parse_args(["simulate", *flags])
+        eff, _ = apply_demand_policy(_load_scenario(args), "clamp")
+        for record, lp in zip(records, [build_nominal_lp(eff)[0], build_robust_lp(eff, 6.0)[0]]):
+            sol = solve_lp(lp)
+            stats = record["stats"]
+            assert stats["dual_iterations"] + stats["primal_iterations"] == sol.iterations > 0
+            assert stats["bound_flips"] == sol.stats.bound_flips
+            assert stats["worst_residual"] is not None and stats["worst_residual"] <= 1e-6
+
+    @pytest.mark.parametrize("policy", [["--policy", "robust"], ["--policy", "mpc"], []])
+    @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
+    def test_non_finite_gamma_exits_1(self, toy_dir, tmp_path, capsys, policy, gamma):
+        out = tmp_path / "r.json"
+        assert main(["simulate", *toy_flags(toy_dir, out), *policy, f"--gamma={gamma}"]) == 1
+        assert f"--gamma must be finite, got {float(gamma)!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file_exits_1(self, toy_dir, tmp_path):
         code = main(
@@ -239,6 +264,34 @@ class TestSensitivity:
     def test_negative_gamma_exits_1(self, toy_dir, tmp_path):
         assert main(["sensitivity", *toy_flags(toy_dir, tmp_path / "s.json"), "--gamma", "-3"]) == 1
 
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--gamma", "0,nan"], "--gamma"),
+            (["--gamma", "inf"], "--gamma"),
+            (["--gamma", "0,6", "--eval-gamma", "nan"], "--eval-gamma"),
+            (["--gamma", "0,6", "--eval-gamma", "inf"], "--eval-gamma"),
+        ],
+    )
+    def test_non_finite_budget_exits_1(self, toy_dir, tmp_path, capsys, flags, named):
+        out = tmp_path / "s.json"
+        assert main(["sensitivity", *toy_flags(toy_dir, out), *flags]) == 1
+        assert f"{named} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_solver_records_every_budget(self, toy_dir, tmp_path, workers):
+        out = tmp_path / "s.json"
+        assert main(
+            ["sensitivity", *toy_flags(toy_dir, out), "--gamma", "6,12", "--workers", workers]
+        ) == 0
+        raw = load(out)
+        # the zero budget is solved as the baseline even when it is not listed
+        labels = [r["label"] for r in raw["solver"]]
+        assert labels == ["robust gamma=0.0", "robust gamma=6.0", "robust gamma=12.0"]
+        assert all(r["stats"]["dual_iterations"] > 0 for r in raw["solver"])
+        assert RunReport.from_json_dict(raw).to_json_dict() == raw
+
 
 class TestBench:
     def test_rows_and_positive_times(self, tmp_path):
@@ -254,3 +307,17 @@ class TestBench:
 
     def test_bad_count_exits_1(self, tmp_path):
         assert main(["bench", "--ev-counts", "0", "--out", str(tmp_path / "b.json")]) == 1
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_bad_repetitions_exits_1(self, tmp_path, capsys, count):
+        out = tmp_path / "b.json"
+        assert main(["bench", "--ev-counts", "2", "--repetitions", count, "--out", str(out)]) == 1
+        assert f"--repetitions must be at least 1, got {count}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("gamma", ["nan", "inf"])
+    def test_non_finite_gamma_exits_1(self, tmp_path, capsys, gamma):
+        out = tmp_path / "b.json"
+        assert main(["bench", "--ev-counts", "2", "--gamma", gamma, "--out", str(out)]) == 1
+        assert "--gamma must be finite" in capsys.readouterr().err
+        assert not out.exists()

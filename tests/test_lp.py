@@ -1,5 +1,7 @@
 """Solver unit tests: worked examples, oracle agreement, degeneracy, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,13 +13,22 @@ from chargeopt.lp import (
     LinearProgram,
     LpFormatError,
     LpStatus,
+    Rows,
+    _row_dots,
     _Tableau,
     check_point,
     dump_lp,
     solve_lp,
 )
-from chargeopt.model import apply_demand_policy, build_nominal_lp, build_robust_lp
-from chargeopt.synth import bench_scenario
+from chargeopt import model
+from chargeopt.model import (
+    apply_demand_policy,
+    build_nominal_lp,
+    build_robust_lp,
+    solve_deliverable,
+)
+from chargeopt.scenario import StationConfig
+from chargeopt.synth import bench_scenario, random_scenario
 from oracles import random_box_lp, vertex_enumeration_optimum
 
 INF = float("inf")
@@ -321,12 +332,11 @@ class TestDualPhase:
             )
 
         redundant = solve_lp(lp(4.0))
-        # the enumeration oracle needs independent equality rows: give it one of the pair
-        single = lp(4.0)
-        del single.constraints[1]
-        assert_matches_enumeration(single, redundant)
+        assert_matches_enumeration(lp(4.0), redundant)
         assert redundant.objective_value == pytest.approx(0.0, abs=1e-9)
-        assert solve_lp(lp(4.5)).status is LpStatus.INFEASIBLE
+        inconsistent = solve_lp(lp(4.5))
+        assert inconsistent.status is LpStatus.INFEASIBLE
+        assert_matches_enumeration(lp(4.5), inconsistent)
 
     @pytest.mark.parametrize("gamma", [None, 12.0])
     def test_charging_lps_skip_phase_2(self, gamma):
@@ -485,3 +495,126 @@ def test_dump_lp_one_line_per_constraint():
     text = dump_lp(lp)
     lines = [l for l in text.splitlines() if l.startswith("c: ")]
     assert lines == ["c: 0:1.0 1:-2.0 <= 3.0"]
+
+
+class TestRows:
+    """Rows are CSR arrays; Constraint tuples go in and come out unchanged."""
+
+    CONS = [
+        Constraint((0, 2), (1.0, -2.5), LESS_EQUAL, 3.0),
+        Constraint((), (), EQUAL, 0.0),
+        Constraint((1, 1, 0), (0.5, 0.5, 4.0), GREATER_EQUAL, -1.0),
+    ]
+
+    def test_constraints_read_back(self):
+        lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, self.CONS)
+        assert isinstance(lp.constraints, Rows)
+        assert list(lp.constraints) == self.CONS
+        assert lp.constraints[-1] == self.CONS[-1]
+        assert lp.constraints.indptr.tolist() == [0, 2, 2, 5]
+        assert lp.constraints.relation.tolist() == [0, 2, 1]
+        with pytest.raises(IndexError):
+            lp.constraints[3]
+
+    def test_replace_and_concatenate(self):
+        lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, self.CONS)
+        doubled = dataclasses.replace(lp, constraints=lp.constraints + lp.constraints)
+        assert list(doubled.constraints) == self.CONS * 2
+        assert list((lp.constraints + self.CONS[:1])) == self.CONS + self.CONS[:1]
+        assert len(dataclasses.replace(lp, constraints=[]).constraints) == 0
+
+    def test_list_and_arrays_dump_identically(self):
+        rows = Rows([0, 2, 2, 5], [0, 2, 1, 1, 0], [1.0, -2.5, 0.5, 0.5, 4.0], [0, 2, 1],
+                    [3.0, 0.0, -1.0])
+        listed = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, self.CONS)
+        arrays = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, rows)
+        assert dump_lp(listed) == dump_lp(arrays)
+        sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
+        for built, _ in (build_nominal_lp(sc), build_robust_lp(sc, 12.0)):
+            relisted = dataclasses.replace(built, constraints=list(built.constraints))
+            assert dump_lp(relisted) == dump_lp(built)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (Rows([0, 2], [0, 3], [1.0, 1.0], "<=", [1.0]), "constraint 0: variable index 3"),
+            (Rows([0, 1, 2], [0, -1], [1.0, 1.0], "<=", [1.0, 1.0]), "constraint 1: variable index -1"),
+            (Rows([0, 1], [0], [1.0], [3], [1.0]), "constraint 0: unknown relation code 3"),
+            (Rows([0, 1], [0], [1.0], "<=", [np.nan]), "constraint 0: non-finite right-hand side"),
+            (Rows([0, 2, 1], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0]), "not in CSR form"),
+            (Rows([0, 2], [0, 1], [1.0], "<=", [1.0]), "not in CSR form"),
+        ],
+    )
+    def test_malformed_rows_raise(self, rows, message):
+        with pytest.raises(LpFormatError, match=message):
+            solve_lp(LinearProgram(2, [1.0, 1.0], [[0.0, 1.0]] * 2, rows))
+
+    def test_row_dots_round_as_one_dot_per_row(self):
+        rng = np.random.default_rng(3)
+        lengths = [0, 1, 3, 3, 7, 31, 32, 40, 70, 3]
+        cons = [
+            Constraint(tuple(rng.integers(0, 50, k).tolist()), tuple(rng.uniform(-2, 2, k)), EQUAL, 0.0)
+            for k in lengths
+        ]
+        v = rng.uniform(-3, 3, 50)
+        # the per-row dot product the tableau build used before the rows became arrays
+        expected = [float(np.asarray(c.coeffs) @ v[list(c.indices)]) for c in cons]
+        assert _row_dots(Rows.of(cons), v).tolist() == expected
+
+    def test_violations_match_row_by_row(self):
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            lp = random_box_lp(rng)
+            x = rng.uniform(lp.var_bounds[:, 0] - 1, lp.var_bounds[:, 1] + 1)
+            expected = {}
+            for k, con in enumerate(lp.constraints):
+                lhs = sum(c * x[j] for j, c in zip(con.indices, con.coeffs))
+                gap = {LESS_EQUAL: lhs - con.rhs, GREATER_EQUAL: con.rhs - lhs}.get(
+                    con.relation, abs(lhs - con.rhs)
+                )
+                if gap > 1e-6:
+                    expected[k] = gap
+            got = {v.index: v.amount for v in check_point(lp, x, 1e-6) if v.kind == "constraint"}
+            assert got.keys() == expected.keys()
+            for k, gap in expected.items():
+                assert got[k] == pytest.approx(gap, rel=1e-12, abs=1e-12)
+
+    def test_malformed_constraints_raise_on_conversion(self):
+        with pytest.raises(LpFormatError, match="constraint 0: unknown relation '<'"):
+            LinearProgram(1, [1.0], [[0.0, 1.0]], [Constraint((0,), (1.0,), "<", 1.0)])
+        with pytest.raises(LpFormatError, match="constraint 0: indices/coeffs length mismatch"):
+            LinearProgram(1, [1.0], [[0.0, 1.0]], [Constraint((0,), (), LESS_EQUAL, 1.0)])
+
+
+# (iterations, objective repr) of the delivery, nominal and robust (budget 12)
+# LPs of two congested synthetic days; a change of the kernel's arithmetic or
+# of its pivot choices shows here.  The second day puts more than 32 sessions
+# in some slot rows.
+PINNED = [
+    (
+        dict(seed=1, num_slots=48),
+        [(104, "-1875.2901459269856"), (223, "171.05853327497323"), (243, "186.53005903232005")],
+    ),
+    (
+        dict(seed=2, num_slots=24, peak_overlap=True),
+        [(14, "-446.41016378711856"), (67, "39.87578332112572"), (80, "49.84472915140715")],
+    ),
+]
+
+
+@pytest.mark.parametrize("kwargs, expected", PINNED)
+def test_kernel_is_pinned(monkeypatch, kwargs, expected):
+    solved = []
+    real = model.solve_lp
+
+    def recording(lp):
+        solved.append(real(lp))
+        return solved[-1]
+
+    monkeypatch.setattr(model, "solve_lp", recording)
+    sc = random_scenario(60, max_power=22.0, station=StationConfig(grid_capacity=40.0), **kwargs)
+    eff, adjustments = apply_demand_policy(sc, "clamp")
+    assert adjustments  # the delivery LP was solved
+    solve_deliverable(eff)
+    solve_deliverable(eff, 12.0)
+    assert [(s.iterations, repr(s.objective_value)) for s in solved] == expected
