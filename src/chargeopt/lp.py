@@ -5,14 +5,17 @@ A program keeps its rows as CSR arrays (:class:`Rows`): ``indptr``,
 builders emit those arrays directly; a list of :class:`Constraint` tuples is
 converted once when the program is made, and reading ``lp.constraints`` row
 by row builds the tuples back.  Validation, the feasibility check and the
-plain-text dump work on the arrays.
+plain-text dump work on the arrays.  Each row's left-hand side at a point is
+one sparse product, :meth:`Rows.dot`; the feasibility check and the tableau
+build both use it.
 
 The solver runs on one dense tableau of shape ``(rows + 1, cols + 1)``: the
 basic values are its last column and the reduced costs its last row.  It is
 built with a single scatter of the rows' nonzeros: a repeated index in a row
 sums its coefficients, and singleton rows, empty rows and fixed variables
-(``lower == upper``) enter as they are.  Every row gets one logical column: a
-slack on a ``<=`` row (a ``>=`` row is negated, its sign folded into the
+(``lower == upper``) enter as they are.  Each right-hand side is shifted by
+its row's value at the columns' starting bounds.  Every row gets one logical
+column: a slack on a ``<=`` row (a ``>=`` row is negated, its sign folded into the
 scatter) and a fixed logical of span zero on an ``=`` row.  Upper bounds are
 handled natively with the bound-flip technique rather than as extra rows.
 
@@ -37,7 +40,9 @@ other entry would change by an exact zero, so the pivots are the same as
 with a full dense update while the work follows the sparsity.  A bound flip
 negates whole columns, reduced-cost row included.
 
-Every tie-break is by lowest index, so re-solving the same program gives a
+The tolerances are fixed: ``FEASIBILITY_TOL`` for bound and row violations,
+``PIVOT_TOL`` for pivot elements and ``REDUCED_COST_TOL`` for pricing.  Every
+tie-break is by lowest index, so re-solving the same program gives a
 bit-identical result.
 """
 
@@ -155,6 +160,10 @@ class Rows(Sequence):
     def row_of(self) -> np.ndarray:
         """The row of each nonzero."""
         return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+
+    def dot(self, x: np.ndarray) -> np.ndarray:
+        """Each row's left-hand side at ``x``: one sparse product for every row."""
+        return np.bincount(self.row_of, self.coeffs * x[self.indices], len(self))
 
     def __len__(self) -> int:
         return len(self.rhs)
@@ -303,8 +312,7 @@ def _violations(lp: LinearProgram, x: np.ndarray, tol: float) -> list[Violation]
     for j in np.nonzero(x > up + tol)[0]:
         out.append(Violation("upper_bound", int(j), float(x[j] - up[j])))
     rows = lp.constraints
-    # one sparse product for every row's left-hand side, less the right-hand side
-    excess = np.bincount(rows.row_of, rows.coeffs * x[rows.indices], len(rows)) - rows.rhs
+    excess = rows.dot(x) - rows.rhs
     gap = np.where(rows.relation == _EQ, np.abs(excess), _ROW_SIGN[rows.relation] * excess)
     for k in np.nonzero(gap > tol)[0]:
         out.append(Violation("constraint", int(k), float(gap[k])))
@@ -348,7 +356,7 @@ class _Tableau:
 
     bland_factor = 10  # Bland's rule after this many iterations per row and column
 
-    def __init__(self, tab, spans, basis, pivot_tol, rc_tol):
+    def __init__(self, tab, spans, basis):
         m, n = tab.shape[0] - 1, tab.shape[1] - 1
         self.tab = tab
         self.mat = tab[:m, :n]
@@ -361,8 +369,6 @@ class _Tableau:
         # which cannot move and so are dual feasible at any reduced cost
         self.locked = spans == 0
         self.locked[basis] = True
-        self.pivot_tol = pivot_tol
-        self.rc_tol = rc_tol
         self.bland_after = self.bland_factor * (m + n)
         self.max_iter = 50_000 + 200 * (m + n)
         self.iterations = 0
@@ -375,10 +381,10 @@ class _Tableau:
             raise LpSolverError("simplex iteration limit exceeded")
         return self.iterations >= self.bland_after
 
-    def run_dual(self, feas_tol) -> LpStatus:
+    def run_dual(self) -> LpStatus:
         """Dual simplex from a dual feasible basis (``red >= 0``) until every
-        basic variable is within ``feas_tol`` of its range; INFEASIBLE when a
-        violated row cannot be repaired.  Mutates the tableau in place."""
+        basic variable is within ``FEASIBILITY_TOL`` of its range; INFEASIBLE
+        when a violated row cannot be repaired.  Mutates the tableau in place."""
         red = self.red
         while True:
             bland = self._bland_due()
@@ -387,19 +393,19 @@ class _Tableau:
             viol = np.maximum(-rhs, above)
             if bland:
                 # dual Bland rule: the violated row with the lowest basic index
-                rows = np.nonzero(viol > feas_tol)[0]
+                rows = np.nonzero(viol > FEASIBILITY_TOL)[0]
                 if not len(rows):
                     return LpStatus.OPTIMAL
                 r = int(rows[np.argmin(self.basis[rows])])
             else:
                 r = int(np.argmax(viol))
-                if not viol[r] > feas_tol:
+                if not viol[r] > FEASIBILITY_TOL:
                     return LpStatus.OPTIMAL
             leaves_at_upper = bool(above[r] > 0)
             # raising nonbasic column j by t moves the leaving variable by -mat[r, j] * t;
             # slope[j] > 0 moves it towards the bound it violates
             slope = self.mat[r] if leaves_at_upper else -self.mat[r]
-            cand = np.nonzero((slope > self.pivot_tol) & ~self.locked)[0]
+            cand = np.nonzero((slope > PIVOT_TOL) & ~self.locked)[0]
             if not len(cand):
                 return LpStatus.INFEASIBLE
             ratios = np.maximum(red[cand], 0.0) / slope[cand]
@@ -414,7 +420,7 @@ class _Tableau:
                 cand = cand[np.argsort(ratios, kind="stable")]
                 reach = np.cumsum(slope[cand] * self.spans[cand])
                 k = int(np.searchsorted(reach, viol[r]))
-                if k == len(cand) and viol[r] - reach[-1] > feas_tol:
+                if k == len(cand) and viol[r] - reach[-1] > FEASIBILITY_TOL:
                     return LpStatus.INFEASIBLE
                 if k:
                     self._flip(cand[:k])
@@ -432,19 +438,19 @@ class _Tableau:
             bland = self._bland_due()
             masked = np.where(self.locked, np.inf, self.red)
             if bland:
-                eligible = np.nonzero(masked < -self.rc_tol)[0]
+                eligible = np.nonzero(masked < -REDUCED_COST_TOL)[0]
                 q = int(eligible[0]) if len(eligible) else -1
             else:
                 q = int(np.argmin(masked))
-                q = q if masked[q] < -self.rc_tol else -1
+                q = q if masked[q] < -REDUCED_COST_TOL else -1
             if q < 0:
                 return LpStatus.OPTIMAL
             col = self.mat[:, q]
             ratios = np.full(m, np.inf)
-            pos = col > self.pivot_tol
+            pos = col > PIVOT_TOL
             ratios[pos] = np.maximum(self.rhs[pos], 0.0) / col[pos]
             bspan = self.spans[self.basis]
-            neg = (col < -self.pivot_tol) & np.isfinite(bspan)
+            neg = (col < -PIVOT_TOL) & np.isfinite(bspan)
             ratios[neg] = (self.rhs[neg] - bspan[neg]) / col[neg]
             ratios = np.maximum(ratios, 0.0)
             r = int(np.argmin(ratios))
@@ -504,22 +510,7 @@ class _Tableau:
         return val[:ncols]
 
 
-def _row_dots(rows: Rows, v: np.ndarray) -> np.ndarray:
-    """``coeffs @ v[indices]`` of every row, each rounded as the 1-D dot product
-    of that row alone: BLAS sums a dot product in an order that depends on its
-    length, so the rows are taken one length at a time."""
-    lengths = np.diff(rows.indptr)
-    out = np.zeros(len(rows))
-    for n in (np.flatnonzero(np.bincount(lengths)[1:]) + 1).tolist():
-        which = np.flatnonzero(lengths == n)
-        at = rows.indptr[which, None] + np.arange(n)
-        # a stack of (1, n) @ (n, 1) products: one BLAS dot product per row
-        dots = np.matmul(rows.coeffs[at][:, None, :], v[rows.indices[at]][:, :, None])
-        out[which] = dots[:, 0, 0]
-    return out
-
-
-def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
+def _simplex(lp: LinearProgram):
     """Dual phase 1, then primal phase 2, over the rows of ``lp``.
 
     Returns ``(status, x, stats)``; the stats carry no check figures yet.
@@ -562,9 +553,7 @@ def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
         rows.coeffs * (sgn[rows.indices] * sign[rows.row_of]),
     )
     dense[:m, n_main:n_struct] = -dense[:m, mirror]
-    # the charging LPs start every column at 0, and so shift no right-hand side
-    shift = _row_dots(rows, off) if off.any() else 0.0
-    dense[:m, n] = sign * (rows.rhs - shift)
+    dense[:m, n] = sign * (rows.rhs - rows.dot(off))
     basis = n_struct + np.arange(m)
     dense[np.arange(m), basis] = 1.0
     spans = np.concatenate(
@@ -576,10 +565,10 @@ def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
     cost[:n_main] = c * sgn
     cost[n_main:n_struct] = -cost[mirror]
     dense[m, :n] = np.maximum(cost, 0.0)
-    tab = _Tableau(dense, spans, basis, pivot_tol, rc_tol)
+    tab = _Tableau(dense, spans, basis)
 
     t0 = time.perf_counter()
-    status = tab.run_dual(feas_tol)
+    status = tab.run_dual()
     dual_iterations = tab.iterations
     t1 = time.perf_counter()
     if status is LpStatus.OPTIMAL:
@@ -606,20 +595,14 @@ def _simplex(lp: LinearProgram, feas_tol, pivot_tol, rc_tol):
     return LpStatus.OPTIMAL, np.clip(x, lo, up), stats
 
 
-def solve_lp(
-    lp: LinearProgram,
-    *,
-    feasibility_tol: float = FEASIBILITY_TOL,
-    pivot_tol: float = PIVOT_TOL,
-    reduced_cost_tol: float = REDUCED_COST_TOL,
-) -> LpSolution:
+def solve_lp(lp: LinearProgram) -> LpSolution:
     """Solve ``lp`` to proven optimality, infeasibility, or unboundedness.
 
     Malformed programs raise :class:`LpFormatError`; an infeasible but
     well-formed program returns status ``INFEASIBLE``.
     """
     lp.validate()
-    status, x, stats = _simplex(lp, feasibility_tol, pivot_tol, reduced_cost_tol)
+    status, x, stats = _simplex(lp)
     iterations = stats.dual_iterations + stats.primal_iterations
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status, None, None, iterations, stats)
@@ -629,7 +612,7 @@ def solve_lp(
     stats = dataclasses.replace(
         stats, check_seconds=time.perf_counter() - t0, worst_residual=worst
     )
-    bad = [v for v in residuals if v.amount > feasibility_tol]
+    bad = [v for v in residuals if v.amount > FEASIBILITY_TOL]
     if bad:
         raise LpSolverError(
             f"solver returned an infeasible point ({len(bad)} violations, worst {worst:.3e})"

@@ -12,6 +12,7 @@ to the net purchases by the dual feasibility rows.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +227,8 @@ def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, Variable
     duals (weight 1) with rows ``dev_dual[t] + budget_dual >= bound[t] * dt *
     purchase[t]``.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:  # the budget is an objective coefficient
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
     vm = VariableMap.for_scenario(sc, robust=True)
     return _charging_lp(sc, vm, gamma), vm
 

@@ -189,32 +189,20 @@ def trace_to_json_dict(trace: MpcTrace) -> dict:
         "applied_solar": trace.applied_solar.tolist(),
         "unmet_energy": trace.unmet_energy.tolist(),
         "residual_demand_history": trace.residual_demand_history.tolist(),
-        "solve_events": [
-            {
-                "slot": e.slot,
-                "trigger": e.trigger,
-                "horizon_slots": e.horizon_slots,
-                "wall_seconds": e.wall_seconds,
-            }
-            for e in trace.solve_events
-        ],
+        "solve_events": [dataclasses.asdict(e) for e in trace.solve_events],
         "demand_adjustments": [
-            {
-                "slot": slot,
-                "session_id": a.session_id,
-                "required": a.required,
-                "deliverable": a.deliverable,
-            }
-            for slot, a in trace.demand_adjustments
+            {"slot": slot, **dataclasses.asdict(a)} for slot, a in trace.demand_adjustments
         ],
     }
 
 
 def write_events_csv(trace: MpcTrace, path) -> None:
+    """One row per solve event, one column per :class:`SolveEvent` field."""
     import csv
 
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["slot", "trigger", "horizon_slots", "wall_seconds"])
-        for e in trace.solve_events:
-            writer.writerow([e.slot, e.trigger, e.horizon_slots, repr(e.wall_seconds)])
+        names = [f.name for f in dataclasses.fields(SolveEvent)]
+        writer.writerow(names)
+        # getattr, not dataclasses.astuple: astuple deep-copies every value
+        writer.writerows([getattr(e, n) for n in names] for e in trace.solve_events)

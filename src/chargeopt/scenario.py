@@ -56,8 +56,8 @@ class TimeGrid:
     def __post_init__(self):
         if self.num_slots < 1:
             raise ScenarioError("time grid needs at least one slot")
-        if self.slot_hours <= 0:
-            raise ScenarioError("slot length must be positive")
+        if not 0 < self.slot_hours < math.inf:
+            raise ScenarioError(f"slot_hours must be finite and positive, got {self.slot_hours!r}")
         if self.start.tzinfo is None:
             object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
 
@@ -123,8 +123,12 @@ class SolarSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "cap", np.asarray(self.cap, dtype=float))
-        if np.any(self.cap < 0):
-            raise ScenarioError("solar cap must be nonnegative")
+        bad = np.flatnonzero(~((self.cap >= 0) & (self.cap < math.inf)))
+        if len(bad):
+            raise ScenarioError(
+                f"slot {bad[0]}: solar cap must be finite and nonnegative, "
+                f"got {float(self.cap[bad[0]])!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -138,16 +142,19 @@ class StationConfig:
     default_max_power: float = 86.0  # kW, fallback socket limit per session
 
     def __post_init__(self):
-        if self.grid_capacity <= 0:
-            raise ScenarioError("grid capacity must be positive")
+        # inf is an unlimited grid connection or socket; nan fails every comparison
+        if not self.grid_capacity > 0:
+            raise ScenarioError(f"grid_capacity must be positive, got {self.grid_capacity!r}")
         if not 0 < self.charge_efficiency <= 1:
             raise ScenarioError("charge efficiency must lie in (0, 1]")
         if not 0 < self.pv_efficiency <= 1:
             raise ScenarioError("PV efficiency must lie in (0, 1]")
-        if self.pv_area < 0:
-            raise ScenarioError("PV area must be nonnegative")
-        if self.default_max_power <= 0:
-            raise ScenarioError("default max power must be positive")
+        if not 0 <= self.pv_area < math.inf:
+            raise ScenarioError(f"pv_area must be finite and nonnegative, got {self.pv_area!r}")
+        if not self.default_max_power > 0:
+            raise ScenarioError(
+                f"default_max_power must be positive, got {self.default_max_power!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -159,8 +166,10 @@ class DeviationRule:
 
     @classmethod
     def proportional(cls, fraction: float) -> "DeviationRule":
-        if fraction < 0:
-            raise ScenarioError("deviation fraction must be nonnegative")
+        if not 0 <= fraction < math.inf:
+            raise ScenarioError(
+                f"deviation_fraction must be finite and nonnegative, got {fraction!r}"
+            )
         return cls(fraction=fraction, absolute=None)
 
     @classmethod

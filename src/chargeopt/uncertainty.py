@@ -31,8 +31,8 @@ class UncertaintyBudget:
         object.__setattr__(
             self, "deviation_bound", np.asarray(self.deviation_bound, dtype=float)
         )
-        if self.gamma < 0:
-            raise ValueError("gamma must be nonnegative")
+        if not self.gamma >= 0:  # inf prices every slot at its bound
+            raise ValueError(f"gamma must be nonnegative, got {self.gamma!r}")
         if np.any(self.deviation_bound < 0):
             raise ValueError("deviation bounds must be nonnegative")
 

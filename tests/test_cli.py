@@ -135,6 +135,30 @@ class TestSimulate:
         assert f"--gamma must be finite, got {float(gamma)!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (["--policy", "fcfs", "--pv-area", "nan"], "pv_area"),
+            (["--policy", "fcfs", "--grid-capacity", "nan"], "grid_capacity"),
+            (["--policy", "nominal", "--grid-capacity", "nan"], "grid_capacity"),
+            (["--slot-hours", "inf"], "slot_hours"),
+            (["--slot-hours", "nan"], "slot_hours"),
+            (["--default-max-power", "nan"], "default_max_power"),
+            (["--policy", "robust", "--gamma", "6", "--deviation-fraction", "nan"], "deviation_fraction"),
+        ],
+    )
+    def test_nan_station_value_exits_1(self, toy_dir, tmp_path, capsys, flags, field):
+        out = tmp_path / "r.json"
+        assert main(["simulate", *toy_flags(toy_dir, out), *flags]) == 1
+        assert f"error: {field} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_grid_capacity_is_unlimited(self, toy_dir, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["simulate", *toy_flags(toy_dir, out), "--grid-capacity", "inf"]) == 0
+        costs = load(out)["costs"]
+        assert costs["nominal"] <= costs["fcfs"]
+
     def test_missing_file_exits_1(self, toy_dir, tmp_path):
         code = main(
             ["simulate", "--sessions", str(toy_dir / "nope.csv"),

@@ -14,7 +14,6 @@ from chargeopt.lp import (
     LpFormatError,
     LpStatus,
     Rows,
-    _row_dots,
     _Tableau,
     check_point,
     dump_lp,
@@ -549,31 +548,21 @@ class TestRows:
         with pytest.raises(LpFormatError, match=message):
             solve_lp(LinearProgram(2, [1.0, 1.0], [[0.0, 1.0]] * 2, rows))
 
-    def test_row_dots_round_as_one_dot_per_row(self):
-        rng = np.random.default_rng(3)
-        lengths = [0, 1, 3, 3, 7, 31, 32, 40, 70, 3]
-        cons = [
-            Constraint(tuple(rng.integers(0, 50, k).tolist()), tuple(rng.uniform(-2, 2, k)), EQUAL, 0.0)
-            for k in lengths
-        ]
-        v = rng.uniform(-3, 3, 50)
-        # the per-row dot product the tableau build used before the rows became arrays
-        expected = [float(np.asarray(c.coeffs) @ v[list(c.indices)]) for c in cons]
-        assert _row_dots(Rows.of(cons), v).tolist() == expected
-
     def test_violations_match_row_by_row(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             lp = random_box_lp(rng)
             x = rng.uniform(lp.var_bounds[:, 0] - 1, lp.var_bounds[:, 1] + 1)
-            expected = {}
+            expected, lhs_by_row = {}, []
             for k, con in enumerate(lp.constraints):
                 lhs = sum(c * x[j] for j, c in zip(con.indices, con.coeffs))
+                lhs_by_row.append(lhs)
                 gap = {LESS_EQUAL: lhs - con.rhs, GREATER_EQUAL: con.rhs - lhs}.get(
                     con.relation, abs(lhs - con.rhs)
                 )
                 if gap > 1e-6:
                     expected[k] = gap
+            assert lp.constraints.dot(x).tolist() == lhs_by_row
             got = {v.index: v.amount for v in check_point(lp, x, 1e-6) if v.kind == "constraint"}
             assert got.keys() == expected.keys()
             for k, gap in expected.items():

@@ -160,8 +160,9 @@ class TestRobust:
             assert lo <= hi + 1e-9
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            build_robust_lp(two_slot_scenario(), -1.0)
+        for gamma in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"gamma must be finite and nonnegative, got {gamma!r}"):
+                build_robust_lp(two_slot_scenario(), gamma)
 
     def test_week_scale_matches_highs(self):
         pytest.importorskip("scipy")

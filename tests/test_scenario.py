@@ -343,3 +343,21 @@ class TestBuildScenario:
     def test_session_rejects_non_finite_energy_and_power(self, energy, power):
         with pytest.raises(ScenarioError, match="non-finite"):
             ChargingSession("a", DAY, DAY + timedelta(hours=1), energy, power)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["slot_hours", "pv_area", "solar cap", "deviation_fraction"])
+    def test_station_and_grid_values_must_be_finite(self, field, value):
+        make = {
+            "slot_hours": lambda: TimeGrid(DAY, 24, value),
+            "pv_area": lambda: StationConfig(pv_area=value),
+            "solar cap": lambda: SolarSeries(np.array([1.0, value])),
+            "deviation_fraction": lambda: DeviationRule.proportional(value),
+        }[field]
+        with pytest.raises(ScenarioError, match=f"{field} must be finite .*, got {value!r}"):
+            make()
+
+    @pytest.mark.parametrize("field", ["grid_capacity", "default_max_power"])
+    def test_limits_reject_nan_and_keep_inf_unlimited(self, field):
+        with pytest.raises(ScenarioError, match=f"{field} must be positive, got nan"):
+            StationConfig(**{field: float("nan")})
+        assert getattr(StationConfig(**{field: float("inf")}), field) == float("inf")

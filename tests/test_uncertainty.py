@@ -70,6 +70,8 @@ class TestWorstCaseExtraCost:
             worst_case_extra_cost(np.array([-1.0]), 1.0, budget(1.0, [1.0]))
         with pytest.raises(ValueError):
             budget(-1.0, [1.0])
+        with pytest.raises(ValueError, match="gamma must be nonnegative, got nan"):
+            budget(float("nan"), [1.0])
         with pytest.raises(ValueError):
             budget(1.0, [-1.0])
 
