@@ -29,7 +29,7 @@ from .model import (
     solve_deliverable,
     solve_offline,
 )
-from .mpc import MpcConfig, MpcTrace, PlanRecord, SolveEvent, detect_trigger, run_online
+from .mpc import MpcConfig, MpcTrace, SolveEvent, detect_trigger, run_online
 from .scenario import (
     ChargingSession,
     DeviationRule,

@@ -168,6 +168,17 @@ def _finite(flag: str, value: float) -> float:
     return value
 
 
+def _number_list(flag: str, text: str, kind) -> list:
+    """The items of a comma-separated list flag; a bad item or an empty list is an input error."""
+    try:
+        values = [kind(item) for item in text.split(",") if item.strip() != ""]
+    except ValueError as exc:
+        raise ScenarioError(f"{flag}: {exc}") from None
+    if not values:
+        raise ScenarioError(f"{flag} lists no values, got {text!r}")
+    return values
+
+
 def _out_path(base: str, suffix: str) -> str:
     return (base[:-5] if base.endswith(".json") else base) + suffix
 
@@ -261,10 +272,11 @@ def _sensitivity_point(payload):
 
 
 def cmd_sensitivity(args) -> int:
-    gammas = [float(g) for g in str(args.gamma).split(",") if g.strip() != ""]
-    gammas = sorted({_finite("--gamma", g) for g in gammas})
+    gammas = sorted({_finite("--gamma", g) for g in _number_list("--gamma", args.gamma, float)})
     if any(g < 0 for g in gammas):
         raise ScenarioError("budgets must be nonnegative")
+    if args.workers < 1:
+        raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
     if args.eval_gamma is not None:
         _finite("--eval-gamma", args.eval_gamma)
     sc = _load_scenario(args)
@@ -300,7 +312,7 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    counts = [int(c) for c in str(args.ev_counts).split(",") if c.strip() != ""]
+    counts = _number_list("--ev-counts", args.ev_counts, int)
     if any(c < 1 for c in counts):
         raise ScenarioError("EV counts must be positive")
     if args.repetitions < 1:

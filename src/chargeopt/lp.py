@@ -250,6 +250,10 @@ class LinearProgram:
         if not np.isfinite(rows.rhs).all():
             k = int(np.argmin(np.isfinite(rows.rhs)))
             raise LpFormatError(f"constraint {k}: non-finite right-hand side")
+        if not np.isfinite(rows.coeffs).all():
+            p = int(np.argmin(np.isfinite(rows.coeffs)))
+            k = int(np.searchsorted(rows.indptr, p, side="right")) - 1
+            raise LpFormatError(f"constraint {k}: non-finite coefficient")
 
 
 @dataclass(frozen=True)

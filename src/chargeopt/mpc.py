@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass, field
-from datetime import timedelta
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DemandAdjustment, Schedule, solve_offline
+from .model import DemandAdjustment, solve_offline
 from .scenario import DeviationRule, Scenario, SolarSeries, TimeGrid, build_scenario
 
 RESIDUAL_TOL = 1e-9
@@ -50,16 +49,6 @@ class SolveEvent:
 
 
 @dataclass(frozen=True)
-class PlanRecord:
-    """One optimizer run: planned powers over [start, end) for the listed sessions."""
-
-    start: int
-    end: int
-    session_indices: tuple[int, ...]
-    charging_power: np.ndarray  # (len(sessions), end - start)
-
-
-@dataclass(frozen=True)
 class MpcTrace:
     applied_power: np.ndarray  # (N, T) kW actually commanded
     applied_solar: np.ndarray  # (T,) kW
@@ -68,7 +57,6 @@ class MpcTrace:
     total_cost: float  # EUR at realized prices
     unmet_energy: np.ndarray  # (N,) kWh still owed at the end
     demand_adjustments: tuple[tuple[int, DemandAdjustment], ...]  # (slot, adjustment)
-    plans: tuple[PlanRecord, ...]
 
 
 def detect_trigger(k: int, last_solve: float, events_at_k, cfg: MpcConfig) -> str | None:
@@ -118,11 +106,8 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     dt = sc.grid.slot_hours
     eta = sc.station.charge_efficiency
 
-    first_slot = np.full(n, -1, dtype=int)
-    last_slot = np.full(n, -1, dtype=int)
-    for i in range(n):
-        present = np.nonzero(sc.availability[i] > 0)[0]
-        first_slot[i], last_slot[i] = int(present[0]), int(present[-1])
+    first_slot = (sc.availability > 0).argmax(axis=1)
+    last_slot = T - 1 - (sc.availability[:, ::-1] > 0).argmax(axis=1)
 
     demand = np.array([s.required_energy for s in sc.sessions], dtype=float)
     residual = np.zeros(n)
@@ -130,41 +115,36 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     history = np.zeros((T, n))
     events: list[SolveEvent] = []
     adjustments: list[tuple[int, DemandAdjustment]] = []
-    plans: list[PlanRecord] = []
-    plan: PlanRecord | None = None
+    # the latest plan only: its first slot, its sessions, their powers from that slot on
+    start, planned, power = 0, np.zeros(0, dtype=int), np.zeros((0, 0))
     last_solve = -np.inf
 
     for k in range(T):
-        arrivals = np.nonzero(first_slot == k)[0]
+        arrivals = first_slot == k
         residual[arrivals] = demand[arrivals]
-        departures = np.nonzero(last_slot == k - 1)[0]
-        members = np.flatnonzero((sc.availability[:, k] > 0) & (residual > RESIDUAL_TOL)).tolist()
+        active = (sc.availability[:, k] > 0) & (residual > RESIDUAL_TOL)
+        members = np.flatnonzero(active)
         labels = set()
-        if len(arrivals):
+        if arrivals.any():
             labels.add(TRIGGER_ARRIVAL)
-        if len(departures):
+        if (last_slot == k - 1).any():
             labels.add(TRIGGER_DEPARTURE)
         trigger = detect_trigger(k, last_solve, labels, cfg)
-        if trigger is not None and members:
-            end = int(max(last_slot[i] for i in members)) + 1
+        if trigger is not None and len(members):
+            end = int(last_slot[members].max()) + 1
             window = _window_scenario(sc, members, k, end, residual)
             t0 = time.perf_counter()
             schedule, adjs = solve_offline(window, cfg.gamma, cfg.demand_policy)
             wall = time.perf_counter() - t0
             events.append(SolveEvent(k, trigger, end - k, wall))
             adjustments.extend((k, a) for a in adjs)
-            plan = PlanRecord(k, end, tuple(members), schedule.charging_power)
-            plans.append(plan)
+            start, planned, power = k, members, schedule.charging_power
             last_solve = k
 
-        if plan is not None and plan.start <= k < plan.end:
-            col = k - plan.start
-            in_plan = {i: row for i, row in zip(plan.session_indices, plan.charging_power)}
-            for i in members:
-                if i in in_plan:
-                    applied[i, k] = in_plan[i][col]
-        for i in members:
-            residual[i] = max(0.0, residual[i] - eta * applied[i, k] * dt)
+        if k - start < power.shape[1]:
+            on = active[planned]
+            applied[planned[on], k] = power[on, k - start]
+        residual = np.maximum(residual - eta * applied[:, k] * dt, 0.0)
         history[k] = residual
 
     load = applied.sum(axis=0)
@@ -175,14 +155,13 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
         solve_events=tuple(events),
         residual_demand_history=history,
         total_cost=sc.energy_cost(np.maximum(load - applied_solar, 0.0)),
-        unmet_energy=residual.copy(),
+        unmet_energy=residual,
         demand_adjustments=tuple(adjustments),
-        plans=tuple(plans),
     )
 
 
 def trace_to_json_dict(trace: MpcTrace) -> dict:
-    """JSON-serializable view of a trace (plans kept out; see events CSV for solves)."""
+    """JSON-serializable view of a trace; the events CSV holds the same solve events."""
     return {
         "total_cost": trace.total_cost,
         "applied_power": trace.applied_power.tolist(),

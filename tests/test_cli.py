@@ -345,3 +345,23 @@ class TestBench:
         assert main(["bench", "--ev-counts", "2", "--gamma", gamma, "--out", str(out)]) == 1
         assert "--gamma must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("sensitivity", ["--gamma", "abc"], "--gamma: could not convert string to float: 'abc'"),
+        ("sensitivity", ["--gamma", ","], "--gamma lists no values, got ','"),
+        ("sensitivity", ["--workers", "0"], "--workers must be at least 1, got 0"),
+        ("sensitivity", ["--workers", "-2"], "--workers must be at least 1, got -2"),
+        ("bench", ["--ev-counts", "abc"], "--ev-counts: invalid literal for int()"),
+        ("bench", ["--ev-counts", ","], "--ev-counts lists no values, got ','"),
+    ],
+    ids=["gamma-abc", "gamma-empty", "workers-0", "workers-neg", "counts-abc", "counts-empty"],
+)
+def test_bad_flag_exits_1(toy_dir, tmp_path, capsys, command, flags, message):
+    out = tmp_path / "r.json"
+    data = toy_flags(toy_dir, out) if command == "sensitivity" else ["--out", str(out)]
+    assert main([command, *data, *flags]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()

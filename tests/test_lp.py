@@ -542,6 +542,10 @@ class TestRows:
             (Rows([0, 1], [0], [1.0], "<=", [np.nan]), "constraint 0: non-finite right-hand side"),
             (Rows([0, 2, 1], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0]), "not in CSR form"),
             (Rows([0, 2], [0, 1], [1.0], "<=", [1.0]), "not in CSR form"),
+            (Rows([0, 1, 3], [0, 0, 1], [1.0, np.nan, 1.0], ">=", [1.0, 1.0]),
+             "constraint 1: non-finite coefficient"),
+            (Rows([0, 1, 3], [0, 0, 1], [1.0, 1.0, -np.inf], ">=", [1.0, 1.0]),
+             "constraint 1: non-finite coefficient"),
         ],
     )
     def test_malformed_rows_raise(self, rows, message):

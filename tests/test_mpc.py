@@ -6,6 +6,7 @@ from datetime import datetime, timezone
 import numpy as np
 import pytest
 
+from chargeopt import mpc
 from chargeopt.model import DemandInfeasibleError, solve_offline
 from chargeopt.mpc import (
     MpcConfig,
@@ -70,29 +71,43 @@ class TestOnlineRun:
         triggers = {e.trigger for e in trace.solve_events}
         assert "periodic" in triggers
 
-    def test_applied_power_between_solves_comes_from_latest_plan(self):
+    def test_applied_power_between_solves_comes_from_latest_plan(self, monkeypatch):
         sc = random_scenario(3, seed=9, all_at_start=True)
+        slot_of = {sc.grid.slot_start(k): k for k in range(sc.num_slots)}
+        row_of = {s.id: i for i, s in enumerate(sc.sessions)}
+        plans = {}  # window start slot -> (session indices, planned powers)
+
+        def recording_solve(window, *args):
+            schedule, adjs = solve_offline(window, *args)
+            sessions = [row_of[s.id] for s in window.sessions]
+            plans[slot_of[window.grid.start]] = (sessions, schedule.charging_power)
+            return schedule, adjs
+
+        monkeypatch.setattr(mpc, "solve_offline", recording_solve)
         trace = run_online(sc, MpcConfig(resolve_interval=10 * sc.num_slots))
         solve_slots = {e.slot for e in trace.solve_events}
-        by_start = {p.start: p for p in trace.plans}
-        current = None
+        start = None
         for k in range(sc.num_slots):
             if k in solve_slots:
-                current = by_start[k]
-            if current is None or not (current.start <= k < current.end):
+                start = k
+            if start is None or k - start >= plans[start][1].shape[1]:
                 assert np.allclose(trace.applied_power[:, k], 0.0)
                 continue
-            col = k - current.start
-            for local, i in enumerate(current.session_indices):
-                planned = current.charging_power[local, col]
+            sessions, power = plans[start]
+            for local, i in enumerate(sessions):
+                planned = power[local, k - start]
                 applied = trace.applied_power[i, k]
                 # applied power may be zero if the session already finished
                 assert applied == pytest.approx(planned, abs=1e-9) or applied == 0.0
 
-    def test_residuals_monotone_and_consistent(self):
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.5], ids=["hourly", "half-hourly"])
+    @pytest.mark.parametrize("gamma", [None, 4.0], ids=["nominal", "robust"])
+    def test_residuals_monotone_and_consistent(self, gamma, slot_hours):
         for seed in range(4):
-            sc = random_scenario(5, seed=seed)
-            trace = run_online(sc, MpcConfig(resolve_interval=3))
+            sc = random_scenario(
+                5, seed=seed, num_slots=int(24 / slot_hours), slot_hours=slot_hours
+            )
+            trace = run_online(sc, MpcConfig(resolve_interval=3, gamma=gamma))
             hist = trace.residual_demand_history
             eta, dt = sc.station.charge_efficiency, sc.grid.slot_hours
             for i in range(sc.num_sessions):
@@ -107,10 +122,14 @@ class TestOnlineRun:
                         sess.required_energy, abs=1e-6
                     )
 
-    def test_applied_power_respects_caps(self):
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.5], ids=["hourly", "half-hourly"])
+    @pytest.mark.parametrize("gamma", [None, 4.0], ids=["nominal", "robust"])
+    def test_applied_power_respects_caps(self, gamma, slot_hours):
         for seed in range(4):
-            sc = random_scenario(5, seed=seed)
-            trace = run_online(sc, MpcConfig(resolve_interval=2))
+            sc = random_scenario(
+                5, seed=seed, num_slots=int(24 / slot_hours), slot_hours=slot_hours
+            )
+            trace = run_online(sc, MpcConfig(resolve_interval=2, gamma=gamma))
             caps = np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability
             assert np.all(trace.applied_power <= caps + 1e-6)
             net = trace.applied_power.sum(axis=0) - trace.applied_solar
