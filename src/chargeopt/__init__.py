@@ -20,7 +20,6 @@ from .model import (
     Schedule,
     ScheduleConsistencyError,
     VariableMap,
-    allocation_to_point,
     apply_demand_policy,
     build_nominal_lp,
     build_robust_lp,

@@ -8,8 +8,8 @@ Subcommands
                  worst-case cost, and the increase relative to budget zero.
 ``bench``        Solve-time measurement on seeded synthetic instances.
 
-Exit codes: 0 success, 1 input error, 2 infeasible demand under the strict
-policy.
+Exit codes: 0 success, 1 input error (a malformed command line included),
+2 infeasible demand under the strict policy.
 """
 
 from __future__ import annotations
@@ -52,8 +52,15 @@ from .synth import bench_scenario
 from .uncertainty import UncertaintyBudget, worst_case_total_cost
 
 
+class _Parser(argparse.ArgumentParser):
+    """Command-line errors are input errors: exit code 1, not argparse's 2."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chargeopt",
         description="Cost-minimal EV charging schedules with solar and price-uncertainty protection.",
     )
@@ -132,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_scenario(args):
+    _check("--hours", args.hours, 1)
     grid = TimeGrid(parse_timestamp(args.start), args.hours, args.slot_hours)
     station = StationConfig(
         grid_capacity=args.grid_capacity,
@@ -161,10 +169,12 @@ def _load_scenario(args):
     return sc
 
 
-def _finite(flag: str, value: float) -> float:
-    """The value of a numeric flag; a nan or infinite value is an input error."""
+def _check(flag: str, value, least):
+    """The value of a numeric flag; nan, infinite or below ``least`` is an input error."""
     if not math.isfinite(value):
         raise ScenarioError(f"{flag} must be finite, got {value!r}")
+    if value < least:
+        raise ScenarioError(f"{flag} must be at least {least}, got {value!r}")
     return value
 
 
@@ -185,7 +195,8 @@ def _out_path(base: str, suffix: str) -> str:
 
 def cmd_simulate(args) -> int:
     if args.gamma is not None:
-        _finite("--gamma", args.gamma)
+        _check("--gamma", args.gamma, 0)
+    _check("--resolve-interval", args.resolve_interval, 1)
     sc = _load_scenario(args)
     if args.policy == "robust" and args.gamma is None:
         raise ScenarioError("--policy robust requires --gamma")
@@ -272,13 +283,10 @@ def _sensitivity_point(payload):
 
 
 def cmd_sensitivity(args) -> int:
-    gammas = sorted({_finite("--gamma", g) for g in _number_list("--gamma", args.gamma, float)})
-    if any(g < 0 for g in gammas):
-        raise ScenarioError("budgets must be nonnegative")
-    if args.workers < 1:
-        raise ScenarioError(f"--workers must be at least 1, got {args.workers}")
+    gammas = sorted({_check("--gamma", g, 0) for g in _number_list("--gamma", args.gamma, float)})
+    _check("--workers", args.workers, 1)
     if args.eval_gamma is not None:
-        _finite("--eval-gamma", args.eval_gamma)
+        _check("--eval-gamma", args.eval_gamma, 0)
     sc = _load_scenario(args)
     eval_gamma = args.eval_gamma if args.eval_gamma is not None else max(gammas)
     # one demand pass: every budget solves the same deliverable scenario
@@ -312,12 +320,10 @@ def cmd_sensitivity(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    counts = _number_list("--ev-counts", args.ev_counts, int)
-    if any(c < 1 for c in counts):
-        raise ScenarioError("EV counts must be positive")
-    if args.repetitions < 1:
-        raise ScenarioError(f"--repetitions must be at least 1, got {args.repetitions}")
-    _finite("--gamma", args.gamma)
+    counts = [_check("--ev-counts", c, 1) for c in _number_list("--ev-counts", args.ev_counts, int)]
+    _check("--repetitions", args.repetitions, 1)
+    _check("--seed", args.seed, 0)
+    _check("--gamma", args.gamma, 0)
     report = reports.RunReport(command="bench")
     for count in counts:
         sc = bench_scenario(count, seed=args.seed)
@@ -334,15 +340,18 @@ def cmd_bench(args) -> int:
         report.bench.append(row)
         print(f"{count} EVs: mean {row.mean_solve_seconds:.3f} s over {args.repetitions} runs")
     report.write_json(args.out)
-    report.write_bench_csv(_out_path(args.out, ".bench.csv"))
+    reports.write_records_csv(
+        _out_path(args.out, ".bench.csv"),
+        report.bench,
+        ["num_evs", "mean_solve_seconds", "repetitions"],
+    )
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handler = {"simulate": cmd_simulate, "sensitivity": cmd_sensitivity, "bench": cmd_bench}
     try:
+        args = build_parser().parse_args(argv)
         return handler[args.command](args)
     except DemandInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)

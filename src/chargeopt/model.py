@@ -84,13 +84,6 @@ class VariableMap:
     def num_charge(self) -> int:
         return len(self.cells)
 
-    def charge(self, i: int, t: int) -> int:
-        flat = i * self.num_slots + t
-        k = int(np.searchsorted(self.cells, flat))
-        if k == self.num_charge or self.cells[k] != flat:
-            raise KeyError(f"session {i} is not plugged in at slot {t}")
-        return k
-
     def purchase(self, t: int) -> int:
         return self.num_charge + t
 
@@ -120,18 +113,6 @@ class VariableMap:
         # the charging columns come first and the purchases follow them, so a
         # column's index is its position in slot_of
         return indptr, np.argsort(slot_of, kind="stable")
-
-    def to_json_dict(self) -> dict[str, int]:
-        names = {}
-        for k, flat in enumerate(self.cells.tolist()):
-            names[f"charge[{flat // self.num_slots},{flat % self.num_slots}]"] = k
-        for t in range(self.num_slots):
-            names[f"purchase[{t}]"] = self.purchase(t)
-        if self.robust:
-            names["budget_dual"] = self.budget_dual
-            for t in range(self.num_slots):
-                names[f"deviation_dual[{t}]"] = self.deviation_dual(t)
-        return names
 
 
 @dataclass(frozen=True)
@@ -348,7 +329,7 @@ def _verify_phys134(sc: Scenario, charging, purchase, solar, tol=CONSTRAINT_TOL)
     for i, sess in enumerate(sc.sessions):
         if delivered[i] < sess.required_energy - tol:
             problems.append(f"session {sess.id} short by {sess.required_energy - delivered[i]:.2e} kWh")
-    over = charging - sc.availability * np.array([s.max_power for s in sc.sessions])[:, None]
+    over = charging - _socket_caps(sc)
     if float(over.max(initial=-np.inf)) > tol:
         problems.append("socket cap exceeded")
     if float(charging.min(initial=np.inf)) < -tol:
@@ -389,20 +370,3 @@ def solve_offline(
     eff, adjustments = apply_demand_policy(sc, demand_policy)
     return solve_deliverable(eff, gamma), adjustments
 
-
-def allocation_to_point(allocation: np.ndarray, sc: Scenario, vm: VariableMap) -> np.ndarray:
-    """Map a feasible power allocation onto the nominal LP's variable vector.
-
-    The net purchase is set to the draw left after solar, so a valid
-    allocation yields a feasible LP point.  Power in a cell where the
-    session is not plugged in has no column and raises :class:`ValueError`.
-    """
-    if vm.robust:
-        raise ValueError("expected the nominal variable map")
-    flat = np.asarray(allocation, dtype=float).reshape(-1)
-    if np.any(np.delete(flat, vm.cells) != 0.0):
-        raise ValueError("allocation charges a session in a slot where it is not plugged in")
-    x = np.zeros(vm.num_vars)
-    x[: vm.num_charge] = flat[vm.cells]
-    x[vm.num_charge :] = np.maximum(allocation.sum(axis=0) - sc.solar.cap, 0.0)
-    return x

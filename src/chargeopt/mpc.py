@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import DemandAdjustment, solve_offline
+from .reports import write_records_csv
 from .scenario import DeviationRule, Scenario, SolarSeries, TimeGrid, build_scenario
 
 RESIDUAL_TOL = 1e-9
@@ -71,25 +72,15 @@ def detect_trigger(k: int, last_solve: float, events_at_k, cfg: MpcConfig) -> st
 
 
 def _window_scenario(sc: Scenario, members, k: int, end: int, residual) -> Scenario:
-    grid = TimeGrid(
-        sc.grid.slot_start(k), end - k, sc.grid.slot_hours
-    )
-    sessions = []
-    for i in members:
-        s = sc.sessions[i]
-        sessions.append(
-            dataclasses.replace(
-                s,
-                arrival=max(s.arrival, grid.start),
-                departure=min(s.departure, grid.end),
-                required_energy=float(residual[i]),
-            )
-        )
+    # build_scenario clips each stay to the window; only the demands change
+    sessions = [
+        dataclasses.replace(sc.sessions[i], required_energy=float(residual[i])) for i in members
+    ]
     return build_scenario(
         sessions,
         sc.prices.nominal[k:end],
         SolarSeries(sc.solar.cap[k:end]),
-        grid,
+        TimeGrid(sc.grid.slot_start(k), end - k, sc.grid.slot_hours),
         sc.station,
         DeviationRule.fixed(sc.prices.deviation_bound[k:end]),
     )
@@ -177,11 +168,4 @@ def trace_to_json_dict(trace: MpcTrace) -> dict:
 
 def write_events_csv(trace: MpcTrace, path) -> None:
     """One row per solve event, one column per :class:`SolveEvent` field."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        names = [f.name for f in dataclasses.fields(SolveEvent)]
-        writer.writerow(names)
-        # getattr, not dataclasses.astuple: astuple deep-copies every value
-        writer.writerows([getattr(e, n) for n in names] for e in trace.solve_events)
+    write_records_csv(path, trace.solve_events, [f.name for f in dataclasses.fields(SolveEvent)])

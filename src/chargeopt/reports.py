@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -63,17 +63,6 @@ class RunReport:
     def to_json_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RunReport":
-        data = dict(data)
-        data["monthly"] = [MonthlyRow(**r) for r in data.get("monthly", [])]
-        data["sensitivity"] = [SensitivityRow(**r) for r in data.get("sensitivity", [])]
-        data["bench"] = [BenchRow(**r) for r in data.get("bench", [])]
-        data["solver"] = [
-            SolverRecord(r["label"], SolverStats(**r["stats"])) for r in data.get("solver", [])
-        ]
-        return cls(**data)
-
     def write_json(self, path) -> None:
         with open(path, "w") as fh:
             json.dump(self.to_json_dict(), fh, indent=2)
@@ -88,20 +77,16 @@ class RunReport:
                 writer.writerow([ts] + [repr(self.slot_series[k][t]) for k in keys])
 
     def write_sensitivity_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["gamma", "nominal_cost", "worst_case_cost", "increase_percent"])
-            for r in self.sensitivity:
-                writer.writerow(
-                    [repr(r.gamma), repr(r.nominal_cost), repr(r.worst_case_cost), repr(r.increase_percent)]
-                )
+        write_records_csv(path, self.sensitivity, [f.name for f in fields(SensitivityRow)])
 
-    def write_bench_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["num_evs", "mean_solve_seconds", "repetitions"])
-            for r in self.bench:
-                writer.writerow([r.num_evs, repr(r.mean_solve_seconds), r.repetitions])
+
+def write_records_csv(path, records, names) -> None:
+    """A header row of ``names``, then one row per record holding those attributes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(names)
+        # getattr, not dataclasses.astuple: astuple deep-copies every value
+        writer.writerows([getattr(r, n) for n in names] for r in records)
 
 
 def savings_percent(fcfs_cost: float, optimized_cost: float) -> float | None:

@@ -453,9 +453,11 @@ def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
     """Read a two-column (timestamp, value) CSV aligned to the grid.
 
     Source rows are hourly; each slot takes the value whose timestamp equals
-    the slot start truncated to the hour.  Any uncovered slot is an error.
+    the slot start truncated to the hour.  Any uncovered slot, and any
+    timestamp given twice, is an error.
     """
     values: dict[datetime, float] = {}
+    first_row: dict[datetime, int] = {}
     with open(path, newline="") as fh:
         for row_num, row in enumerate(csv.reader(fh), start=1):
             if not row or not row[0].strip():
@@ -466,6 +468,12 @@ def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
                 if row_num == 1:
                     continue  # header line
                 raise ScenarioError(f"{path} row {row_num}: unparsable timestamp {row[0]!r}")
+            if ts in first_row:
+                raise ScenarioError(
+                    f"{path} row {row_num}, field 'timestamp': duplicate {_iso(ts)} "
+                    f"(first on row {first_row[ts]})"
+                )
+            first_row[ts] = row_num
             try:
                 values[ts] = float(row[1])
             except (ValueError, IndexError) as exc:

@@ -264,3 +264,48 @@ def schedule_violations(sc, charging_power, net_purchase, solar_used, tol=1e-6):
         if solar_used[t] < -tol or solar_used[t] > sc.solar.cap[t] + tol:
             out.append(f"slot {t}: solar outside [0, cap]")
     return out
+
+
+# ---------------------------------------------------------------------------
+# column lookups on a charging LP's variable map, for the tests only
+
+
+def charge_column(vm, i: int, t: int) -> int:
+    """Column of session ``i``'s charging power in slot ``t``; ``KeyError`` if unplugged."""
+    flat = i * vm.num_slots + t
+    k = int(np.searchsorted(vm.cells, flat))
+    if k == vm.num_charge or vm.cells[k] != flat:
+        raise KeyError(f"session {i} is not plugged in at slot {t}")
+    return k
+
+
+def variable_names(vm) -> dict[str, int]:
+    """Every column of the map by name: ``charge[i,t]``, ``purchase[t]`` and the duals."""
+    names = {}
+    for k, flat in enumerate(vm.cells.tolist()):
+        names[f"charge[{flat // vm.num_slots},{flat % vm.num_slots}]"] = k
+    for t in range(vm.num_slots):
+        names[f"purchase[{t}]"] = vm.purchase(t)
+    if vm.robust:
+        names["budget_dual"] = vm.budget_dual
+        for t in range(vm.num_slots):
+            names[f"deviation_dual[{t}]"] = vm.deviation_dual(t)
+    return names
+
+
+def allocation_to_point(allocation: np.ndarray, sc, vm) -> np.ndarray:
+    """Map a feasible power allocation onto the nominal LP's variable vector.
+
+    The net purchase is set to the draw left after solar, so a valid
+    allocation yields a feasible LP point.  Power in a cell where the
+    session is not plugged in has no column and raises :class:`ValueError`.
+    """
+    if vm.robust:
+        raise ValueError("expected the nominal variable map")
+    flat = np.asarray(allocation, dtype=float).reshape(-1)
+    if np.any(np.delete(flat, vm.cells) != 0.0):
+        raise ValueError("allocation charges a session in a slot where it is not plugged in")
+    x = np.zeros(vm.num_vars)
+    x[: vm.num_charge] = flat[vm.cells]
+    x[vm.num_charge :] = np.maximum(allocation.sum(axis=0) - sc.solar.cap, 0.0)
+    return x

@@ -16,7 +16,6 @@ import pytest
 from chargeopt.fcfs import run_fcfs
 from chargeopt.lp import LpStatus, check_point, solve_lp
 from chargeopt.model import (
-    allocation_to_point,
     apply_demand_policy,
     build_nominal_lp,
     build_robust_lp,
@@ -42,7 +41,12 @@ from chargeopt.uncertainty import (
     verify_dual_equivalence,
     worst_case_total_cost,
 )
-from oracles import random_box_lp, schedule_violations, vertex_enumeration_optimum
+from oracles import (
+    allocation_to_point,
+    random_box_lp,
+    schedule_violations,
+    vertex_enumeration_optimum,
+)
 
 
 def report(num, name, ok, detail=""):

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from chargeopt import model
+from chargeopt import cli, model
 from chargeopt.cli import _load_scenario, build_parser, main
 from chargeopt.lp import SolverStats, dump_lp, solve_lp
 from chargeopt.model import apply_demand_policy, build_nominal_lp, build_robust_lp
-from chargeopt.reports import RunReport
+from chargeopt.reports import BenchRow, MonthlyRow, RunReport, SensitivityRow, SolverRecord
 
 TOY_ARGS = [
     "--start", "2019-06-03T00:00:00Z", "--hours", "24", "--grid-capacity", "40",
@@ -31,6 +31,18 @@ def toy_flags(toy_dir, out, prices="prices.csv", solar=True):
 def load(out):
     with open(out) as fh:
         return json.load(fh)
+
+
+def report_from_json_dict(data: dict) -> RunReport:
+    """The :class:`RunReport` that a loaded JSON report was written from."""
+    data = dict(data)
+    data["monthly"] = [MonthlyRow(**r) for r in data.get("monthly", [])]
+    data["sensitivity"] = [SensitivityRow(**r) for r in data.get("sensitivity", [])]
+    data["bench"] = [BenchRow(**r) for r in data.get("bench", [])]
+    data["solver"] = [
+        SolverRecord(r["label"], SolverStats(**r["stats"])) for r in data.get("solver", [])
+    ]
+    return RunReport(**data)
 
 
 class TestSimulate:
@@ -108,7 +120,7 @@ class TestSimulate:
         main(["simulate", *toy_flags(toy_dir, out), "--policy", "robust", "--gamma", "6"])
         raw = load(out)
         assert len(raw["solver"]) == 2
-        again = RunReport.from_json_dict(raw)
+        again = report_from_json_dict(raw)
         assert isinstance(again.solver[0].stats, SolverStats)
         assert again.to_json_dict() == raw  # floats survive the round trip exactly
 
@@ -191,6 +203,21 @@ class TestSimulate:
         assert main(["simulate", *toy_flags(tmp_path, tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
         assert f"sessions.csv row {row + 1}, field '{field}': non-finite 'nan'" in err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("name", ["prices.csv", "irradiance.csv"])
+    def test_repeated_timestamp_exits_1(self, toy_dir, tmp_path, capsys, name):
+        lines = (toy_dir / name).read_text().splitlines()
+        lines.append(lines[2].split(",")[0] + ",9.99")  # slot 1 again, another value
+        (tmp_path / name).write_text("\n".join(lines) + "\n")
+        for other in {"sessions.csv", "prices.csv", "irradiance.csv"} - {name}:
+            (tmp_path / other).write_text((toy_dir / other).read_text())
+        assert main(["simulate", *toy_flags(tmp_path, tmp_path / "r.json")]) == 1
+        err = capsys.readouterr().err
+        assert (
+            f"{name} row {len(lines)}, field 'timestamp': duplicate 2019-06-03T01:00:00Z "
+            "(first on row 3)"
+        ) in err
         assert not (tmp_path / "r.json").exists()
 
     def test_strict_policy_unreachable_exits_2(self, toy_dir, tmp_path, capsys):
@@ -314,7 +341,7 @@ class TestSensitivity:
         labels = [r["label"] for r in raw["solver"]]
         assert labels == ["robust gamma=0.0", "robust gamma=6.0", "robust gamma=12.0"]
         assert all(r["stats"]["dual_iterations"] > 0 for r in raw["solver"])
-        assert RunReport.from_json_dict(raw).to_json_dict() == raw
+        assert report_from_json_dict(raw).to_json_dict() == raw
 
 
 class TestBench:
@@ -356,12 +383,48 @@ class TestBench:
         ("sensitivity", ["--workers", "-2"], "--workers must be at least 1, got -2"),
         ("bench", ["--ev-counts", "abc"], "--ev-counts: invalid literal for int()"),
         ("bench", ["--ev-counts", ","], "--ev-counts lists no values, got ','"),
+        ("sensitivity", ["--eval-gamma", "-3"], "--eval-gamma must be at least 0, got -3.0"),
+        (
+            "simulate",
+            ["--policy", "mpc", "--resolve-interval", "0"],
+            "--resolve-interval must be at least 1, got 0",
+        ),
+        ("simulate", ["--hours", "0"], "--hours must be at least 1, got 0"),
+        ("bench", ["--seed", "-1"], "--seed must be at least 0, got -1"),
+        ("simulate", ["--policy", "nominal", "--gamma", "-1"], "--gamma must be at least 0, got -1.0"),
+        ("simulate", ["--hours", "abc"], "argument --hours: invalid int value: 'abc'"),
+        ("simulate", ["--policy", "bogus"], "argument --policy: invalid choice: 'bogus'"),
     ],
-    ids=["gamma-abc", "gamma-empty", "workers-0", "workers-neg", "counts-abc", "counts-empty"],
+    ids=[
+        "gamma-abc", "gamma-empty", "workers-0", "workers-neg", "counts-abc", "counts-empty",
+        "eval-gamma-neg", "resolve-interval-0", "hours-0", "seed-neg", "nominal-gamma-neg",
+        "hours-abc", "policy-bogus",
+    ],
 )
-def test_bad_flag_exits_1(toy_dir, tmp_path, capsys, command, flags, message):
+def test_bad_flag_exits_1(toy_dir, tmp_path, capsys, monkeypatch, command, flags, message):
+    def no_reading(*args):
+        raise AssertionError("a bad flag must fail before any file is read")
+
+    monkeypatch.setattr(cli, "parse_sessions", no_reading)
     out = tmp_path / "r.json"
-    data = toy_flags(toy_dir, out) if command == "sensitivity" else ["--out", str(out)]
+    data = ["--out", str(out)] if command == "bench" else toy_flags(toy_dir, out)
     assert main([command, *data, *flags]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_missing_flag_exits_1(toy_dir, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    flags = toy_flags(toy_dir, out)
+    k = flags.index("--start")
+    del flags[k : k + 2]
+    assert main(["simulate", *flags]) == 1
+    assert "the following arguments are required: --start" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0
+    assert "--resolve-interval" in capsys.readouterr().out

@@ -12,7 +12,6 @@ from chargeopt.lp import LpStatus, check_point, solve_lp
 from chargeopt.model import (
     DemandInfeasibleError,
     ScheduleConsistencyError,
-    allocation_to_point,
     apply_demand_policy,
     build_nominal_lp,
     build_robust_lp,
@@ -31,7 +30,13 @@ from chargeopt.scenario import (
     build_scenario,
 )
 from chargeopt.synth import random_scenario
-from oracles import highs_objective, highs_physical_objective
+from oracles import (
+    allocation_to_point,
+    charge_column,
+    highs_objective,
+    highs_physical_objective,
+    variable_names,
+)
 
 UTC = timezone.utc
 DAY = datetime(2019, 6, 3, tzinfo=UTC)
@@ -92,7 +97,7 @@ class TestNominal:
             assert len(lp.constraints) == n + 2 * t
             for i, sess in enumerate(sc.sessions):
                 for k in np.flatnonzero(sc.availability[i] > 0):
-                    assert lp.var_bounds[vm.charge(i, k), 1] == sess.max_power * sc.availability[i, k]
+                    assert lp.var_bounds[charge_column(vm, i, k), 1] == sess.max_power * sc.availability[i, k]
             purchases = lp.var_bounds[vm.purchase(0) : vm.purchase(0) + t]
             assert np.all(purchases == [0.0, sc.station.grid_capacity])
 
@@ -102,30 +107,30 @@ class TestNominal:
         n, t = sc.num_sessions, sc.num_slots
         for i in range(n):
             row = lp.constraints[i]
-            assert row.indices == tuple(vm.charge(i, k) for k in np.flatnonzero(sc.availability[i] > 0))
+            assert row.indices == tuple(charge_column(vm, i, k) for k in np.flatnonzero(sc.availability[i] > 0))
         for k in range(t):
             row = lp.constraints[n + k]
             plugged = np.flatnonzero(sc.availability[:, k] > 0)
-            assert row.indices == tuple(vm.charge(i, k) for i in plugged) + (vm.purchase(k),)
+            assert row.indices == tuple(charge_column(vm, i, k) for i in plugged) + (vm.purchase(k),)
             assert (row.relation, row.rhs) == ("<=", sc.solar.cap[k])
         i, k = np.argwhere(sc.availability == 0)[0]
         with pytest.raises(KeyError):
-            vm.charge(int(i), int(k))
+            charge_column(vm, int(i), int(k))
 
     def test_over_cap_charge_is_upper_bound_violation(self):
         sc = two_slot_scenario()
         lp, vm = build_nominal_lp(sc)
         x = np.zeros(vm.num_vars)
-        x[vm.charge(0, 1)] = 10.5  # socket cap is 10 kW
+        x[charge_column(vm, 0, 1)] = 10.5  # socket cap is 10 kW
         x[vm.purchase(1)] = 10.5
         violations = check_point(lp, x, 1e-9)
-        assert [(v.kind, v.index) for v in violations] == [("upper_bound", vm.charge(0, 1))]
+        assert [(v.kind, v.index) for v in violations] == [("upper_bound", charge_column(vm, 0, 1))]
         assert violations[0].amount == pytest.approx(0.5)
 
     def test_variable_map_json(self):
         sc = two_slot_scenario()
         _, vm = build_robust_lp(sc, 1.0)
-        names = vm.to_json_dict()
+        names = variable_names(vm)
         assert names["charge[0,1]"] == 1
         assert names["budget_dual"] == 2 + 2  # two plugged-in cells, two purchases
         assert len(names) == vm.num_vars
