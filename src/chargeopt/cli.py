@@ -8,8 +8,8 @@ Subcommands
                  worst-case cost, and the increase relative to budget zero.
 ``bench``        Solve-time measurement on seeded synthetic instances.
 
-Exit codes: 0 success, 1 input error (a malformed command line included),
-2 infeasible demand under the strict policy.
+Exit codes: 0 success, 1 input error (a malformed command line included) or a
+solver failure, 2 infeasible demand under the strict policy.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import reports
 from .fcfs import run_fcfs
-from .lp import LpFormatError, LpSolverError, LpStatus, dump_lp, solve_lp
+from .lp import LpError, LpSolverError, LpStatus, dump_lp, solve_lp
 from .model import (
     DemandInfeasibleError,
     apply_demand_policy,
@@ -356,7 +356,7 @@ def main(argv=None) -> int:
     except DemandInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioError, LpFormatError, ValueError, OSError) as exc:
+    except (ScenarioError, LpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,9 @@ class ScenarioError(Exception):
 
 
 def parse_timestamp(text: str) -> datetime:
-    """Parse an ISO-8601 or RFC-1123 timestamp; naive values are taken as UTC."""
+    """Parse an ISO-8601 or RFC-1123 timestamp string; naive values are taken as UTC."""
+    if not isinstance(text, str):
+        raise ScenarioError(f"expected a timestamp string, got {text!r}")
     text = text.strip()
     try:
         ts = datetime.fromisoformat(text.replace("Z", "+00:00"))
@@ -276,15 +278,79 @@ def without_solar(sc: Scenario) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
+# input fields
+
+
+def _nonnegative(raw) -> float:
+    """A finite, nonnegative amount: an energy or a series value."""
+    if isinstance(raw, bool):  # JSON true and false are not amounts
+        raise ScenarioError(f"expected a number, got {raw!r}")
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ScenarioError(f"non-finite {raw!r}")
+    if value < 0:
+        raise ScenarioError(f"negative {raw!r}")
+    return value
+
+
+def _positive(raw) -> float:
+    """A finite, positive amount: a socket's power."""
+    value = _nonnegative(raw)
+    if value == 0:
+        raise ScenarioError(f"non-positive {raw!r}")
+    return value
+
+
+# the cast of every session and series field
+_CASTS = {
+    "arrival": parse_timestamp,
+    "departure": parse_timestamp,
+    "energy": _nonnegative,
+    "power": _positive,
+    "timestamp": parse_timestamp,
+    "value": _nonnegative,
+}
+
+
+def _blank(raw) -> bool:
+    return raw is None or (isinstance(raw, str) and not raw.strip())
+
+
+def _field(where: str, name: str, raw, cast):
+    """``cast(raw)``, the typed value of one input field; a missing, unreadable or
+    out-of-range value raises ``ScenarioError("<where>, field '<name>': <problem>")``."""
+    if _blank(raw):
+        raise ScenarioError(f"{where}, field {name!r}: missing")
+    try:
+        return cast(raw)
+    except (ScenarioError, ValueError, TypeError, OverflowError) as exc:
+        raise ScenarioError(f"{where}, field {name!r}: {exc}") from exc
+
+
+def _csv_rows(path) -> list[tuple[int, list[str]]]:
+    """The rows of a CSV file with their numbers from 1, fully blank rows left out."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (ValueError, csv.Error) as exc:  # not text, or not CSV
+        raise ScenarioError(f"{path}: {exc}") from exc
+    return [(num, row) for num, row in enumerate(rows, start=1) if not all(map(_blank, row))]
+
+
+# ---------------------------------------------------------------------------
 # session files
 
-_SESSION_HEADERS = {
-    "id": ("session_id", "id", "sessionid"),
-    "arrival": ("connection_time", "arrival", "connectiontime", "start"),
-    "departure": ("disconnect_time", "departure", "disconnecttime", "end"),
-    "energy": ("kwh_delivered", "energy_kwh", "kwhdelivered", "required_kwh", "kwh"),
-    "power": ("max_power_kw", "max_power", "maxpower"),
+# each session field by its name in CSV messages: its CSV header aliases and its ACN JSON key
+_SESSION_FIELDS = {
+    "session_id": (("session_id", "id", "sessionid"), "sessionID"),
+    "arrival": (("connection_time", "arrival", "connectiontime", "start"), "connectionTime"),
+    "departure": (("disconnect_time", "departure", "disconnecttime", "end"), "disconnectTime"),
+    "energy": (
+        ("kwh_delivered", "energy_kwh", "kwhdelivered", "required_kwh", "kwh"), "kWhDelivered"
+    ),
+    "power": (("max_power_kw", "max_power", "maxpower"), "maxPower"),
 }
+_REQUIRED = ("arrival", "departure", "energy")
 
 
 @dataclass
@@ -296,137 +362,87 @@ class SessionParseReport:
     defaulted_power: int = 0
 
 
-def _pick_column(fieldnames, key):
-    lowered = {name.strip().lower(): name for name in fieldnames}
-    for alias in _SESSION_HEADERS[key]:
-        if alias in lowered:
-            return lowered[alias]
-    return None
-
-
-def _clip_session(sess: ChargingSession, grid: TimeGrid):
-    arrival = max(sess.arrival, grid.start)
-    departure = min(sess.departure, grid.end)
-    if departure <= arrival:
-        return None
-    return dataclasses.replace(sess, arrival=arrival, departure=departure)
+def _pick_column(header, key):
+    lowered = {name.strip().lower(): col for col, name in enumerate(header)}
+    return next((lowered[alias] for alias in _SESSION_FIELDS[key][0] if alias in lowered), None)
 
 
 def parse_sessions(path, grid: TimeGrid, station: StationConfig):
     """Read sessions from CSV or ACN-style JSON, clipped to the grid window.
 
     Returns ``(sessions, report)``.  Rows whose departure does not follow the
-    arrival are rejected (counted in the report, echoed to stderr); rows that
-    cannot be parsed at all, or that repeat an earlier session ID, raise
-    :class:`ScenarioError` naming the row and field.  Sessions entirely
-    outside the window are dropped; a missing per-session power column falls
-    back to ``station.default_max_power``.
+    arrival are rejected (counted in the report, echoed to stderr); a missing,
+    unreadable or out-of-range field, and a repeated session ID, raise
+    :class:`ScenarioError` naming the file, the row (CSV) or item (JSON) and
+    the field.  Sessions entirely outside the window are dropped; a missing
+    per-session power falls back to ``station.default_max_power``.
     """
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        raw = _read_acn_json(path)
-    else:
-        raw = _read_session_csv(path)
+    acn = path.suffix.lower() == ".json"
+    unit, records = ("item", _read_acn_json(path)) if acn else ("row", _read_session_csv(path))
+    names = {key: fields[1] if acn else key for key, fields in _SESSION_FIELDS.items()}
 
     report = SessionParseReport()
     sessions = []
-    first_row: dict[str, int] = {}
-    for row_num, rec in raw:
-        if rec["id"] in first_row:
+    first: dict[str, int] = {}
+    for num, raw in records:
+        where = f"{path} {unit} {num}"
+        sid = f"{unit}{num}" if _blank(raw["session_id"]) else str(raw["session_id"])
+        if sid in first:
             raise ScenarioError(
-                f"{path} row {row_num}, field 'session_id': duplicate {rec['id']!r} "
-                f"(first on row {first_row[rec['id']]})"
+                f"{where}, field {names['session_id']!r}: duplicate {sid!r} "
+                f"(first on {unit} {first[sid]})"
             )
-        first_row[rec["id"]] = row_num
-        if rec["power"] is None:
-            rec["power"] = station.default_max_power
+        first[sid] = num
+        arrival, departure, energy = (_field(where, names[k], raw[k], _CASTS[k]) for k in _REQUIRED)
+        if _blank(raw["power"]):
+            power = station.default_max_power
             report.defaulted_power += 1
-        if rec["departure"] <= rec["arrival"]:
-            reason = f"row {row_num}: departure {_iso(rec['departure'])} not after arrival"
-            report.rejected.append((row_num, reason))
+        else:
+            power = _field(where, names["power"], raw["power"], _CASTS["power"])
+        if departure <= arrival:
+            reason = f"{unit} {num}: departure {_iso(departure)} not after arrival"
+            report.rejected.append((num, reason))
             print(f"warning: {reason}", file=sys.stderr)
             continue
-        sess = ChargingSession(
-            id=rec["id"],
-            arrival=rec["arrival"],
-            departure=rec["departure"],
-            required_energy=rec["energy"],
-            max_power=rec["power"],
-        )
-        clipped = _clip_session(sess, grid)
-        if clipped is None:
+        arrival, departure = max(arrival, grid.start), min(departure, grid.end)
+        if departure <= arrival:
             report.dropped_outside_window += 1
             continue
-        sessions.append(clipped)
+        sessions.append(ChargingSession(sid, arrival, departure, energy, power))
     return sessions, report
 
 
-def _finite_float(value, field: str | None = None) -> float:
-    """``float(value)``, rejecting nan and inf; ``field`` prefixes the message."""
-    out = float(value)
-    if not math.isfinite(out):
-        where = f"field {field!r}: " if field else ""
-        raise ScenarioError(f"{where}non-finite {value!r}")
-    return out
-
-
 def _read_session_csv(path: Path):
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ScenarioError(f"{path}: empty session file")
-        cols = {key: _pick_column(reader.fieldnames, key) for key in _SESSION_HEADERS}
-        for key in ("arrival", "departure", "energy"):
-            if cols[key] is None:
-                raise ScenarioError(f"{path}: missing required column for {key!r}")
-        for row_num, row in enumerate(reader, start=2):
-            rec = {}
-            rec["id"] = (row.get(cols["id"]) or f"row{row_num}") if cols["id"] else f"row{row_num}"
-            for key, cast in (("arrival", parse_timestamp), ("departure", parse_timestamp)):
-                try:
-                    rec[key] = cast(row[cols[key]])
-                except (ScenarioError, ValueError, TypeError) as exc:
-                    raise ScenarioError(f"{path} row {row_num}, field {key!r}: {exc}") from exc
-            try:
-                rec["energy"] = _finite_float(row[cols["energy"]])
-            except (ScenarioError, ValueError, TypeError) as exc:
-                raise ScenarioError(f"{path} row {row_num}, field 'energy': {exc}") from exc
-            rec["power"] = None
-            if cols["power"] and row.get(cols["power"], "").strip():
-                try:
-                    rec["power"] = _finite_float(row[cols["power"]])
-                except (ScenarioError, ValueError) as exc:
-                    raise ScenarioError(f"{path} row {row_num}, field 'power': {exc}") from exc
-            out.append((row_num, rec))
-    return out
+    """``(row number, {field: raw cell or None})`` for each data row."""
+    rows = _csv_rows(path)
+    if not rows:
+        raise ScenarioError(f"{path}: empty session file")
+    cols = {key: _pick_column(rows[0][1], key) for key in _SESSION_FIELDS}
+    for key in _REQUIRED:
+        if cols[key] is None:
+            raise ScenarioError(f"{path}: missing required column for {key!r}")
+    return [
+        (num, {key: row[c] if c is not None and c < len(row) else None for key, c in cols.items()})
+        for num, row in rows[1:]
+    ]
 
 
 def _read_acn_json(path: Path):
-    with open(path) as fh:
-        payload = json.load(fh)
+    """``(item number, {field: raw value or None})`` for each item."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not text, or not JSON
+        raise ScenarioError(f"{path}: {exc}") from exc
     items = payload.get("_items", payload) if isinstance(payload, dict) else payload
     if not isinstance(items, list):
         raise ScenarioError(f"{path}: expected a JSON list or an object with '_items'")
     out = []
     for k, item in enumerate(items, start=1):
-        try:
-            rec = {
-                "id": str(item.get("sessionID", f"item{k}")),
-                "arrival": parse_timestamp(item["connectionTime"]),
-                "departure": parse_timestamp(item["disconnectTime"]),
-                "energy": _finite_float(item["kWhDelivered"], "kWhDelivered"),
-                "power": (
-                    _finite_float(item["maxPower"], "maxPower")
-                    if item.get("maxPower") is not None
-                    else None
-                ),
-            }
-        except KeyError as exc:
-            raise ScenarioError(f"{path} item {k}: missing field {exc}") from exc
-        except (ScenarioError, ValueError, TypeError) as exc:
-            raise ScenarioError(f"{path} item {k}: {exc}") from exc
-        out.append((k, rec))
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{path} item {k}: expected an object, got {type(item).__name__}")
+        out.append((k, {key: item.get(acn) for key, (_, acn) in _SESSION_FIELDS.items()}))
     return out
 
 
@@ -453,45 +469,32 @@ def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
     """Read a two-column (timestamp, value) CSV aligned to the grid.
 
     Source rows are hourly; each slot takes the value whose timestamp equals
-    the slot start truncated to the hour.  Any uncovered slot, and any
-    timestamp given twice, is an error.
+    the slot start truncated to the hour.  Values are finite and nonnegative.
+    Any uncovered slot, and any timestamp given twice, is an error.
     """
-    values: dict[datetime, float] = {}
-    first_row: dict[datetime, int] = {}
-    with open(path, newline="") as fh:
-        for row_num, row in enumerate(csv.reader(fh), start=1):
-            if not row or not row[0].strip():
-                continue
-            try:
-                ts = parse_timestamp(row[0])
-            except ScenarioError:
-                if row_num == 1:
-                    continue  # header line
-                raise ScenarioError(f"{path} row {row_num}: unparsable timestamp {row[0]!r}")
-            if ts in first_row:
-                raise ScenarioError(
-                    f"{path} row {row_num}, field 'timestamp': duplicate {_iso(ts)} "
-                    f"(first on row {first_row[ts]})"
-                )
-            first_row[ts] = row_num
-            try:
-                values[ts] = float(row[1])
-            except (ValueError, IndexError) as exc:
-                raise ScenarioError(f"{path} row {row_num}: bad value") from exc
-            if not math.isfinite(values[ts]):
-                raise ScenarioError(f"{path} row {row_num}, field 'value': non-finite {row[1]!r}")
-    out = np.empty(grid.num_slots)
-    missing = []
-    for t in range(grid.num_slots):
-        key = grid.slot_start(t).replace(minute=0, second=0, microsecond=0)
-        if key not in values:
-            missing.append(_iso(key))
-            continue
-        out[t] = values[key]
+    values: dict[datetime, tuple[int, float]] = {}  # row number and value by timestamp
+    rows = _csv_rows(path)
+    for num, row in rows:
+        where = f"{path} row {num}"
+        raw = dict(zip(("timestamp", "value"), row))
+        try:
+            ts = _field(where, "timestamp", raw.get("timestamp"), _CASTS["timestamp"])
+        except ScenarioError:
+            if num == rows[0][0]:
+                continue  # header line
+            raise
+        if ts in values:
+            raise ScenarioError(
+                f"{where}, field 'timestamp': duplicate {_iso(ts)} (first on row {values[ts][0]})"
+            )
+        values[ts] = num, _field(where, "value", raw.get("value"), _CASTS["value"])
+    starts = [grid.slot_start(t) for t in range(grid.num_slots)]
+    hours = [ts.replace(minute=0, second=0, microsecond=0) for ts in starts]
+    missing = [_iso(hour) for hour in hours if hour not in values]
     if missing:
         shown = ", ".join(missing[:5]) + ("..." if len(missing) > 5 else "")
         raise ScenarioError(f"{path}: no data for {len(missing)} slot(s): {shown}")
-    return out
+    return np.array([values[hour][1] for hour in hours])
 
 
 def parse_prices(path, grid: TimeGrid, source_units: str = "EUR/kWh") -> np.ndarray:
@@ -499,18 +502,12 @@ def parse_prices(path, grid: TimeGrid, source_units: str = "EUR/kWh") -> np.ndar
     key = source_units.strip().lower()
     if key not in _PRICE_UNITS:
         raise ScenarioError(f"unknown price units {source_units!r} (use EUR/kWh or EUR/MWh)")
-    prices = read_series_csv(path, grid) * _PRICE_UNITS[key]
-    if np.any(prices < 0):
-        raise ScenarioError(f"{path}: negative prices are not supported")
-    return prices
+    return read_series_csv(path, grid) * _PRICE_UNITS[key]
 
 
 def parse_irradiance(path, grid: TimeGrid) -> np.ndarray:
     """Per-slot solar irradiance in W/m^2."""
-    irr = read_series_csv(path, grid)
-    if np.any(irr < 0):
-        raise ScenarioError(f"{path}: negative irradiance")
-    return irr
+    return read_series_csv(path, grid)
 
 
 def write_series_csv(path, grid: TimeGrid, values):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import GREATER_EQUAL, Constraint, LinearProgram, LpSolverError, LpStatus, solve_lp
+from .lp import GREATER_EQUAL, LinearProgram, LpSolverError, LpStatus, Rows, solve_lp
 
 
 class DualityGapError(Exception):
@@ -93,9 +93,8 @@ def verify_dual_equivalence(
     obj = np.concatenate([[budget.gamma], np.ones(t)])
     bounds = np.zeros((t + 1, 2))
     bounds[:, 1] = np.inf
-    rows = [
-        Constraint((0, k + 1), (1.0, 1.0), GREATER_EQUAL, float(terms[k])) for k in range(t)
-    ]
+    pairs = np.stack([np.zeros(t, dtype=np.intp), np.arange(1, t + 1)], axis=1)
+    rows = Rows(2 * np.arange(t + 1), pairs.ravel(), np.ones(2 * t), GREATER_EQUAL, terms)
     sol = solve_lp(LinearProgram(t + 1, obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"protection dual LP ended {sol.status.value}")

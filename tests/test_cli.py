@@ -179,6 +179,43 @@ class TestSimulate:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "name, content, problem",
+        [
+            ("sessions.json", b"{'a': 1}", "Expecting property name enclosed in double quotes"),
+            ("sessions.csv", b"\xff\xfesession_id\n", "'utf-8' codec can't decode byte 0xff"),
+            ("prices.csv", b"timestamp,value\n\xff,1\n", "'utf-8' codec can't decode byte 0xff"),
+        ],
+        ids=["json-malformed", "sessions-not-utf8", "prices-not-utf8"],
+    )
+    def test_unreadable_file_exits_1_naming_it(self, toy_dir, tmp_path, capsys, name, content, problem):
+        for other in ("sessions.csv", "prices.csv", "irradiance.csv"):
+            (tmp_path / other).write_text((toy_dir / other).read_text())
+        (tmp_path / name).write_bytes(content)
+        flags = toy_flags(tmp_path, tmp_path / "r.json")
+        sessions = name if name.startswith("sessions") else "sessions.csv"
+        flags[flags.index("--sessions") + 1] = str(tmp_path / sessions)
+        assert main(["simulate", *flags]) == 1
+        assert f"error: {tmp_path / name}: {problem}" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "policy", [["nominal"], ["robust", "--gamma", "6"], ["mpc"]], ids=["nominal", "robust", "mpc"]
+    )
+    def test_solver_failure_exits_1(self, toy_dir, tmp_path, capsys, policy):
+        # a 1e300 kW socket on a 3 kW grid breaks the delivery LP
+        sessions = tmp_path / "s.csv"
+        sessions.write_text(
+            "session_id,connection_time,disconnect_time,kwh_delivered,max_power_kw\n"
+            "a,2019-06-03T08:00:00Z,2019-06-03T18:00:00Z,30.0,1e300\n"
+        )
+        flags = toy_flags(toy_dir, tmp_path / "r.json")
+        flags[flags.index("--sessions") + 1] = str(sessions)
+        code = main(["simulate", *flags, "--grid-capacity", "3", "--policy", *policy])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
+
     def test_nan_price_exits_1(self, toy_dir, tmp_path, capsys):
         lines = (toy_dir / "prices.csv").read_text().splitlines()
         lines[10] = lines[10].split(",")[0] + ",nan"
@@ -190,19 +227,33 @@ class TestSimulate:
         assert "prices.csv row 11, field 'value': non-finite 'nan'" in err
         assert not (tmp_path / "r.json").exists()
 
-    @pytest.mark.parametrize("column, field", [(3, "energy"), (4, "power")])
-    def test_nan_session_value_exits_1(self, toy_dir, tmp_path, capsys, column, field):
+    @pytest.mark.parametrize(
+        "column, field, value, problem",
+        [
+            pytest.param(3, "energy", "nan", "non-finite 'nan'", id="3-energy"),
+            pytest.param(4, "power", "nan", "non-finite 'nan'", id="4-power"),
+            pytest.param(3, "energy", "-5", "negative '-5'", id="energy-negative"),
+            pytest.param(4, "power", "0", "non-positive '0'", id="power-zero"),
+            pytest.param(3, "energy", "", "missing", id="energy-missing"),
+            pytest.param(2, "departure", None, "missing", id="cut-after-arrival"),
+            pytest.param(3, "energy", None, "missing", id="cut-after-departure"),
+        ],
+    )
+    def test_nan_session_value_exits_1(self, toy_dir, tmp_path, capsys, column, field, value, problem):
         lines = (toy_dir / "sessions.csv").read_text().splitlines()
         row = next(k for k, ln in enumerate(lines) if ln.startswith("ev-b,"))
         cells = lines[row].split(",")
-        cells[column] = "nan"
+        if value is None:  # the row ends before the column
+            del cells[column:]
+        else:
+            cells[column] = value
         lines[row] = ",".join(cells)
         (tmp_path / "sessions.csv").write_text("\n".join(lines) + "\n")
         for name in ("prices.csv", "irradiance.csv"):
             (tmp_path / name).write_text((toy_dir / name).read_text())
         assert main(["simulate", *toy_flags(tmp_path, tmp_path / "r.json")]) == 1
         err = capsys.readouterr().err
-        assert f"sessions.csv row {row + 1}, field '{field}': non-finite 'nan'" in err
+        assert f"sessions.csv row {row + 1}, field '{field}': {problem}\n" in err
         assert not (tmp_path / "r.json").exists()
 
     @pytest.mark.parametrize("name", ["prices.csv", "irradiance.csv"])

@@ -1,6 +1,7 @@
 """Ingestion tests: windowing, units, the PV formula, availability invariants."""
 
 import json
+import re
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -103,23 +104,53 @@ class TestParseSessions:
             parse_sessions(path, day_grid(), StationConfig())
 
     @pytest.mark.parametrize(
-        "field, value",
-        [("kwh_delivered", "nan"), ("kwh_delivered", "inf"), ("max_power_kw", "inf"), ("max_power_kw", "nan")],
+        "field, value, problem",
+        [
+            pytest.param("kwh_delivered", "nan", "energy': non-finite 'nan'", id="kwh_delivered-nan"),
+            pytest.param("kwh_delivered", "inf", "energy': non-finite 'inf'", id="kwh_delivered-inf"),
+            pytest.param("max_power_kw", "inf", "power': non-finite 'inf'", id="max_power_kw-inf"),
+            pytest.param("max_power_kw", "nan", "power': non-finite 'nan'", id="max_power_kw-nan"),
+            pytest.param("kwh_delivered", "-5", "energy': negative '-5'", id="energy-negative"),
+            pytest.param("kwh_delivered", "", "energy': missing", id="energy-missing"),
+            pytest.param("max_power_kw", "0", "power': non-positive '0'", id="power-zero"),
+            pytest.param("max_power_kw", "-1", "power': negative '-1'", id="power-negative"),
+            pytest.param("kwh_delivered", None, "energy': missing", id="cut-before-energy"),
+            pytest.param("disconnect_time", None, "departure': missing", id="cut-before-departure"),
+        ],
     )
-    def test_non_finite_energy_or_power_names_row_and_field(self, tmp_path, field, value):
-        row = {"kwh_delivered": "10.0", "max_power_kw": "11.0", field: value}
+    def test_non_finite_energy_or_power_names_row_and_field(self, tmp_path, field, value, problem):
+        header = ["session_id", "connection_time", "disconnect_time", "kwh_delivered", "max_power_kw"]
+        cells = ["b", "2019-06-03T08:00:00Z", "2019-06-03T10:00:00Z", "10.0", "11.0"]
+        col = header.index(field)
+        if value is None:  # the row ends before the field
+            del cells[col:]
+        else:
+            cells[col] = value
         path = write(
             tmp_path / "s.csv",
-            "session_id,connection_time,disconnect_time,kwh_delivered,max_power_kw\n"
-            "a,2019-06-03T08:00:00Z,2019-06-03T10:00:00Z,5.0,11.0\n"
-            f"b,2019-06-03T08:00:00Z,2019-06-03T10:00:00Z,{row['kwh_delivered']},{row['max_power_kw']}\n",
+            ",".join(header) + "\n"
+            "a,2019-06-03T08:00:00Z,2019-06-03T10:00:00Z,5.0,11.0\n" + ",".join(cells) + "\n",
         )
-        name = "energy" if field == "kwh_delivered" else "power"
-        with pytest.raises(ScenarioError, match=f"s.csv row 3, field '{name}': non-finite '{value}'"):
+        with pytest.raises(ScenarioError, match=re.escape(f"{tmp_path}/s.csv row 3, field '{problem}") + "$"):
             parse_sessions(path, day_grid(), StationConfig())
 
-    @pytest.mark.parametrize("field", ["kWhDelivered", "maxPower"])
-    def test_acn_json_non_finite_names_item_and_field(self, tmp_path, field):
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            pytest.param("kWhDelivered", float("nan"), ", field 'kWhDelivered': non-finite nan", id="kWhDelivered"),
+            pytest.param("maxPower", float("nan"), ", field 'maxPower': non-finite nan", id="maxPower"),
+            pytest.param("kWhDelivered", -5, ", field 'kWhDelivered': negative -5", id="energy-negative"),
+            pytest.param("kWhDelivered", None, ", field 'kWhDelivered': missing", id="energy-missing"),
+            pytest.param("maxPower", 0, ", field 'maxPower': non-positive 0", id="power-zero"),
+            pytest.param("kWhDelivered", True, ", field 'kWhDelivered': expected a number, got True", id="energy-bool"),
+            pytest.param(
+                "connectionTime", 5, ", field 'connectionTime': expected a timestamp string, got 5",
+                id="time-not-a-string",
+            ),
+            pytest.param(None, 5, ": expected an object, got int", id="item-not-an-object"),
+        ],
+    )
+    def test_acn_json_non_finite_names_item_and_field(self, tmp_path, field, value, problem):
         item = {
             "sessionID": "x",
             "connectionTime": "2019-06-03T08:00:00Z",
@@ -127,9 +158,10 @@ class TestParseSessions:
             "kWhDelivered": 12.5,
             "maxPower": 11.0,
         }
+        bad = {**item, "sessionID": "y", field: value} if field else value
         path = tmp_path / "s.json"
-        path.write_text(json.dumps({"_items": [item, {**item, "sessionID": "y", field: float("nan")}]}))
-        with pytest.raises(ScenarioError, match=f"s.json item 2: field '{field}': non-finite nan"):
+        path.write_text(json.dumps({"_items": [item, bad]}))
+        with pytest.raises(ScenarioError, match=re.escape(f"{tmp_path}/s.json item 2{problem}") + "$"):
             parse_sessions(path, day_grid(), StationConfig())
 
     def test_acn_json_layout(self, tmp_path):
@@ -190,14 +222,22 @@ class TestSeries:
         with pytest.raises(ScenarioError, match="2019-06-03T01:00:00Z"):
             parse_prices(path, grid)
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_non_finite_value_names_row_and_field(self, tmp_path, text):
+    @pytest.mark.parametrize(
+        "row, problem",
+        [
+            pytest.param("2019-06-03T01:00:00Z,nan", "value': non-finite 'nan'", id="nan"),
+            pytest.param("2019-06-03T01:00:00Z,inf", "value': non-finite 'inf'", id="inf"),
+            pytest.param("2019-06-03T01:00:00Z,-inf", "value': non-finite '-inf'", id="-inf"),
+            pytest.param("2019-06-03T01:00:00Z,-0.1", "value': negative '-0.1'", id="negative"),
+            pytest.param("2019-06-03T01:00:00Z,", "value': missing", id="value-missing"),
+            pytest.param("2019-06-03T01:00:00Z", "value': missing", id="cut-before-value"),
+            pytest.param(",0.1", "timestamp': missing", id="timestamp-missing"),
+        ],
+    )
+    def test_non_finite_value_names_row_and_field(self, tmp_path, row, problem):
         grid = TimeGrid(DAY, 2, 1.0)
-        path = write(
-            tmp_path / "p.csv",
-            f"timestamp,value\n2019-06-03T00:00:00Z,0.1\n2019-06-03T01:00:00Z,{text}\n",
-        )
-        with pytest.raises(ScenarioError, match=f"p.csv row 3, field 'value': non-finite '{text}'"):
+        path = write(tmp_path / "p.csv", f"timestamp,value\n2019-06-03T00:00:00Z,0.1\n{row}\n")
+        with pytest.raises(ScenarioError, match=re.escape(f"{tmp_path}/p.csv row 3, field '{problem}") + "$"):
             parse_prices(path, grid)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -210,7 +250,7 @@ class TestSeries:
     def test_negative_irradiance_rejected(self, tmp_path):
         grid = TimeGrid(DAY, 1, 1.0)
         path = write(tmp_path / "g.csv", "timestamp,value\n2019-06-03T00:00:00Z,-5\n")
-        with pytest.raises(ScenarioError, match="negative"):
+        with pytest.raises(ScenarioError, match="g.csv row 2, field 'value': negative '-5'"):
             parse_irradiance(path, grid)
 
 
