@@ -2,7 +2,6 @@
 
 from .fcfs import FcfsResult, run_fcfs
 from .lp import (
-    Constraint,
     LinearProgram,
     LpFormatError,
     LpSolution,

@@ -42,10 +42,11 @@ from .scenario import (
     TimeGrid,
     build_scenario,
     parse_irradiance,
-    parse_prices,
     parse_sessions,
     parse_timestamp,
+    price_scale,
     pv_cap,
+    read_series_csv,
     without_solar,
 )
 from .synth import bench_scenario
@@ -59,6 +60,16 @@ class _Parser(argparse.ArgumentParser):
         raise ScenarioError(f"{self.prog}: {message}")
 
 
+def _flag_type(parse):
+    """An argparse ``type`` from ``parse``: its ScenarioError becomes a message naming the flag."""
+    def convert(text):
+        try:
+            return parse(text)
+        except ScenarioError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="chargeopt",
@@ -70,12 +81,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sessions", required=True, help="session CSV or ACN-style JSON")
         p.add_argument("--prices", required=True, help="two-column CSV: timestamp, price")
         p.add_argument(
-            "--price-units",
-            default="EUR/kWh",
-            help="units of the price file: EUR/kWh (default) or EUR/MWh",
+            "--price-units", dest="price_scale", metavar="UNITS", type=_flag_type(price_scale),
+            default="EUR/kWh", help="units of the price file: EUR/kWh (default) or EUR/MWh",
         )
         p.add_argument("--irradiance", help="two-column CSV: timestamp, W/m^2 (omit for no PV)")
-        p.add_argument("--start", required=True, help="grid start, ISO-8601 UTC")
+        p.add_argument("--start", required=True, type=_flag_type(parse_timestamp),
+                       help="grid start, ISO-8601 UTC")
         p.add_argument("--hours", type=int, default=24, help="number of slots (default 24)")
         p.add_argument("--slot-hours", type=float, default=1.0, help="slot length in hours")
         p.add_argument("--grid-capacity", type=float, default=300.0, help="kW (default 300)")
@@ -140,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(args):
     _check("--hours", args.hours, 1)
-    grid = TimeGrid(parse_timestamp(args.start), args.hours, args.slot_hours)
+    grid = TimeGrid(args.start, args.hours, args.slot_hours)
     station = StationConfig(
         grid_capacity=args.grid_capacity,
         charge_efficiency=args.efficiency,
@@ -151,7 +162,7 @@ def _load_scenario(args):
     sessions, report = parse_sessions(args.sessions, grid, station)
     if report.rejected:
         print(f"note: rejected {len(report.rejected)} session row(s)", file=sys.stderr)
-    prices = parse_prices(args.prices, grid, args.price_units)
+    prices = read_series_csv(args.prices, grid) * args.price_scale
     if args.irradiance:
         solar = pv_cap(parse_irradiance(args.irradiance, grid), station)
     else:

@@ -2,12 +2,10 @@
 
 A program keeps its rows as CSR arrays (:class:`Rows`): ``indptr``,
 ``indices``, ``coeffs``, a relation code per row and ``rhs``.  The model
-builders emit those arrays directly; a list of :class:`Constraint` tuples is
-converted once when the program is made, and reading ``lp.constraints`` row
-by row builds the tuples back.  Validation, the feasibility check and the
-plain-text dump work on the arrays.  Each row's left-hand side at a point is
-one sparse product, :meth:`Rows.dot`; the feasibility check and the tableau
-build both use it.
+builders emit those arrays directly, and a program is made from them only.
+Validation, the feasibility check and the plain-text dump work on them.
+Each row's left-hand side at a point is one sparse product,
+:meth:`Rows.dot`; the feasibility check and the tableau build both use it.
 
 The solver runs on one dense tableau of shape ``(rows + 1, cols + 1)``: the
 basic values are its last column and the reduced costs its last row.  It is
@@ -51,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,7 +87,7 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class Constraint:
-    """Sparse row: ``sum(coeffs[k] * x[indices[k]]) <relation> rhs``."""
+    """One row of :class:`Rows` as read back: ``sum(coeffs[k] * x[indices[k]]) <relation> rhs``."""
 
     indices: tuple[int, ...]
     coeffs: tuple[float, ...]
@@ -104,8 +102,7 @@ class Rows(Sequence):
     Row ``k`` is ``sum(coeffs[p] * x[indices[p]]) <relation> rhs[k]`` over
     ``p`` in ``indptr[k]:indptr[k + 1]``, its relation the code
     ``relation[k]`` into ``("<=", ">=", "=")``.  A single relation string
-    gives every row that relation.  Reading a row builds its
-    :class:`Constraint`.
+    gives every row that relation.
     """
 
     indptr: np.ndarray
@@ -124,25 +121,6 @@ class Rows(Sequence):
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
         object.__setattr__(self, "relation", np.asarray(relation, dtype=np.intp))
         object.__setattr__(self, "rhs", rhs)
-
-    @classmethod
-    def of(cls, constraints: Rows | Iterable[Constraint]) -> Rows:
-        """The rows of ``constraints``, converting a sequence of :class:`Constraint` once."""
-        if isinstance(constraints, Rows):
-            return constraints
-        cons = list(constraints)
-        for k, con in enumerate(cons):
-            if con.relation not in _RELATIONS:
-                raise LpFormatError(f"constraint {k}: unknown relation {con.relation!r}")
-            if len(con.indices) != len(con.coeffs):
-                raise LpFormatError(f"constraint {k}: indices/coeffs length mismatch")
-        return cls(
-            np.cumsum([0] + [len(con.indices) for con in cons]),
-            [j for con in cons for j in con.indices],
-            [c for con in cons for c in con.coeffs],
-            [_RELATIONS.index(con.relation) for con in cons],
-            [con.rhs for con in cons],
-        )
 
     @classmethod
     def stack(cls, blocks: list[Rows]) -> Rows:
@@ -169,6 +147,8 @@ class Rows(Sequence):
         return len(self.rhs)
 
     def __getitem__(self, k: int) -> Constraint:
+        """Row ``k`` as a :class:`Constraint`: a view kept, with the ``Sequence`` base, for
+        ``perfbench/tracing.py``, which counts nonzeros row by row; the package reads arrays."""
         if not -len(self) <= k < len(self):
             raise IndexError(f"row {k} out of range")
         k %= len(self)
@@ -180,9 +160,6 @@ class Rows(Sequence):
             float(self.rhs[k]),
         )
 
-    def __add__(self, other: Rows | Iterable[Constraint]) -> Rows:
-        return Rows.stack([self, Rows.of(other)])
-
 
 @dataclass
 class LinearProgram:
@@ -190,19 +167,19 @@ class LinearProgram:
 
     ``var_bounds`` is an ``(num_vars, 2)`` array of ``[lower, upper]`` pairs;
     ``math.inf`` marks an unbounded side (never a large finite stand-in).
-    ``constraints`` is given as :class:`Rows` or as :class:`Constraint`
-    tuples, and is kept as :class:`Rows`.
+    ``constraints`` is :class:`Rows`; any other value raises :class:`LpFormatError`.
     """
 
     num_vars: int
     objective: np.ndarray
     var_bounds: np.ndarray
-    constraints: Rows = ()
+    constraints: Rows = dataclasses.field(default_factory=lambda: Rows([0], [], [], [], []))
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         self.var_bounds = np.asarray(self.var_bounds, dtype=float).reshape(-1, 2)
-        self.constraints = Rows.of(self.constraints)
+        if not isinstance(self.constraints, Rows):
+            raise LpFormatError(f"constraints must be Rows, got {type(self.constraints).__name__}")
 
     def validate(self):
         """Raise :class:`LpFormatError` on any invariant violation."""

@@ -232,12 +232,13 @@ def max_delivery(sc: Scenario) -> np.ndarray:
 
 
 def _max_delivery_lp(sc: Scenario) -> np.ndarray:
-    """:func:`max_delivery` by solving its auxiliary LP over the plugged-in cells."""
+    """:func:`max_delivery` by its auxiliary LP; each cell's cap is at most its slot's supply."""
     vm = VariableMap.for_scenario(sc, robust=False)
     coeff = sc.station.charge_efficiency * sc.grid.slot_hours
-    bounds = np.column_stack([np.zeros(vm.num_charge), _socket_caps(sc).reshape(-1)[vm.cells]])
-    obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
     supply = sc.station.grid_capacity + sc.solar.cap
+    caps = np.minimum(_socket_caps(sc).reshape(-1)[vm.cells], supply[vm.cells % vm.num_slots])
+    bounds = np.column_stack([np.zeros(vm.num_charge), caps])
+    obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
     indptr, cols = vm.slot_rows(purchases=False)
     supply_rows = Rows(indptr, cols, np.ones(len(cols)), LESS_EQUAL, supply)
     rows = Rows.stack([supply_rows, _demand_rows(sc, vm, LESS_EQUAL)])

@@ -62,6 +62,13 @@ class TimeGrid:
             raise ScenarioError(f"slot_hours must be finite and positive, got {self.slot_hours!r}")
         if self.start.tzinfo is None:
             object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
+        try:
+            self.end
+        except OverflowError:
+            raise ScenarioError(
+                f"time grid ends after year 9999: start {_iso(self.start)}, "
+                f"{self.num_slots} slots, slot_hours {self.slot_hours!r}"
+            ) from None
 
     @property
     def end(self) -> datetime:
@@ -147,10 +154,9 @@ class StationConfig:
         # inf is an unlimited grid connection or socket; nan fails every comparison
         if not self.grid_capacity > 0:
             raise ScenarioError(f"grid_capacity must be positive, got {self.grid_capacity!r}")
-        if not 0 < self.charge_efficiency <= 1:
-            raise ScenarioError("charge efficiency must lie in (0, 1]")
-        if not 0 < self.pv_efficiency <= 1:
-            raise ScenarioError("PV efficiency must lie in (0, 1]")
+        for name in ("charge_efficiency", "pv_efficiency"):
+            if not 0 < getattr(self, name) <= 1:
+                raise ScenarioError(f"{name} must lie in (0, 1], got {getattr(self, name)!r}")
         if not 0 <= self.pv_area < math.inf:
             raise ScenarioError(f"pv_area must be finite and nonnegative, got {self.pv_area!r}")
         if not self.default_max_power > 0:
@@ -497,12 +503,17 @@ def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
     return np.array([values[hour][1] for hour in hours])
 
 
+def price_scale(units: str) -> float:
+    """EUR/kWh per unit of a price in ``units``: EUR/kWh or EUR/MWh, in any case."""
+    scale = _PRICE_UNITS.get(units.strip().lower())
+    if scale is None:
+        raise ScenarioError(f"unknown price units {units!r} (use EUR/kWh or EUR/MWh)")
+    return scale
+
+
 def parse_prices(path, grid: TimeGrid, source_units: str = "EUR/kWh") -> np.ndarray:
     """Per-slot nominal prices in EUR/kWh; EUR/MWh sources are divided by 1000."""
-    key = source_units.strip().lower()
-    if key not in _PRICE_UNITS:
-        raise ScenarioError(f"unknown price units {source_units!r} (use EUR/kWh or EUR/MWh)")
-    return read_series_csv(path, grid) * _PRICE_UNITS[key]
+    return read_series_csv(path, grid) * price_scale(source_units)
 
 
 def parse_irradiance(path, grid: TimeGrid) -> np.ndarray:

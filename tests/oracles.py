@@ -10,7 +10,21 @@ from itertools import combinations
 
 import numpy as np
 
-from chargeopt.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, Constraint, LinearProgram
+from chargeopt.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, Rows
+
+RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)  # a row's relation code indexes this
+
+
+def rows_of(rows) -> Rows:
+    """:class:`Rows` from ``(indices, coeffs, relation, rhs)`` tuples, one per row."""
+    rows = list(rows)
+    return Rows(
+        np.cumsum([0] + [len(indices) for indices, _, _, _ in rows]),
+        [j for indices, _, _, _ in rows for j in indices],
+        [c for _, coeffs, _, _ in rows for c in coeffs],
+        [RELATIONS.index(relation) for _, _, relation, _ in rows],
+        [rhs for _, _, _, rhs in rows],
+    )
 
 
 def random_box_lp(rng) -> LinearProgram:
@@ -28,12 +42,10 @@ def random_box_lp(rng) -> LinearProgram:
             nz[rng.integers(0, n)] = True
         idx = tuple(int(j) for j in np.nonzero(nz)[0])
         cf = tuple(float(v) for v in rng.uniform(-2, 2, len(idx)))
-        rel = [LESS_EQUAL, GREATER_EQUAL, EQUAL][
-            int(rng.choice([0, 1, 2], p=[0.55, 0.35, 0.10]))
-        ]
+        rel = RELATIONS[int(rng.choice([0, 1, 2], p=[0.55, 0.35, 0.10]))]
         rhs = float(np.dot(cf, mid[list(idx)])) + float(rng.uniform(-1.5, 1.5))
-        cons.append(Constraint(idx, cf, rel, rhs))
-    return LinearProgram(n, obj, np.stack([lo, up], axis=1), cons)
+        cons.append((idx, cf, rel, rhs))
+    return LinearProgram(n, obj, np.stack([lo, up], axis=1), rows_of(cons))
 
 
 def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
@@ -49,25 +61,20 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
     lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
         raise ValueError("vertex enumeration needs a bounded box")
-    rows = np.zeros((len(lp.constraints), n))
-    rhs = np.zeros(len(lp.constraints))
-    rels = []
-    for k, con in enumerate(lp.constraints):
-        np.add.at(rows[k], list(con.indices), con.coeffs)  # a repeated index sums
-        rhs[k] = con.rhs
-        rels.append(con.relation)
+    rhs, relation = lp.constraints.rhs, lp.constraints.relation
+    m = len(rhs)
+    rows = np.zeros((m, n))
+    row_of = np.repeat(np.arange(m), np.diff(lp.constraints.indptr))
+    # a repeated index in a row sums its coefficients
+    np.add.at(rows, (row_of, lp.constraints.indices), lp.constraints.coeffs)
+    le, ge, eq = (relation == code for code in range(len(RELATIONS)))
     # every feasible point makes each equality row active, and a vertex's active
     # set can always include a maximal independent subset of them: force only
     # that subset, and leave the dependent rows to the feasibility check
     eq_rows = []
-    for k in (k for k, rel in enumerate(rels) if rel == EQUAL):
+    for k in np.flatnonzero(eq).tolist():
         if np.linalg.matrix_rank(rows[eq_rows + [k]]) > len(eq_rows):
             eq_rows.append(k)
-    m = len(lp.constraints)
-
-    le = np.array([rel == LESS_EQUAL for rel in rels])
-    ge = np.array([rel == GREATER_EQUAL for rel in rels])
-    eq = np.array([rel == EQUAL for rel in rels])
 
     def best_feasible(X):
         ok = np.all(X >= lo - tol, axis=1) & np.all(X <= up + tol, axis=1)
@@ -160,18 +167,25 @@ def highs_objective(lp: LinearProgram) -> float:
     from scipy.optimize import linprog
     from scipy.sparse import csr_matrix
 
-    def stacked(cons):
-        if not cons:
-            return None, None
-        sign = [-1.0 if con.relation == GREATER_EQUAL else 1.0 for con in cons]
-        rows = [k for k, con in enumerate(cons) for _ in con.indices]
-        cols = [j for con in cons for j in con.indices]
-        vals = [s * a for con, s in zip(cons, sign) for a in con.coeffs]
-        mat = csr_matrix((vals, (rows, cols)), shape=(len(cons), lp.num_vars))
-        return mat, [s * con.rhs for con, s in zip(cons, sign)]
+    rows = lp.constraints
+    sign = np.where(rows.relation == RELATIONS.index(GREATER_EQUAL), -1.0, 1.0)
+    row_of = np.repeat(np.arange(len(rows.rhs)), np.diff(rows.indptr))
 
-    a_ub, b_ub = stacked([con for con in lp.constraints if con.relation != EQUAL])
-    a_eq, b_eq = stacked([con for con in lp.constraints if con.relation == EQUAL])
+    def stacked(keep):
+        """The rows in ``keep``, ``>=`` rows negated into ``<=``, as a CSR matrix and rhs."""
+        if not keep.any():
+            return None, None
+        renumber = np.cumsum(keep) - 1
+        nz = keep[row_of]
+        vals = (sign[row_of] * rows.coeffs)[nz]
+        mat = csr_matrix(
+            (vals, (renumber[row_of[nz]], rows.indices[nz])), shape=(keep.sum(), lp.num_vars)
+        )
+        return mat, (sign * rows.rhs)[keep]
+
+    eq = rows.relation == RELATIONS.index(EQUAL)
+    a_ub, b_ub = stacked(~eq)
+    a_eq, b_eq = stacked(eq)
     res = linprog(lp.objective, a_ub, b_ub, a_eq, b_eq, bounds=lp.var_bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not reach an optimum: {res.message}")

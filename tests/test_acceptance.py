@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chargeopt.fcfs import run_fcfs
-from chargeopt.lp import LpStatus, check_point, solve_lp
+from chargeopt.lp import LpStatus, Rows, check_point, solve_lp
 from chargeopt.model import (
     apply_demand_policy,
     build_nominal_lp,
@@ -107,7 +107,7 @@ def test_criterion_2_lp_oracle_equivalence():
             assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle)), f"trial {trial}"
     # degenerate fixtures terminate
     dup = random_box_lp(np.random.default_rng(77))
-    degenerate = dataclasses.replace(dup, constraints=dup.constraints + dup.constraints)
+    degenerate = dataclasses.replace(dup, constraints=Rows.stack([dup.constraints] * 2))
     solve_lp(degenerate)
     elapsed = time.perf_counter() - t0
     report(

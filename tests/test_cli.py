@@ -7,7 +7,7 @@ import pytest
 
 from chargeopt import cli, model
 from chargeopt.cli import _load_scenario, build_parser, main
-from chargeopt.lp import SolverStats, dump_lp, solve_lp
+from chargeopt.lp import LpSolverError, SolverStats, _Tableau, dump_lp, solve_lp
 from chargeopt.model import apply_demand_policy, build_nominal_lp, build_robust_lp
 from chargeopt.reports import BenchRow, MonthlyRow, RunReport, SensitivityRow, SolverRecord
 
@@ -202,19 +202,36 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "policy", [["nominal"], ["robust", "--gamma", "6"], ["mpc"]], ids=["nominal", "robust", "mpc"]
     )
-    def test_solver_failure_exits_1(self, toy_dir, tmp_path, capsys, policy):
-        # a 1e300 kW socket on a 3 kW grid breaks the delivery LP
-        sessions = tmp_path / "s.csv"
-        sessions.write_text(
-            "session_id,connection_time,disconnect_time,kwh_delivered,max_power_kw\n"
-            "a,2019-06-03T08:00:00Z,2019-06-03T18:00:00Z,30.0,1e300\n"
-        )
+    def test_solver_failure_exits_1(self, toy_dir, tmp_path, capsys, monkeypatch, policy):
+        def stuck(tableau):
+            raise LpSolverError("simplex iteration limit exceeded")
+
+        monkeypatch.setattr(_Tableau, "_bland_due", stuck)
         flags = toy_flags(toy_dir, tmp_path / "r.json")
-        flags[flags.index("--sessions") + 1] = str(sessions)
         code = main(["simulate", *flags, "--grid-capacity", "3", "--policy", *policy])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
         assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize(
+        "policy", [["nominal"], ["robust", "--gamma", "6"], ["mpc"]], ids=["nominal", "robust", "mpc"]
+    )
+    def test_huge_socket_cap_costs_as_a_large_one(self, toy_dir, tmp_path, policy):
+        # on a 3 kW grid every socket cap above the slot's supply delivers the same
+        costs = []
+        for power in ("1e6", "1e300"):
+            lines = (toy_dir / "sessions.csv").read_text().splitlines()
+            row = next(k for k, ln in enumerate(lines) if ln.startswith("ev-b,"))
+            lines[row] = ",".join(lines[row].split(",")[:4] + [power])
+            sessions = tmp_path / f"s{power}.csv"
+            sessions.write_text("\n".join(lines) + "\n")
+            flags = toy_flags(toy_dir, tmp_path / f"r{power}.json")
+            flags[flags.index("--sessions") + 1] = str(sessions)
+            assert main(["simulate", *flags, "--grid-capacity", "3", "--policy", *policy]) == 0
+            costs.append(load(tmp_path / f"r{power}.json")["costs"])
+        assert costs[1].keys() == costs[0].keys()
+        for key, cost in costs[0].items():
+            assert costs[1][key] == pytest.approx(cost, rel=1e-9, abs=0.0), key
 
     def test_nan_price_exits_1(self, toy_dir, tmp_path, capsys):
         lines = (toy_dir / "prices.csv").read_text().splitlines()
@@ -445,11 +462,20 @@ class TestBench:
         ("simulate", ["--policy", "nominal", "--gamma", "-1"], "--gamma must be at least 0, got -1.0"),
         ("simulate", ["--hours", "abc"], "argument --hours: invalid int value: 'abc'"),
         ("simulate", ["--policy", "bogus"], "argument --policy: invalid choice: 'bogus'"),
+        (
+            "simulate",
+            ["--start", "9999-12-31T00:00:00Z"],
+            "time grid ends after year 9999: start 9999-12-31T00:00:00Z, 24 slots, slot_hours 1.0",
+        ),
+        ("simulate", ["--slot-hours", "1e300"], "24 slots, slot_hours 1e+300"),
+        ("simulate", ["--start", "garbage"], "argument --start: unparsable timestamp 'garbage'"),
+        ("sensitivity", ["--price-units", "EUR"], "argument --price-units: unknown price units 'EUR'"),
     ],
     ids=[
         "gamma-abc", "gamma-empty", "workers-0", "workers-neg", "counts-abc", "counts-empty",
         "eval-gamma-neg", "resolve-interval-0", "hours-0", "seed-neg", "nominal-gamma-neg",
-        "hours-abc", "policy-bogus",
+        "hours-abc", "policy-bogus", "start-overflow", "slot-hours-overflow", "start-garbage",
+        "price-units-garbage",
     ],
 )
 def test_bad_flag_exits_1(toy_dir, tmp_path, capsys, monkeypatch, command, flags, message):

@@ -1,10 +1,14 @@
-"""Generated bad inputs: one field of the toy day mutated, run through ``cli.main``.
+"""Generated bad inputs: one field or flag of the toy day mutated, run through ``cli.main``.
 
-Each example copies ``data/toy`` and mutates one field of one file: a cell of
-the sessions CSV, a field of an ACN-JSON rendering of the same sessions, or a
-timestamp or value of the price or irradiance series.  ``main`` must never
-raise.  It either returns 0 with only finite numbers in the report, or
-returns 1 with a message naming the file, the row or item, and the field.
+Each file example copies ``data/toy`` and mutates one field of one file: a
+cell of the sessions CSV, a field of an ACN-JSON rendering of the same
+sessions, or a timestamp or value of the price or irradiance series.  Each
+flag example gives one value flag of a toy ``simulate`` or ``sensitivity``
+run a bad value.  ``main`` must never raise.  It either returns 0 with only
+finite numbers in the report, or returns 1 with a message naming the file,
+the row or item, and the field, or naming the flag.  ``--workers`` is never
+mutated, because a large value starts that many processes, and neither are
+the ``bench`` flags, which build and time LPs.
 """
 
 import contextlib
@@ -25,6 +29,14 @@ TOY = Path(__file__).parent.parent / "data" / "toy"
 ACN_FIELDS = ["sessionID", "connectionTime", "disconnectTime", "kWhDelivered", "maxPower"]
 MUTATIONS = ["nan", "inf", "-inf", "", "-1", "0", "garbage", "truncated", "repeated"]
 POLICIES = [["--policy", "nominal"], ["--policy", "robust", "--gamma", "6"], ["--policy", "mpc"]]
+RUNS = [["simulate", *policy] for policy in POLICIES] + [["sensitivity", "--gamma", "0,6"]]
+FLAGS = [
+    "--hours", "--slot-hours", "--grid-capacity", "--efficiency", "--pv-efficiency", "--pv-area",
+    "--default-max-power", "--deviation-fraction", "--gamma", "--start", "--price-units",
+]
+ONLY = {"--resolve-interval": "simulate", "--eval-gamma": "sensitivity"}  # flags of one command
+NAMES = {"--efficiency": "charge_efficiency"}  # a flag whose value has another name in messages
+FLAG_VALUES = ["nan", "inf", "-inf", "", "-1", "0", "garbage"]
 
 
 def toy_acn_items() -> list[dict]:
@@ -78,6 +90,20 @@ def mutated_toy(draw):
     return name, mutate_csv(text, draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1)), mutation)
 
 
+def run_main(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and the last line it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    lines = err.getvalue().strip().splitlines()
+    return code, lines[-1] if lines else ""
+
+
+def assert_finite_report(out: Path):
+    # json writes a non-finite number as NaN, Infinity or -Infinity
+    json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"report holds {c}"))
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(case=mutated_toy(), policy=st.sampled_from(POLICIES))
 def test_mutated_field_exits_0_with_finite_report_or_1_naming_it(case, policy):
@@ -94,13 +120,39 @@ def test_mutated_field_exits_0_with_finite_report_or_1_naming_it(case, policy):
             "--irradiance", str(d / "irradiance.csv"), "--start", "2019-06-03T00:00:00Z",
             "--hours", "24", "--grid-capacity", "3", *policy, "--out", str(out),
         ]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv)
+        code, message = run_main(argv)
         if code == 0:
-            # json writes a non-finite number as NaN, Infinity or -Infinity
-            json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"report holds {c}"))
+            assert_finite_report(out)
         else:
             assert code == 1
-            message = err.getvalue().strip().splitlines()[-1]
             assert re.search(rf"{re.escape(name)} (row|item) \d+, field '\w+': ", message), message
+
+
+@st.composite
+def mutated_flag(draw):
+    """``(command line before the flag, flag, bad value)`` for one value flag of a toy run."""
+    run = draw(st.sampled_from(RUNS))
+    flags = FLAGS + [flag for flag, command in ONLY.items() if command == run[0]]
+    flag = draw(st.sampled_from(flags))
+    values = FLAG_VALUES + (["9999-12-31T00:00:00Z"] if flag == "--start" else [])
+    return run, flag, draw(st.sampled_from(values))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(case=mutated_flag())
+def test_mutated_flag_exits_0_with_finite_report_or_1_naming_it(case):
+    run, flag, value = case
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        argv = [
+            *run, "--sessions", str(TOY / "sessions.csv"), "--prices", str(TOY / "prices.csv"),
+            "--irradiance", str(TOY / "irradiance.csv"), "--start", "2019-06-03T00:00:00Z",
+            "--hours", "24", "--grid-capacity", "3", "--out", str(out), flag, value,
+        ]  # the last value given for a flag is the one argparse keeps
+        code, message = run_main(argv)
+        if code == 0:
+            assert_finite_report(out)
+        else:
+            assert code == 1
+            name = NAMES.get(flag, flag[2:].replace("-", "_"))
+            assert re.search(rf"(?<![\w-])({re.escape(flag)}|{name})\b", message), message

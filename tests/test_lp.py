@@ -28,18 +28,18 @@ from chargeopt.model import (
 )
 from chargeopt.scenario import StationConfig
 from chargeopt.synth import bench_scenario, random_scenario
-from oracles import random_box_lp, vertex_enumeration_optimum
+from oracles import RELATIONS, random_box_lp, rows_of, vertex_enumeration_optimum
 
 INF = float("inf")
 
 
 def lp_1d(constraints):
-    return LinearProgram(1, [1.0], [[0.0, INF]], constraints)
+    return LinearProgram(1, [1.0], [[0.0, INF]], rows_of(constraints))
 
 
 class TestSolveExamples:
     def test_single_binding_bound(self):
-        sol = solve_lp(lp_1d([Constraint((0,), (1.0,), GREATER_EQUAL, 1.0)]))
+        sol = solve_lp(lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)]))
         assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -48,8 +48,8 @@ class TestSolveExamples:
         sol = solve_lp(
             lp_1d(
                 [
-                    Constraint((0,), (1.0,), GREATER_EQUAL, 1.0),
-                    Constraint((0,), (1.0,), LESS_EQUAL, 0.0),
+                    ((0,), (1.0,), GREATER_EQUAL, 1.0),
+                    ((0,), (1.0,), LESS_EQUAL, 0.0),
                 ]
             )
         )
@@ -61,7 +61,7 @@ class TestSolveExamples:
             2,
             [-1.0, -1.0],
             [[0.0, 1.0], [0.0, 1.0]],
-            [Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)],
+            rows_of([((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)]),
         )
         status, oracle = vertex_enumeration_optimum(lp)
         assert status == "optimal"
@@ -71,7 +71,7 @@ class TestSolveExamples:
         assert oracle == pytest.approx(-1.0)
 
     def test_unbounded(self):
-        lp = LinearProgram(1, [-1.0], [[0.0, INF]], [])
+        lp = LinearProgram(1, [-1.0], [[0.0, INF]])
         assert solve_lp(lp).status is LpStatus.UNBOUNDED
 
     def test_equality_native(self):
@@ -79,7 +79,7 @@ class TestSolveExamples:
             2,
             [1.0, 1.0],
             [[0.0, 2.0], [0.0, 2.0]],
-            [Constraint((0, 1), (1.0, 1.0), EQUAL, 3.0)],
+            rows_of([((0, 1), (1.0, 1.0), EQUAL, 3.0)]),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
@@ -90,10 +90,12 @@ class TestSolveExamples:
             2,
             [1.0, -1.0],
             [[-INF, INF], [-INF, INF]],
-            [
-                Constraint((0, 1), (1.0, 1.0), EQUAL, 2.0),
-                Constraint((0, 1), (1.0, -1.0), GREATER_EQUAL, -4.0),
-            ],
+            rows_of(
+                [
+                    ((0, 1), (1.0, 1.0), EQUAL, 2.0),
+                    ((0, 1), (1.0, -1.0), GREATER_EQUAL, -4.0),
+                ]
+            ),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
@@ -103,7 +105,7 @@ class TestSolveExamples:
         lp = LinearProgram(2, [1.0], [[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(LpFormatError):
             solve_lp(lp)
-        lp = LinearProgram(1, [1.0], [[0.0, 1.0]], [Constraint((3,), (1.0,), LESS_EQUAL, 1.0)])
+        lp = LinearProgram(1, [1.0], [[0.0, 1.0]], rows_of([((3,), (1.0,), LESS_EQUAL, 1.0)]))
         with pytest.raises(LpFormatError):
             solve_lp(lp)
         lp = LinearProgram(1, [1.0], [[2.0, 1.0]])
@@ -122,11 +124,11 @@ class TestRowsAsGiven:
 
     def test_repeated_indices_solve_like_merged_row(self):
         def lp(con):
-            return LinearProgram(2, [-1.0, -2.0], [[0.0, 2.0], [0.0, 2.0]], [con])
+            return LinearProgram(2, [-1.0, -2.0], [[0.0, 2.0], [0.0, 2.0]], rows_of([con]))
 
-        repeated_row = Constraint((0, 1, 1, 0), (1.0, 0.5, 1.5, 1.0), LESS_EQUAL, 3.0)
+        repeated_row = ((0, 1, 1, 0), (1.0, 0.5, 1.5, 1.0), LESS_EQUAL, 3.0)
         repeated = solve_lp(lp(repeated_row))
-        merged = solve_lp(lp(Constraint((0, 1), (2.0, 2.0), LESS_EQUAL, 3.0)))
+        merged = solve_lp(lp(((0, 1), (2.0, 2.0), LESS_EQUAL, 3.0)))
         assert repeated.status is merged.status is LpStatus.OPTIMAL
         assert repeated.objective_value == pytest.approx(merged.objective_value, abs=1e-12)
         assert repeated.objective_value == pytest.approx(-3.0, abs=1e-9)
@@ -150,7 +152,7 @@ class TestRowsAsGiven:
             2,
             [1.0, -1.0],
             [[0.0, 1.0], [0.0, 1.0]],
-            [Constraint((), (), relation, rhs), Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 1.5)],
+            rows_of([((), (), relation, rhs), ((0, 1), (1.0, 1.0), LESS_EQUAL, 1.5)]),
         )
         sol = solve_lp(lp)
         assert sol.status is status
@@ -160,14 +162,14 @@ class TestRowsAsGiven:
     @pytest.mark.parametrize(
         "rows, status",
         [
-            ([Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 3.0)], LpStatus.OPTIMAL),
-            ([Constraint((0, 1), (1.0, -1.0), EQUAL, -1.0)], LpStatus.OPTIMAL),
-            ([Constraint((0, 1), (1.0, 1.0), GREATER_EQUAL, 4.0)], LpStatus.INFEASIBLE),
-            ([Constraint((1,), (1.0,), EQUAL, 2.5)], LpStatus.INFEASIBLE),
+            ([((0, 1), (1.0, 1.0), LESS_EQUAL, 3.0)], LpStatus.OPTIMAL),
+            ([((0, 1), (1.0, -1.0), EQUAL, -1.0)], LpStatus.OPTIMAL),
+            ([((0, 1), (1.0, 1.0), GREATER_EQUAL, 4.0)], LpStatus.INFEASIBLE),
+            ([((1,), (1.0,), EQUAL, 2.5)], LpStatus.INFEASIBLE),
         ],
     )
     def test_all_variables_fixed(self, rows, status):
-        lp = LinearProgram(2, [3.0, -1.0], [[1.0, 1.0], [2.0, 2.0]], rows)
+        lp = LinearProgram(2, [3.0, -1.0], [[1.0, 1.0], [2.0, 2.0]], rows_of(rows))
         sol = solve_lp(lp)
         assert sol.status is status
         if status is LpStatus.OPTIMAL:
@@ -180,10 +182,12 @@ class TestRowsAsGiven:
                 2,
                 [1.0, 1.0],
                 [[0.0, 4.0], [0.0, 4.0]],
-                [
-                    Constraint((0,), (2.0,), EQUAL, rhs),
-                    Constraint((0, 1), (1.0, 1.0), GREATER_EQUAL, 2.0),
-                ],
+                rows_of(
+                    [
+                        ((0,), (2.0,), EQUAL, rhs),
+                        ((0, 1), (1.0, 1.0), GREATER_EQUAL, 2.0),
+                    ]
+                ),
             )
 
         sol = solve_lp(lp(3.0))
@@ -206,16 +210,18 @@ def bounds_as_rows(lp):
     span inf start at a bound their cost does not prefer (negative-cost columns
     lose their upper bound, every third variable becomes free)."""
     bounds = lp.var_bounds.copy()
-    rows = list(lp.constraints)
+    moved = []
     for j, (lo, up) in enumerate(lp.var_bounds):
         if j % 3 == 2:
             bounds[j] = [-INF, INF]
-            rows.append(Constraint((j,), (1.0,), GREATER_EQUAL, lo))
+            moved.append(((j,), (1.0,), GREATER_EQUAL, lo))
         elif lp.objective[j] >= 0:
             continue
         bounds[j, 1] = INF
-        rows.append(Constraint((j,), (1.0,), LESS_EQUAL, up))
-    return LinearProgram(lp.num_vars, lp.objective, bounds, rows)
+        moved.append(((j,), (1.0,), LESS_EQUAL, up))
+    return LinearProgram(
+        lp.num_vars, lp.objective, bounds, Rows.stack([lp.constraints, rows_of(moved)])
+    )
 
 
 def assert_matches_enumeration(lp, sol):
@@ -249,11 +255,13 @@ class TestDualPhase:
             4,
             [-0.75, 150.0, -0.02, 6.0],
             [[0.0, INF]] * 4,
-            [
-                Constraint((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
-                Constraint((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
-                Constraint((2,), (1.0,), LESS_EQUAL, 1.0),
-            ],
+            rows_of(
+                [
+                    ((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
+                    ((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
+                    ((2,), (1.0,), LESS_EQUAL, 1.0),
+                ]
+            ),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
@@ -274,13 +282,13 @@ class TestDualPhase:
             2,
             [-1.0, 1.0],
             [[0.0, INF], [0.0, 1.0]],
-            [Constraint((0, 1), (1.0, -1.0), GREATER_EQUAL, 0.5)],
+            rows_of([((0, 1), (1.0, -1.0), GREATER_EQUAL, 0.5)]),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.UNBOUNDED
         assert sol.stats.dual_iterations == 1
         free = LinearProgram(
-            2, [1.0, 0.0], [[-INF, INF], [0.0, 1.0]], [Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)]
+            2, [1.0, 0.0], [[-INF, INF], [0.0, 1.0]], rows_of([((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)])
         )
         assert solve_lp(free).status is LpStatus.UNBOUNDED
 
@@ -290,7 +298,7 @@ class TestDualPhase:
             2,
             [1.0, 1.0],
             [[0.0, INF], [0.0, 1.0]],
-            [Constraint((0, 1), (-1.0, 0.0), GREATER_EQUAL, 1.0)],
+            rows_of([((0, 1), (-1.0, 0.0), GREATER_EQUAL, 1.0)]),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.INFEASIBLE
@@ -302,7 +310,7 @@ class TestDualPhase:
                 2,
                 [1.0, 2.0],
                 [[0.0, 1.0], [0.0, up]],
-                [Constraint((0, 1), (1.0, 1.0), GREATER_EQUAL, 3.0)],
+                rows_of([((0, 1), (1.0, 1.0), GREATER_EQUAL, 3.0)]),
             )
 
         sol = solve_lp(lp(1.0))  # both columns at their upper bound still leave it short
@@ -323,11 +331,13 @@ class TestDualPhase:
                 3,
                 [1.0, 2.0, -1.0],
                 [[0.0, 2.0], [0.0, 2.0], [0.0, 1.0]],
-                [
-                    Constraint((0, 1, 2), (1.0, 1.0, 1.0), EQUAL, 2.0),
-                    Constraint((0, 1, 2), (2.0, 2.0, 2.0), EQUAL, second_rhs),
-                    Constraint((0, 2), (1.0, -1.0), GREATER_EQUAL, 0.0),
-                ],
+                rows_of(
+                    [
+                        ((0, 1, 2), (1.0, 1.0, 1.0), EQUAL, 2.0),
+                        ((0, 1, 2), (2.0, 2.0, 2.0), EQUAL, second_rhs),
+                        ((0, 2), (1.0, -1.0), GREATER_EQUAL, 0.0),
+                    ]
+                ),
             )
 
         redundant = solve_lp(lp(4.0))
@@ -365,11 +375,11 @@ class TestDualPhase:
 
 class TestCheckPoint:
     def test_feasible_point_empty_report(self):
-        lp = lp_1d([Constraint((0,), (1.0,), GREATER_EQUAL, 1.0)])
+        lp = lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)])
         assert check_point(lp, np.array([1.0]), 1e-9) == []
 
     def test_violation_magnitude(self):
-        lp = lp_1d([Constraint((0,), (1.0,), GREATER_EQUAL, 1.0)])
+        lp = lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)])
         report = check_point(lp, np.array([0.5]), 1e-9)
         assert len(report) == 1
         assert report[0].kind == "constraint"
@@ -441,23 +451,25 @@ class TestDegeneracyAndDeterminism:
             4,
             [-0.75, 150.0, -0.02, 6.0],
             [[0.0, INF]] * 4,
-            [
-                Constraint((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
-                Constraint((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
-                Constraint((2,), (1.0,), LESS_EQUAL, 1.0),
-            ],
+            rows_of(
+                [
+                    ((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
+                    ((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
+                    ((2,), (1.0,), LESS_EQUAL, 1.0),
+                ]
+            ),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
 
     def test_duplicate_constraints_terminate(self):
-        dup = Constraint((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)
+        dup = ((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)
         lp = LinearProgram(
             2,
             [-1.0, -1.0],
             [[0.0, 1.0], [0.0, 1.0]],
-            [dup, dup, Constraint((0, 1), (2.0, 2.0), LESS_EQUAL, 2.0)],
+            rows_of([dup, dup, ((0, 1), (2.0, 2.0), LESS_EQUAL, 2.0)]),
         )
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
@@ -489,7 +501,7 @@ def test_dump_lp_one_line_per_constraint():
         2,
         [1.0, 0.0],
         [[0.0, 1.0], [0.0, INF]],
-        [Constraint((0, 1), (1.0, -2.0), LESS_EQUAL, 3.0)],
+        rows_of([((0, 1), (1.0, -2.0), LESS_EQUAL, 3.0)]),
     )
     text = dump_lp(lp)
     lines = [l for l in text.splitlines() if l.startswith("c: ")]
@@ -497,40 +509,42 @@ def test_dump_lp_one_line_per_constraint():
 
 
 class TestRows:
-    """Rows are CSR arrays; Constraint tuples go in and come out unchanged."""
+    """Rows are CSR arrays; reading a row back gives its :class:`Constraint` tuple."""
 
     CONS = [
-        Constraint((0, 2), (1.0, -2.5), LESS_EQUAL, 3.0),
-        Constraint((), (), EQUAL, 0.0),
-        Constraint((1, 1, 0), (0.5, 0.5, 4.0), GREATER_EQUAL, -1.0),
+        ((0, 2), (1.0, -2.5), LESS_EQUAL, 3.0),
+        ((), (), EQUAL, 0.0),
+        ((1, 1, 0), (0.5, 0.5, 4.0), GREATER_EQUAL, -1.0),
     ]
+    ROWS = Rows([0, 2, 2, 5], [0, 2, 1, 1, 0], [1.0, -2.5, 0.5, 0.5, 4.0], [0, 2, 1], [3.0, 0.0, -1.0])
 
     def test_constraints_read_back(self):
-        lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, self.CONS)
-        assert isinstance(lp.constraints, Rows)
-        assert list(lp.constraints) == self.CONS
-        assert lp.constraints[-1] == self.CONS[-1]
+        lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
+        assert list(lp.constraints) == [Constraint(*con) for con in self.CONS]
+        assert lp.constraints[-1] == Constraint(*self.CONS[-1])
         assert lp.constraints.indptr.tolist() == [0, 2, 2, 5]
         assert lp.constraints.relation.tolist() == [0, 2, 1]
         with pytest.raises(IndexError):
             lp.constraints[3]
 
     def test_replace_and_concatenate(self):
-        lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, self.CONS)
-        doubled = dataclasses.replace(lp, constraints=lp.constraints + lp.constraints)
-        assert list(doubled.constraints) == self.CONS * 2
-        assert list((lp.constraints + self.CONS[:1])) == self.CONS + self.CONS[:1]
-        assert len(dataclasses.replace(lp, constraints=[]).constraints) == 0
+        lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
+        doubled = dataclasses.replace(lp, constraints=Rows.stack([lp.constraints] * 2))
+        assert list(doubled.constraints) == [Constraint(*con) for con in self.CONS * 2]
+        assert len(dataclasses.replace(lp, constraints=rows_of([])).constraints) == 0
+        assert len(LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3).constraints) == 0
 
     def test_list_and_arrays_dump_identically(self):
-        rows = Rows([0, 2, 2, 5], [0, 2, 1, 1, 0], [1.0, -2.5, 0.5, 0.5, 4.0], [0, 2, 1],
-                    [3.0, 0.0, -1.0])
-        listed = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, self.CONS)
-        arrays = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, rows)
+        listed = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
+        arrays = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, self.ROWS)
         assert dump_lp(listed) == dump_lp(arrays)
+        for name in ("indptr", "indices", "coeffs", "relation", "rhs"):
+            got, want = getattr(listed.constraints, name), getattr(self.ROWS, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
         sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
         for built, _ in (build_nominal_lp(sc), build_robust_lp(sc, 12.0)):
-            relisted = dataclasses.replace(built, constraints=list(built.constraints))
+            read = [(c.indices, c.coeffs, c.relation, c.rhs) for c in built.constraints]
+            relisted = dataclasses.replace(built, constraints=rows_of(read))
             assert dump_lp(relisted) == dump_lp(built)
 
     @pytest.mark.parametrize(
@@ -556,27 +570,29 @@ class TestRows:
         rng = np.random.default_rng(11)
         for _ in range(50):
             lp = random_box_lp(rng)
+            rows = lp.constraints
             x = rng.uniform(lp.var_bounds[:, 0] - 1, lp.var_bounds[:, 1] + 1)
             expected, lhs_by_row = {}, []
-            for k, con in enumerate(lp.constraints):
-                lhs = sum(c * x[j] for j, c in zip(con.indices, con.coeffs))
+            for k, rhs in enumerate(rows.rhs):
+                span = slice(rows.indptr[k], rows.indptr[k + 1])
+                lhs = sum(c * x[j] for j, c in zip(rows.indices[span], rows.coeffs[span]))
                 lhs_by_row.append(lhs)
-                gap = {LESS_EQUAL: lhs - con.rhs, GREATER_EQUAL: con.rhs - lhs}.get(
-                    con.relation, abs(lhs - con.rhs)
+                gap = {LESS_EQUAL: lhs - rhs, GREATER_EQUAL: rhs - lhs}.get(
+                    RELATIONS[rows.relation[k]], abs(lhs - rhs)
                 )
                 if gap > 1e-6:
                     expected[k] = gap
-            assert lp.constraints.dot(x).tolist() == lhs_by_row
+            assert rows.dot(x).tolist() == lhs_by_row
             got = {v.index: v.amount for v in check_point(lp, x, 1e-6) if v.kind == "constraint"}
             assert got.keys() == expected.keys()
             for k, gap in expected.items():
                 assert got[k] == pytest.approx(gap, rel=1e-12, abs=1e-12)
 
-    def test_malformed_constraints_raise_on_conversion(self):
-        with pytest.raises(LpFormatError, match="constraint 0: unknown relation '<'"):
-            LinearProgram(1, [1.0], [[0.0, 1.0]], [Constraint((0,), (1.0,), "<", 1.0)])
-        with pytest.raises(LpFormatError, match="constraint 0: indices/coeffs length mismatch"):
-            LinearProgram(1, [1.0], [[0.0, 1.0]], [Constraint((0,), (), LESS_EQUAL, 1.0)])
+    def test_constraint_list_raises(self):
+        for constraints in ([Constraint((0,), (1.0,), LESS_EQUAL, 1.0)], [], ()):
+            kind = type(constraints).__name__
+            with pytest.raises(LpFormatError, match=f"constraints must be Rows, got {kind}"):
+                LinearProgram(1, [1.0], [[0.0, 1.0]], constraints)
 
 
 # (iterations, objective repr) of the delivery, nominal and robust (budget 12)

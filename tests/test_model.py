@@ -31,6 +31,7 @@ from chargeopt.scenario import (
 )
 from chargeopt.synth import random_scenario
 from oracles import (
+    RELATIONS,
     allocation_to_point,
     charge_column,
     highs_objective,
@@ -105,14 +106,17 @@ class TestNominal:
         sc = random_scenario(5, seed=2)
         lp, vm = build_nominal_lp(sc)
         n, t = sc.num_sessions, sc.num_slots
+        rows = lp.constraints
+
+        def columns(k):
+            return rows.indices[rows.indptr[k] : rows.indptr[k + 1]].tolist()
+
         for i in range(n):
-            row = lp.constraints[i]
-            assert row.indices == tuple(charge_column(vm, i, k) for k in np.flatnonzero(sc.availability[i] > 0))
+            assert columns(i) == [charge_column(vm, i, k) for k in np.flatnonzero(sc.availability[i] > 0)]
         for k in range(t):
-            row = lp.constraints[n + k]
             plugged = np.flatnonzero(sc.availability[:, k] > 0)
-            assert row.indices == tuple(charge_column(vm, i, k) for i in plugged) + (vm.purchase(k),)
-            assert (row.relation, row.rhs) == ("<=", sc.solar.cap[k])
+            assert columns(n + k) == [charge_column(vm, i, k) for i in plugged] + [vm.purchase(k)]
+            assert RELATIONS[rows.relation[n + k]] == "<=" and rows.rhs[n + k] == sc.solar.cap[k]
         i, k = np.argwhere(sc.availability == 0)[0]
         with pytest.raises(KeyError):
             charge_column(vm, int(i), int(k))
