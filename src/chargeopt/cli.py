@@ -19,6 +19,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -119,7 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sim.add_argument("--gamma", type=float, help="uncertainty budget (required for robust)")
     sim.add_argument(
-        "--resolve-interval", type=int, default=1, help="MPC periodic re-solve interval, slots"
+        "--resolve-interval", type=int, default=1,
+        help="MPC periodic decision interval, slots; the nominal controller re-solves there "
+        "only when its plan falls short",
     )
     sim.add_argument("--dump-lp", help="write the optimized LP in plain text (bug reports)")
 
@@ -149,8 +152,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The robust LP's budget and deviation duals enter its tableau with entries near
+# 1 / (bound * dt); below the simplex's fixed pivot tolerance a feasible program ends
+# INFEASIBLE.  On the toy day that first happens at a fraction of 1e8.
+MAX_DEVIATION_FRACTION = 1e3
+
+
 def _load_scenario(args):
     _check("--hours", args.hours, 1)
+    deviation = DeviationRule.proportional(args.deviation_fraction)  # rejects nan, inf, < 0
+    _check("--deviation-fraction", args.deviation_fraction, 0, MAX_DEVIATION_FRACTION)
     grid = TimeGrid(args.start, args.hours, args.slot_hours)
     station = StationConfig(
         grid_capacity=args.grid_capacity,
@@ -173,19 +184,22 @@ def _load_scenario(args):
         solar,
         grid,
         station,
-        DeviationRule.proportional(args.deviation_fraction),
+        deviation,
     )
     if args.no_solar:
         sc = without_solar(sc)
     return sc
 
 
-def _check(flag: str, value, least):
-    """The value of a numeric flag; nan, infinite or below ``least`` is an input error."""
+def _check(flag: str, value, least, most=math.inf):
+    """The value of a numeric flag; nan, infinite, below ``least`` or above ``most`` is an
+    input error."""
     if not math.isfinite(value):
         raise ScenarioError(f"{flag} must be finite, got {value!r}")
     if value < least:
         raise ScenarioError(f"{flag} must be at least {least}, got {value!r}")
+    if value > most:
+        raise ScenarioError(f"{flag} must be at most {most:g}, got {value!r}")
     return value
 
 
@@ -260,6 +274,7 @@ def cmd_simulate(args) -> int:
             )
             trace = run_online(sc, cfg)
             report.costs["mpc"] = trace.total_cost
+            report.kept_plans = dict(Counter(trigger for _, trigger in trace.kept_plans))
             report.unmet_energy_kwh["mpc"] = float(trace.unmet_energy.sum())
             mpc_draw = np.maximum(
                 trace.applied_power.sum(axis=0) - trace.applied_solar, 0.0

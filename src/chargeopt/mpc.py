@@ -1,11 +1,19 @@
 """Online receding-horizon controller with dual re-solve triggers.
 
-Walks the time grid slot by slot: registers arrivals, re-optimizes over the
-remaining presence window whenever an arrival or departure occurs or the
-periodic interval elapses, applies only the current slot of the latest plan,
-and rolls residual demands forward.  Prices and solar over the prediction
-horizon are their true future values (no forecaster), which isolates the
-scheduling behavior itself.
+Walks the time grid slot by slot: registers arrivals, takes a decision
+whenever an arrival or departure occurs or the periodic interval elapses,
+applies only the current slot of the latest plan, and rolls residual demands
+forward.  Prices and solar over the prediction horizon are their true future
+values (no forecaster), which isolates the scheduling behavior itself.
+
+A decision re-optimizes over the remaining presence window, except that the
+nominal controller keeps its latest plan at a departure or periodic trigger
+when every current session is in that plan and the plan's tail still
+delivers each one's residual demand.  Such a trigger brings no new
+information, so the tail is still feasible, and it is still optimal: a
+cheaper tail would have made the whole plan cheaper (Bellman's principle of
+optimality).  A robust window always re-solves, because its per-window
+deviation budget makes the problem not time-consistent.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DemandAdjustment, solve_offline
+from .model import CONSTRAINT_TOL, DemandAdjustment, solve_offline
 from .reports import write_records_csv
 from .scenario import DeviationRule, Scenario, SolarSeries, TimeGrid, build_scenario
 
@@ -47,6 +55,9 @@ class SolveEvent:
     trigger: str
     horizon_slots: int
     wall_seconds: float
+    iterations: int  # both simplex phases of the window LP
+    members: int  # sessions in the window
+    clamped: int  # demand adjustments the window's demand policy made
 
 
 @dataclass(frozen=True)
@@ -54,6 +65,7 @@ class MpcTrace:
     applied_power: np.ndarray  # (N, T) kW actually commanded
     applied_solar: np.ndarray  # (T,) kW
     solve_events: tuple[SolveEvent, ...]
+    kept_plans: tuple[tuple[int, str], ...]  # (slot, trigger) decided without a solve
     residual_demand_history: np.ndarray  # (T, N) kWh after each slot's update
     total_cost: float  # EUR at realized prices
     unmet_energy: np.ndarray  # (N,) kWh still owed at the end
@@ -86,6 +98,16 @@ def _window_scenario(sc: Scenario, members, k: int, end: int, residual) -> Scena
     )
 
 
+def _tail_serves(planned, tail, members, residual, kwh_per_kw) -> bool:
+    """Whether every member is in the plan and the plan's tail (kW, one row per planned
+    session) delivers its residual demand within :func:`apply_demand_policy`'s tolerance."""
+    if not np.isin(members, planned).all():
+        return False
+    need = residual[members]
+    delivered = kwh_per_kw * tail[np.searchsorted(planned, members)].sum(axis=1)
+    return bool(np.all(delivered >= need - CONSTRAINT_TOL * (1 + need)))
+
+
 def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     """Simulate the controller over the scenario's whole grid.
 
@@ -105,6 +127,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     applied = np.zeros((n, T))
     history = np.zeros((T, n))
     events: list[SolveEvent] = []
+    kept: list[tuple[int, str]] = []
     adjustments: list[tuple[int, DemandAdjustment]] = []
     # the latest plan only: its first slot, its sessions, their powers from that slot on
     start, planned, power = 0, np.zeros(0, dtype=int), np.zeros((0, 0))
@@ -122,15 +145,26 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
             labels.add(TRIGGER_DEPARTURE)
         trigger = detect_trigger(k, last_solve, labels, cfg)
         if trigger is not None and len(members):
-            end = int(last_slot[members].max()) + 1
-            window = _window_scenario(sc, members, k, end, residual)
-            t0 = time.perf_counter()
-            schedule, adjs = solve_offline(window, cfg.gamma, cfg.demand_policy)
-            wall = time.perf_counter() - t0
-            events.append(SolveEvent(k, trigger, end - k, wall))
-            adjustments.extend((k, a) for a in adjs)
-            start, planned, power = k, members, schedule.charging_power
-            last_solve = k
+            if (
+                cfg.gamma is None
+                and trigger != TRIGGER_ARRIVAL
+                and _tail_serves(planned, power[:, k - start :], members, residual, eta * dt)
+            ):
+                kept.append((k, trigger))
+            else:
+                end = int(last_slot[members].max()) + 1
+                window = _window_scenario(sc, members, k, end, residual)
+                t0 = time.perf_counter()
+                schedule, adjs = solve_offline(window, cfg.gamma, cfg.demand_policy)
+                wall = time.perf_counter() - t0
+                stats = schedule.stats
+                iterations = stats.dual_iterations + stats.primal_iterations
+                events.append(
+                    SolveEvent(k, trigger, end - k, wall, iterations, len(members), len(adjs))
+                )
+                adjustments.extend((k, a) for a in adjs)
+                start, planned, power = k, members, schedule.charging_power
+            last_solve = k  # a kept plan restarts the periodic interval as a solve does
 
         if k - start < power.shape[1]:
             on = active[planned]
@@ -144,6 +178,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
         applied_power=applied,
         applied_solar=applied_solar,
         solve_events=tuple(events),
+        kept_plans=tuple(kept),
         residual_demand_history=history,
         total_cost=sc.energy_cost(np.maximum(load - applied_solar, 0.0)),
         unmet_energy=residual,
@@ -152,7 +187,8 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
 
 
 def trace_to_json_dict(trace: MpcTrace) -> dict:
-    """JSON-serializable view of a trace; the events CSV holds the same solve events."""
+    """JSON-serializable view of a trace; the events CSV holds the same solve events,
+    and ``kept_plans`` the triggers that kept the latest plan without a solve."""
     return {
         "total_cost": trace.total_cost,
         "applied_power": trace.applied_power.tolist(),
@@ -160,6 +196,7 @@ def trace_to_json_dict(trace: MpcTrace) -> dict:
         "unmet_energy": trace.unmet_energy.tolist(),
         "residual_demand_history": trace.residual_demand_history.tolist(),
         "solve_events": [dataclasses.asdict(e) for e in trace.solve_events],
+        "kept_plans": [{"slot": slot, "trigger": trigger} for slot, trigger in trace.kept_plans],
         "demand_adjustments": [
             {"slot": slot, **dataclasses.asdict(a)} for slot, a in trace.demand_adjustments
         ],

@@ -58,6 +58,7 @@ class RunReport:
     sensitivity: list[SensitivityRow] = field(default_factory=list)
     bench: list[BenchRow] = field(default_factory=list)
     solver: list[SolverRecord] = field(default_factory=list)
+    kept_plans: dict[str, int] = field(default_factory=dict)  # MPC triggers kept without a solve
     notes: list[str] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:

@@ -99,8 +99,18 @@ class TestSimulate:
         assert code == 0
         assert (tmp_path / "r.trace.json").exists()
         events = (tmp_path / "r.events.csv").read_text().splitlines()
-        assert events[0] == "slot,trigger,horizon_slots,wall_seconds"
+        assert events[0] == "slot,trigger,horizon_slots,wall_seconds,iterations,members,clamped"
         assert len(events) > 1
+
+    def test_nominal_mpc_solves_only_at_arrivals_on_toy_day(self, toy_dir, tmp_path):
+        out = tmp_path / "r.json"
+        assert main(["simulate", *toy_flags(toy_dir, out), "--policy", "mpc"]) == 0
+        rows = (tmp_path / "r.events.csv").read_text().splitlines()[1:]
+        assert rows and {row.split(",")[1] for row in rows} == {"arrival"}
+        kept = load(out)["kept_plans"]
+        assert sum(kept.values()) > 0
+        trace = json.loads((tmp_path / "r.trace.json").read_text())
+        assert sum(kept.values()) == len(trace["kept_plans"])
 
     def test_report_totals_match_slot_series(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
@@ -164,6 +174,15 @@ class TestSimulate:
         assert main(["simulate", *toy_flags(toy_dir, out), *flags]) == 1
         assert f"error: {field} must be" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_huge_deviation_fraction_exits_1(self, toy_dir, tmp_path, capsys):
+        # bounds this large put the robust LP's dual columns below the pivot tolerance
+        out = tmp_path / "r.json"
+        flags = [*toy_flags(toy_dir, out), "--policy", "robust", "--gamma", "6"]
+        assert main(["simulate", *flags, "--deviation-fraction", "1e12"]) == 1
+        assert "--deviation-fraction must be at most 1000, got 1000000000000.0" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["simulate", *flags, "--deviation-fraction", "1e3"]) == 0
 
     def test_infinite_grid_capacity_is_unlimited(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"

@@ -65,11 +65,17 @@ class TestOnlineRun:
         arrival_slot = int(np.nonzero(sc.availability[0] > 0)[0][0])
         assert kinds[0] == (arrival_slot, "arrival")
 
-    def test_periodic_resolves_with_small_interval(self):
+    def test_periodic_triggers_kept_by_nominal_plan(self):
         sc = random_scenario(1, seed=42)
         trace = run_online(sc, MpcConfig(resolve_interval=1))
-        triggers = {e.trigger for e in trace.solve_events}
-        assert "periodic" in triggers
+        assert [e.trigger for e in trace.solve_events] == ["arrival"]
+        assert "periodic" in {trigger for _, trigger in trace.kept_plans}
+
+    def test_periodic_resolves_robust_with_small_interval(self):
+        sc = random_scenario(1, seed=42)
+        trace = run_online(sc, MpcConfig(resolve_interval=1, gamma=4.0))
+        assert "periodic" in {e.trigger for e in trace.solve_events}
+        assert trace.kept_plans == ()
 
     def test_applied_power_between_solves_comes_from_latest_plan(self, monkeypatch):
         sc = random_scenario(3, seed=9, all_at_start=True)
@@ -155,6 +161,23 @@ class TestOnlineRun:
         with pytest.raises(DemandInfeasibleError):
             run_online(sc, MpcConfig(resolve_interval=1, demand_policy="strict"))
 
+    def test_solve_events_describe_their_solves(self, monkeypatch):
+        sc = random_scenario(3, seed=4, demand_fill=(1.4, 1.6))
+        slot_of = {sc.grid.slot_start(k): k for k in range(sc.num_slots)}
+        solves = {}  # window start slot -> (sessions, iterations, adjustments)
+
+        def recording_solve(window, *args):
+            schedule, adjs = solve_offline(window, *args)
+            stats = schedule.stats
+            iterations = stats.dual_iterations + stats.primal_iterations
+            solves[slot_of[window.grid.start]] = (window.num_sessions, iterations, len(adjs))
+            return schedule, adjs
+
+        monkeypatch.setattr(mpc, "solve_offline", recording_solve)
+        trace = run_online(sc, MpcConfig(resolve_interval=1))
+        assert {e.slot: (e.members, e.iterations, e.clamped) for e in trace.solve_events} == solves
+        assert sum(e.clamped for e in trace.solve_events) == len(trace.demand_adjustments) > 0
+
     def test_trace_serializes(self):
         import json
 
@@ -164,7 +187,99 @@ class TestOnlineRun:
         back = json.loads(blob)
         assert back["total_cost"] == trace.total_cost
         assert len(back["solve_events"]) == len(trace.solve_events)
+        assert back["kept_plans"] == [{"slot": k, "trigger": t} for k, t in trace.kept_plans]
 
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             MpcConfig(resolve_interval=0)
+
+
+class TestKeptPlans:
+    """The nominal controller keeps its latest plan at a departure or periodic trigger
+    when the plan's tail still delivers every member's residual demand."""
+
+    SETS = {
+        "plain": {},
+        "clamped": {"demand_fill": (0.6, 1.3)},  # some demands above what a stay can take
+        "congested": {"station": StationConfig(grid_capacity=5.0)},
+    }
+
+    @pytest.mark.parametrize("interval", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.5], ids=["hourly", "half-hourly"])
+    @pytest.mark.parametrize("kind", list(SETS))
+    def test_kept_tail_costs_what_a_resolve_costs(self, monkeypatch, kind, slot_hours, interval):
+        plans = {}  # solve slot -> (session indices, planned powers)
+        clamps = 0
+        kept = 0
+        for seed in range(2):
+            sc = random_scenario(
+                5, seed=seed, num_slots=int(24 / slot_hours), slot_hours=slot_hours,
+                **self.SETS[kind],
+            )
+            slot_of = {sc.grid.slot_start(k): k for k in range(sc.num_slots)}
+            row_of = {s.id: i for i, s in enumerate(sc.sessions)}
+
+            def recording_solve(window, *args):
+                schedule, adjs = solve_offline(window, *args)
+                sessions = np.array([row_of[s.id] for s in window.sessions])
+                plans[slot_of[window.grid.start]] = (sessions, schedule.charging_power)
+                return schedule, adjs
+
+            monkeypatch.setattr(mpc, "solve_offline", recording_solve)
+            trace = run_online(sc, MpcConfig(resolve_interval=interval))
+            clamps += len(trace.demand_adjustments)
+            kept += len(trace.kept_plans)
+            last_slot = sc.num_slots - 1 - (sc.availability[:, ::-1] > 0).argmax(axis=1)
+            for k, trigger in trace.kept_plans:
+                assert trigger != "arrival"
+                residual = trace.residual_demand_history[k - 1]
+                members = np.flatnonzero((sc.availability[:, k] > 0) & (residual > mpc.RESIDUAL_TOL))
+                end = int(last_slot[members].max()) + 1
+                start = max(slot for slot in plans if slot <= k)
+                sessions, power = plans[start]
+                rows = np.searchsorted(sessions, members)
+                assert np.array_equal(sessions[rows], members)
+                tail = power[rows, k - start : end - start]
+                window = mpc._window_scenario(sc, members, k, end, residual)
+                fresh, adjs = solve_offline(window)
+                assert adjs == []
+                tail_cost = window.energy_cost(np.maximum(tail.sum(axis=0) - window.solar.cap, 0.0))
+                assert tail_cost == pytest.approx(fresh.nominal_cost, rel=1e-9)
+            plans.clear()
+        assert kept > 0
+        if kind != "plain":
+            assert clamps > 0
+
+    def test_robust_resolves_at_every_trigger(self):
+        for seed in range(4):
+            sc = random_scenario(5, seed=seed)
+            trace = run_online(sc, MpcConfig(resolve_interval=2, gamma=4.0))
+            assert trace.kept_plans == ()
+            assert "periodic" in {e.trigger for e in trace.solve_events}
+
+    def test_clamped_member_resolves_rather_than_keeps(self):
+        sc = random_scenario(3, seed=4, demand_fill=(1.4, 1.6))
+        trace = run_online(sc, MpcConfig(resolve_interval=1))
+        row_of = {s.id: i for i, s in enumerate(sc.sessions)}
+        solves = {e.slot for e in trace.solve_events}
+        checked = 0
+        for slot, adj in trace.demand_adjustments:
+            i, nxt = row_of[adj.session_id], slot + 1
+            # still plugged in and still owed energy at the next slot: a trigger there
+            # (every slot is one at interval 1) must solve, not keep the clamped plan
+            if nxt < sc.num_slots and sc.availability[i, nxt] > 0:
+                if trace.residual_demand_history[slot, i] > mpc.RESIDUAL_TOL:
+                    assert nxt in solves
+                    checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_criterion_6_holds_with_kept_plans(self, interval):
+        for seed in range(6):
+            sc = random_scenario(4, seed=seed, all_at_start=True)
+            trace = run_online(sc, MpcConfig(resolve_interval=interval))
+            offline, _ = solve_offline(sc)
+            assert [(e.slot, e.trigger) for e in trace.solve_events] == [(0, "arrival")]
+            assert trace.kept_plans
+            assert trace.total_cost == pytest.approx(offline.nominal_cost, rel=1e-9)
+            assert trace.unmet_energy.sum() == pytest.approx(0.0, abs=1e-6)
