@@ -180,7 +180,8 @@ class TestSimulate:
         out = tmp_path / "r.json"
         flags = [*toy_flags(toy_dir, out), "--policy", "robust", "--gamma", "6"]
         assert main(["simulate", *flags, "--deviation-fraction", "1e12"]) == 1
-        assert "--deviation-fraction must be at most 1000, got 1000000000000.0" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--deviation-fraction must be at most 1000, got 1000000000000.0" in err
         assert not out.exists()
         assert main(["simulate", *flags, "--deviation-fraction", "1e3"]) == 0
 

@@ -233,7 +233,8 @@ class TestKeptPlans:
             for k, trigger in trace.kept_plans:
                 assert trigger != "arrival"
                 residual = trace.residual_demand_history[k - 1]
-                members = np.flatnonzero((sc.availability[:, k] > 0) & (residual > mpc.RESIDUAL_TOL))
+                active = (sc.availability[:, k] > 0) & (residual > mpc.RESIDUAL_TOL)
+                members = np.flatnonzero(active)
                 end = int(last_slot[members].max()) + 1
                 start = max(slot for slot in plans if slot <= k)
                 sessions, power = plans[start]
