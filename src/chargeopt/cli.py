@@ -36,6 +36,7 @@ from .model import (
 )
 from .mpc import MpcConfig, run_online, trace_to_json_dict, write_events_csv
 from .scenario import (
+    MAX_DEVIATION_FRACTION,
     DeviationRule,
     ScenarioError,
     SolarSeries,
@@ -152,16 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The robust LP's budget and deviation duals enter its tableau with entries near
-# 1 / (bound * dt); below the simplex's fixed pivot tolerance a feasible program ends
-# INFEASIBLE.  On the toy day that first happens at a fraction of 1e8.
-MAX_DEVIATION_FRACTION = 1e3
-
-
 def _load_scenario(args):
     _check("--hours", args.hours, 1)
-    deviation = DeviationRule.proportional(args.deviation_fraction)  # rejects nan, inf, < 0
-    _check("--deviation-fraction", args.deviation_fraction, 0, MAX_DEVIATION_FRACTION)
+    if args.deviation_fraction > MAX_DEVIATION_FRACTION:  # DeviationRule names nan and < 0
+        _check("--deviation-fraction", args.deviation_fraction, 0, MAX_DEVIATION_FRACTION)
+    deviation = DeviationRule.proportional(args.deviation_fraction)
     grid = TimeGrid(args.start, args.hours, args.slot_hours)
     station = StationConfig(
         grid_capacity=args.grid_capacity,

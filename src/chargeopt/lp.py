@@ -1,7 +1,8 @@
 """Bounded-variable linear programs and a deterministic simplex solver.
 
 A program keeps its rows as CSR arrays (:class:`Rows`): ``indptr``,
-``indices``, ``coeffs``, a relation code per row and ``rhs``.  The model
+``indices``, ``coeffs`` and ``rhs``.  Every row reads ``coeffs . x <= rhs``:
+a builder negates a ``>=`` row, and no builder needs an equality.  The model
 builders emit those arrays directly, and a program is made from them only.
 Validation, the feasibility check and the plain-text dump work on them.
 Each row's left-hand side at a point is one sparse product,
@@ -12,12 +13,11 @@ basic values are its last column and the reduced costs its last row.  It is
 built with a single scatter of the rows' nonzeros: a repeated index in a row
 sums its coefficients, and singleton rows, empty rows and fixed variables
 (``lower == upper``) enter as they are.  Each right-hand side is shifted by
-its row's value at the columns' starting bounds.  Every row gets one logical
-column: a slack on a ``<=`` row (a ``>=`` row is negated, its sign folded into the
-scatter) and a fixed logical of span zero on an ``=`` row.  Upper bounds are
-handled natively with the bound-flip technique rather than as extra rows.
+its row's value at the columns' starting bounds.  Every row gets one slack
+column of infinite span.  Upper bounds are handled natively with the
+bound-flip technique rather than as extra rows.
 
-Phase 1 is a dual simplex from the all-logical basis.  Each column starts at
+Phase 1 is a dual simplex from the all-slack basis.  Each column starts at
 the bound its cost prefers, so that basis is dual feasible; a column whose
 preferred bound is infinite is priced 0 for phase 1 only.  The leaving row
 is the basic variable with the largest bound violation, and the entering
@@ -59,13 +59,6 @@ FEASIBILITY_TOL = 1e-6
 PIVOT_TOL = 1e-7
 REDUCED_COST_TOL = 1e-7
 
-LESS_EQUAL = "<="
-GREATER_EQUAL = ">="
-EQUAL = "="
-_RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)  # a row's relation code indexes this
-_EQ = _RELATIONS.index(EQUAL)
-_ROW_SIGN = np.array([1.0, -1.0, 1.0])  # by relation code: -1 turns ">=" into "<="
-
 
 class LpError(Exception):
     """Base class for solver errors."""
@@ -87,11 +80,10 @@ class LpStatus(Enum):
 
 @dataclass(frozen=True)
 class Constraint:
-    """One row of :class:`Rows` as read back: ``sum(coeffs[k] * x[indices[k]]) <relation> rhs``."""
+    """One row of :class:`Rows` as read back: ``sum(coeffs[k] * x[indices[k]]) <= rhs``."""
 
     indices: tuple[int, ...]
     coeffs: tuple[float, ...]
-    relation: str
     rhs: float
 
 
@@ -99,28 +91,20 @@ class Constraint:
 class Rows(Sequence):
     """Constraint rows in CSR form.
 
-    Row ``k`` is ``sum(coeffs[p] * x[indices[p]]) <relation> rhs[k]`` over
-    ``p`` in ``indptr[k]:indptr[k + 1]``, its relation the code
-    ``relation[k]`` into ``("<=", ">=", "=")``.  A single relation string
-    gives every row that relation.
+    Row ``k`` is ``sum(coeffs[p] * x[indices[p]]) <= rhs[k]`` over ``p`` in
+    ``indptr[k]:indptr[k + 1]``.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     coeffs: np.ndarray
-    relation: np.ndarray
     rhs: np.ndarray
 
     def __post_init__(self):
-        rhs = np.asarray(self.rhs, dtype=float)
-        relation = self.relation
-        if isinstance(relation, str):
-            relation = np.full(len(rhs), _RELATIONS.index(relation))
         object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.intp))
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.intp))
         object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "relation", np.asarray(relation, dtype=np.intp))
-        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
 
     @classmethod
     def stack(cls, blocks: list[Rows]) -> Rows:
@@ -130,7 +114,6 @@ class Rows(Sequence):
             np.concatenate([[0]] + [b.indptr[1:] + s for b, s in zip(blocks, nnz)]),
             np.concatenate([b.indices for b in blocks]),
             np.concatenate([b.coeffs for b in blocks]),
-            np.concatenate([b.relation for b in blocks]),
             np.concatenate([b.rhs for b in blocks]),
         )
 
@@ -156,7 +139,6 @@ class Rows(Sequence):
         return Constraint(
             tuple(self.indices[span].tolist()),
             tuple(self.coeffs[span].tolist()),
-            _RELATIONS[self.relation[k]],
             float(self.rhs[k]),
         )
 
@@ -173,7 +155,7 @@ class LinearProgram:
     num_vars: int
     objective: np.ndarray
     var_bounds: np.ndarray
-    constraints: Rows = dataclasses.field(default_factory=lambda: Rows([0], [], [], [], []))
+    constraints: Rows = dataclasses.field(default_factory=lambda: Rows([0], [], [], []))
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
@@ -208,17 +190,12 @@ class LinearProgram:
         m, nnz = len(rows.rhs), len(rows.indices)
         if (
             rows.indptr.shape != (m + 1,)
-            or rows.relation.shape != (m,)
             or rows.coeffs.shape != (nnz,)
             or rows.indptr[0] != 0
             or rows.indptr[-1] != nnz
             or (rows.indptr[1:] < rows.indptr[:-1]).any()
         ):
             raise LpFormatError("constraint rows are not in CSR form")
-        rel = rows.relation
-        if m and (rel.min() < 0 or rel.max() >= len(_RELATIONS)):
-            k = int(np.flatnonzero((rel < 0) | (rel >= len(_RELATIONS)))[0])
-            raise LpFormatError(f"constraint {k}: unknown relation code {rel[k]}")
         idx = rows.indices
         if nnz and (idx.min() < 0 or idx.max() >= self.num_vars):
             p = int(np.flatnonzero((idx < 0) | (idx >= self.num_vars))[0])
@@ -262,6 +239,11 @@ class SolverStats:
     check_seconds: float = 0.0
     worst_residual: float | None = None
 
+    @property
+    def iterations(self) -> int:
+        """Iterations of both phases."""
+        return self.dual_iterations + self.primal_iterations
+
 
 @dataclass(frozen=True)
 class LpSolution:
@@ -294,9 +276,8 @@ def _violations(lp: LinearProgram, x: np.ndarray, tol: float) -> list[Violation]
         out.append(Violation("upper_bound", int(j), float(x[j] - up[j])))
     rows = lp.constraints
     excess = rows.dot(x) - rows.rhs
-    gap = np.where(rows.relation == _EQ, np.abs(excess), _ROW_SIGN[rows.relation] * excess)
-    for k in np.nonzero(gap > tol)[0]:
-        out.append(Violation("constraint", int(k), float(gap[k])))
+    for k in np.nonzero(excess > tol)[0]:
+        out.append(Violation("constraint", int(k), float(excess[k])))
     return out
 
 
@@ -313,10 +294,10 @@ def dump_lp(lp: LinearProgram) -> str:
         lines.append(f"b{j}: {float(lo)!r} {float(up)!r}")
     rows = lp.constraints
     indptr, indices, coeffs = rows.indptr.tolist(), rows.indices.tolist(), rows.coeffs.tolist()
-    for k, (rel, rhs) in enumerate(zip(rows.relation.tolist(), rows.rhs.tolist())):
+    for k, rhs in enumerate(rows.rhs.tolist()):
         span = range(indptr[k], indptr[k + 1])
         body = " ".join(f"{indices[p]}:{coeffs[p]!r}" for p in span)
-        lines.append(f"c: {body} {_RELATIONS[rel]} {rhs!r}")
+        lines.append(f"c: {body} <= {rhs!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -374,19 +355,19 @@ class _Tableau:
             viol = np.maximum(-rhs, above)
             if bland:
                 # dual Bland rule: the violated row with the lowest basic index
-                rows = np.nonzero(viol > FEASIBILITY_TOL)[0]
+                rows = (viol > FEASIBILITY_TOL).nonzero()[0]
                 if not len(rows):
                     return LpStatus.OPTIMAL
-                r = int(rows[np.argmin(self.basis[rows])])
+                r = int(rows[self.basis[rows].argmin()])
             else:
-                r = int(np.argmax(viol))
+                r = int(viol.argmax())
                 if not viol[r] > FEASIBILITY_TOL:
                     return LpStatus.OPTIMAL
             leaves_at_upper = bool(above[r] > 0)
             # raising nonbasic column j by t moves the leaving variable by -mat[r, j] * t;
             # slope[j] > 0 moves it towards the bound it violates
             slope = self.mat[r] if leaves_at_upper else -self.mat[r]
-            cand = np.nonzero((slope > PIVOT_TOL) & ~self.locked)[0]
+            cand = ((slope > PIVOT_TOL) & ~self.locked).nonzero()[0]
             if not len(cand):
                 return LpStatus.INFEASIBLE
             ratios = np.maximum(red[cand], 0.0) / slope[cand]
@@ -394,13 +375,13 @@ class _Tableau:
             self.bland |= bland
             if bland:
                 t = ratios.min()
-                q = int(cand[np.argmax(ratios <= t + 1e-12 * (1.0 + t))])
+                q = int(cand[(ratios <= t + 1e-12 * (1.0 + t)).argmax()])
             else:
                 # bound-flipping ratio test: pass each breakpoint whose boxed column,
                 # moved to its other bound, leaves the row violated in the same direction
-                cand = cand[np.argsort(ratios, kind="stable")]
-                reach = np.cumsum(slope[cand] * self.spans[cand])
-                k = int(np.searchsorted(reach, viol[r]))
+                cand = cand[ratios.argsort(kind="stable")]
+                reach = (slope[cand] * self.spans[cand]).cumsum()
+                k = int(reach.searchsorted(viol[r]))
                 if k == len(cand) and viol[r] - reach[-1] > FEASIBILITY_TOL:
                     return LpStatus.INFEASIBLE
                 if k:
@@ -419,10 +400,10 @@ class _Tableau:
             bland = self._bland_due()
             masked = np.where(self.locked, np.inf, self.red)
             if bland:
-                eligible = np.nonzero(masked < -REDUCED_COST_TOL)[0]
+                eligible = (masked < -REDUCED_COST_TOL).nonzero()[0]
                 q = int(eligible[0]) if len(eligible) else -1
             else:
-                q = int(np.argmin(masked))
+                q = int(masked.argmin())
                 q = q if masked[q] < -REDUCED_COST_TOL else -1
             if q < 0:
                 return LpStatus.OPTIMAL
@@ -434,12 +415,12 @@ class _Tableau:
             neg = (col < -PIVOT_TOL) & np.isfinite(bspan)
             ratios[neg] = (self.rhs[neg] - bspan[neg]) / col[neg]
             ratios = np.maximum(ratios, 0.0)
-            r = int(np.argmin(ratios))
+            r = int(ratios.argmin())
             t_row = ratios[r]
             if bland and np.isfinite(t_row):
                 # Bland leaving rule: lowest basic variable index among ties
-                tied = np.nonzero(ratios <= t_row + 1e-12 * (1.0 + t_row))[0]
-                r = int(tied[np.argmin(self.basis[tied])])
+                tied = (ratios <= t_row + 1e-12 * (1.0 + t_row)).nonzero()[0]
+                r = int(tied[self.basis[tied].argmin()])
                 t_row = ratios[r]
             t_own = self.spans[q]
             if not np.isfinite(min(t_row, t_own)):
@@ -521,27 +502,19 @@ def _simplex(lp: LinearProgram):
             return LpStatus.UNBOUNDED, None, stats
         return LpStatus.OPTIMAL, x, stats
 
-    # every row gets one logical column, basic at the start: a slack of span inf
-    # on a "<=" row (a ">=" row is negated), a fixed logical of span 0 on an "=" row
+    # every row gets one slack column of span inf, basic at the start
     n = n_struct + m
     dense = np.zeros((m + 1, n + 1))
-    sign = _ROW_SIGN[rows.relation]
-    # one scatter of every nonzero, its row's sign folded in; a repeated index
-    # in a row sums its coefficients
-    np.add.at(
-        dense.reshape(-1),
-        rows.row_of * (n + 1) + rows.indices,
-        rows.coeffs * (sgn[rows.indices] * sign[rows.row_of]),
-    )
+    # one scatter of every nonzero; a repeated index in a row sums its coefficients
+    cells = rows.row_of * (n + 1) + rows.indices
+    np.add.at(dense.reshape(-1), cells, rows.coeffs * sgn[rows.indices])
     dense[:m, n_main:n_struct] = -dense[:m, mirror]
-    dense[:m, n] = sign * (rows.rhs - rows.dot(off))
+    dense[:m, n] = rows.rhs - rows.dot(off)
     basis = n_struct + np.arange(m)
     dense[np.arange(m), basis] = 1.0
-    spans = np.concatenate(
-        [span, np.full(len(mirror), np.inf), np.where(rows.relation == _EQ, 0.0, np.inf)]
-    )
+    spans = np.concatenate([span, np.full(len(mirror) + m, np.inf)])
     # only a column of span inf can price below zero at its preferred bound;
-    # pricing it at 0 makes the all-logical basis dual feasible
+    # pricing it at 0 makes the all-slack basis dual feasible
     cost = np.zeros(n)
     cost[:n_main] = c * sgn
     cost[n_main:n_struct] = -cost[mirror]
@@ -584,9 +557,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     """
     lp.validate()
     status, x, stats = _simplex(lp)
-    iterations = stats.dual_iterations + stats.primal_iterations
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(status, None, None, iterations, stats)
+        return LpSolution(status, None, None, stats.iterations, stats)
     t0 = time.perf_counter()
     residuals = _violations(lp, x, 0.0)
     worst = max((v.amount for v in residuals), default=0.0)
@@ -598,4 +570,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise LpSolverError(
             f"solver returned an infeasible point ({len(bad)} violations, worst {worst:.3e})"
         )
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), iterations, stats)
+    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), stats.iterations, stats)

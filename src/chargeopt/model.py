@@ -18,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lp import (
-    GREATER_EQUAL,
-    LESS_EQUAL,
     LinearProgram,
     LpSolution,
     LpSolverError,
@@ -141,16 +139,16 @@ class Schedule:
         return np.maximum(self.charging_power.sum(axis=0) - self.solar_used, 0.0)
 
 
-def _demand_rows(sc: Scenario, vm: VariableMap, relation: str) -> Rows:
-    """One row per session: energy delivered over its plugged-in cells vs its requirement."""
+def _demand_rows(sc: Scenario, vm: VariableMap, sign: float) -> Rows:
+    """One row per session, ``sign * delivered <= sign * required``: ``sign`` -1 asks for at
+    least the requirement over the session's plugged-in cells, +1 for at most it."""
     coeff = sc.station.charge_efficiency * sc.grid.slot_hours
     first = np.searchsorted(vm.cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
     return Rows(
         first,
         np.arange(vm.num_charge),
-        np.full(vm.num_charge, coeff),
-        relation,
-        [sess.required_energy for sess in sc.sessions],
+        np.full(vm.num_charge, sign * coeff),
+        sign * np.array([sess.required_energy for sess in sc.sessions]),
     )
 
 
@@ -173,23 +171,23 @@ def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearPr
     bounds[purchases, 1] = sc.station.grid_capacity
     indptr, cols = vm.slot_rows(purchases=True)
     rows = [
-        _demand_rows(sc, vm, GREATER_EQUAL),
-        Rows(indptr, cols, np.where(cols < vm.num_charge, 1.0, -1.0), LESS_EQUAL, sc.solar.cap),
+        _demand_rows(sc, vm, -1.0),
+        Rows(indptr, cols, np.where(cols < vm.num_charge, 1.0, -1.0), sc.solar.cap),
     ]
     if vm.robust:
         obj[vm.budget_dual] = gamma
         obj[vm.budget_dual + 1 :] = 1.0
-        # dev_dual[t] + budget_dual - bound[t] * dt * purchase[t] >= 0
+        # bound[t] * dt * purchase[t] - dev_dual[t] - budget_dual <= -0.0, the negation
+        # of dev_dual[t] + budget_dual - bound[t] * dt * purchase[t] >= 0.0
         slot = np.arange(T)
         members = [vm.deviation_dual(0) + slot, np.full(T, vm.budget_dual), vm.purchase(0) + slot]
-        weights = [np.ones(T), np.ones(T), -sc.prices.deviation_bound * dt]
+        weights = [-np.ones(T), -np.ones(T), sc.prices.deviation_bound * dt]
         rows.append(
             Rows(
                 3 * np.arange(T + 1),
                 np.column_stack(members).ravel(),
                 np.column_stack(weights).ravel(),
-                GREATER_EQUAL,
-                np.zeros(T),
+                -np.zeros(T),
             )
         )
     return LinearProgram(vm.num_vars, obj, bounds, Rows.stack(rows))
@@ -240,8 +238,8 @@ def _max_delivery_lp(sc: Scenario) -> np.ndarray:
     bounds = np.column_stack([np.zeros(vm.num_charge), caps])
     obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
     indptr, cols = vm.slot_rows(purchases=False)
-    supply_rows = Rows(indptr, cols, np.ones(len(cols)), LESS_EQUAL, supply)
-    rows = Rows.stack([supply_rows, _demand_rows(sc, vm, LESS_EQUAL)])
+    supply_rows = Rows(indptr, cols, np.ones(len(cols)), supply)
+    rows = Rows.stack([supply_rows, _demand_rows(sc, vm, 1.0)])
     sol = solve_lp(LinearProgram(vm.num_charge, obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"delivery LP ended {sol.status}; it is feasible by construction")

@@ -157,8 +157,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
                 t0 = time.perf_counter()
                 schedule, adjs = solve_offline(window, cfg.gamma, cfg.demand_policy)
                 wall = time.perf_counter() - t0
-                stats = schedule.stats
-                iterations = stats.dual_iterations + stats.primal_iterations
+                iterations = schedule.stats.iterations
                 events.append(
                     SolveEvent(k, trigger, end - k, wall, iterations, len(members), len(adjs))
                 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import GREATER_EQUAL, LinearProgram, LpSolverError, LpStatus, Rows, solve_lp
+from .lp import LinearProgram, LpSolverError, LpStatus, Rows, solve_lp
 
 
 class DualityGapError(Exception):
@@ -82,7 +82,7 @@ def verify_dual_equivalence(
 ) -> float:
     """Check the dual route against the knapsack oracle; return the residual.
 
-    Solves ``min gamma*lam + sum(mu)`` with ``mu[t] + lam >= exposure[t]``
+    Solves ``min gamma*lam + sum(mu)`` with ``-mu[t] - lam <= -exposure[t]``
     through the LP engine and compares with :func:`worst_case_extra_cost`.
     Raises :class:`DualityGapError` if the residual exceeds
     ``rtol * (1 + oracle)``.
@@ -94,7 +94,7 @@ def verify_dual_equivalence(
     bounds = np.zeros((t + 1, 2))
     bounds[:, 1] = np.inf
     pairs = np.stack([np.zeros(t, dtype=np.intp), np.arange(1, t + 1)], axis=1)
-    rows = Rows(2 * np.arange(t + 1), pairs.ravel(), np.ones(2 * t), GREATER_EQUAL, terms)
+    rows = Rows(2 * np.arange(t + 1), pairs.ravel(), -np.ones(2 * t), -terms)
     sol = solve_lp(LinearProgram(t + 1, obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"protection dual LP ended {sol.status.value}")

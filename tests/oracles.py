@@ -10,25 +10,34 @@ from itertools import combinations
 
 import numpy as np
 
-from chargeopt.lp import EQUAL, GREATER_EQUAL, LESS_EQUAL, LinearProgram, Rows
+from chargeopt.lp import LinearProgram, Rows
 
-RELATIONS = (LESS_EQUAL, GREATER_EQUAL, EQUAL)  # a row's relation code indexes this
+LESS_EQUAL, GREATER_EQUAL, EQUAL = RELATIONS = ("<=", ">=", "=")
 
 
 def rows_of(rows) -> Rows:
-    """:class:`Rows` from ``(indices, coeffs, relation, rhs)`` tuples, one per row."""
-    rows = list(rows)
+    """:class:`Rows` from ``(indices, coeffs, relation, rhs)`` tuples, one per row.
+
+    A ``<=`` row is kept, a ``>=`` row negated, and an ``=`` row becomes the
+    ``<=`` row followed by its negation.
+    """
+    signs = {LESS_EQUAL: (1.0,), GREATER_EQUAL: (-1.0,), EQUAL: (1.0, -1.0)}
+    le = [
+        (indices, [s * c for c in coeffs], s * rhs)
+        for indices, coeffs, relation, rhs in rows
+        for s in signs[relation]
+    ]
     return Rows(
-        np.cumsum([0] + [len(indices) for indices, _, _, _ in rows]),
-        [j for indices, _, _, _ in rows for j in indices],
-        [c for _, coeffs, _, _ in rows for c in coeffs],
-        [RELATIONS.index(relation) for _, _, relation, _ in rows],
-        [rhs for _, _, _, rhs in rows],
+        np.cumsum([0] + [len(indices) for indices, _, _ in le]),
+        [j for indices, _, _ in le for j in indices],
+        [c for _, coeffs, _ in le for c in coeffs],
+        [rhs for _, _, rhs in le],
     )
 
 
 def random_box_lp(rng) -> LinearProgram:
-    """Random box-bounded LP with 2-6 variables and 2-8 mixed-relation rows."""
+    """Random box-bounded LP with 2-6 variables and 2-8 mixed-relation rows (an ``=`` row
+    reaches the program as two ``<=`` rows)."""
     n = int(rng.integers(2, 7))
     m = int(rng.integers(2, 9))
     lo = rng.uniform(-3, 0, n)
@@ -61,28 +70,17 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
     lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(up))):
         raise ValueError("vertex enumeration needs a bounded box")
-    rhs, relation = lp.constraints.rhs, lp.constraints.relation
+    rhs = lp.constraints.rhs
     m = len(rhs)
     rows = np.zeros((m, n))
     row_of = np.repeat(np.arange(m), np.diff(lp.constraints.indptr))
     # a repeated index in a row sums its coefficients
     np.add.at(rows, (row_of, lp.constraints.indices), lp.constraints.coeffs)
-    le, ge, eq = (relation == code for code in range(len(RELATIONS)))
-    # every feasible point makes each equality row active, and a vertex's active
-    # set can always include a maximal independent subset of them: force only
-    # that subset, and leave the dependent rows to the feasibility check
-    eq_rows = []
-    for k in np.flatnonzero(eq).tolist():
-        if np.linalg.matrix_rank(rows[eq_rows + [k]]) > len(eq_rows):
-            eq_rows.append(k)
 
     def best_feasible(X):
         ok = np.all(X >= lo - tol, axis=1) & np.all(X <= up + tol, axis=1)
         if m:
-            lhs = X @ rows.T
-            ok &= np.all(~le | (lhs <= rhs + tol), axis=1)
-            ok &= np.all(~ge | (lhs >= rhs - tol), axis=1)
-            ok &= np.all(~eq | (np.abs(lhs - rhs) <= tol), axis=1)
+            ok &= np.all(X @ rows.T <= rhs + tol, axis=1)
         if not ok.any():
             return None
         return float(np.min(X[ok] @ lp.objective))
@@ -90,9 +88,7 @@ def vertex_enumeration_optimum(lp: LinearProgram, tol: float = 1e-9):
     best = None
     for k in range(min(m, n) + 1):
         # every (k active rows, k free variables) pair at once, active-major
-        actives = [a for a in combinations(range(m), k) if all(e in a for e in eq_rows)]
-        if not actives:
-            continue  # the independent equality rows are always active
+        actives = list(combinations(range(m), k))
         frees = list(combinations(range(n), k))
         act = np.repeat(np.array(actives, dtype=int).reshape(len(actives), k), len(frees), axis=0)
         fr = np.tile(np.array(frees, dtype=int).reshape(len(frees), k), (len(actives), 1))
@@ -168,25 +164,8 @@ def highs_objective(lp: LinearProgram) -> float:
     from scipy.sparse import csr_matrix
 
     rows = lp.constraints
-    sign = np.where(rows.relation == RELATIONS.index(GREATER_EQUAL), -1.0, 1.0)
-    row_of = np.repeat(np.arange(len(rows.rhs)), np.diff(rows.indptr))
-
-    def stacked(keep):
-        """The rows in ``keep``, ``>=`` rows negated into ``<=``, as a CSR matrix and rhs."""
-        if not keep.any():
-            return None, None
-        renumber = np.cumsum(keep) - 1
-        nz = keep[row_of]
-        vals = (sign[row_of] * rows.coeffs)[nz]
-        mat = csr_matrix(
-            (vals, (renumber[row_of[nz]], rows.indices[nz])), shape=(keep.sum(), lp.num_vars)
-        )
-        return mat, (sign * rows.rhs)[keep]
-
-    eq = rows.relation == RELATIONS.index(EQUAL)
-    a_ub, b_ub = stacked(~eq)
-    a_eq, b_eq = stacked(eq)
-    res = linprog(lp.objective, a_ub, b_ub, a_eq, b_eq, bounds=lp.var_bounds, method="highs")
+    a_ub = csr_matrix((rows.coeffs, rows.indices, rows.indptr), shape=(len(rows), lp.num_vars))
+    res = linprog(lp.objective, a_ub, rows.rhs, bounds=lp.var_bounds, method="highs")
     if res.status != 0:
         raise RuntimeError(f"HiGHS did not reach an optimum: {res.message}")
     return float(res.fun)

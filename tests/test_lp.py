@@ -6,9 +6,6 @@ import numpy as np
 import pytest
 
 from chargeopt.lp import (
-    EQUAL,
-    GREATER_EQUAL,
-    LESS_EQUAL,
     Constraint,
     LinearProgram,
     LpFormatError,
@@ -28,7 +25,14 @@ from chargeopt.model import (
 )
 from chargeopt.scenario import StationConfig
 from chargeopt.synth import bench_scenario, random_scenario
-from oracles import RELATIONS, random_box_lp, rows_of, vertex_enumeration_optimum
+from oracles import (
+    EQUAL,
+    GREATER_EQUAL,
+    LESS_EQUAL,
+    random_box_lp,
+    rows_of,
+    vertex_enumeration_optimum,
+)
 
 INF = float("inf")
 
@@ -501,36 +505,47 @@ def test_dump_lp_one_line_per_constraint():
         2,
         [1.0, 0.0],
         [[0.0, 1.0], [0.0, INF]],
-        rows_of([((0, 1), (1.0, -2.0), LESS_EQUAL, 3.0)]),
+        rows_of([((0, 1), (1.0, -2.0), LESS_EQUAL, 3.0), ((0,), (1.0,), GREATER_EQUAL, 0.5)]),
     )
     text = dump_lp(lp)
     lines = [l for l in text.splitlines() if l.startswith("c: ")]
-    assert lines == ["c: 0:1.0 1:-2.0 <= 3.0"]
+    assert lines == ["c: 0:1.0 1:-2.0 <= 3.0", "c: 0:-1.0 <= -0.5"]
 
 
 class TestRows:
-    """Rows are CSR arrays; reading a row back gives its :class:`Constraint` tuple."""
+    """Rows are CSR arrays of ``<=`` rows; reading a row back gives its :class:`Constraint`."""
 
     CONS = [
         ((0, 2), (1.0, -2.5), LESS_EQUAL, 3.0),
         ((), (), EQUAL, 0.0),
         ((1, 1, 0), (0.5, 0.5, 4.0), GREATER_EQUAL, -1.0),
     ]
-    ROWS = Rows([0, 2, 2, 5], [0, 2, 1, 1, 0], [1.0, -2.5, 0.5, 0.5, 4.0], [0, 2, 1], [3.0, 0.0, -1.0])
+    # the same rows as ``<=`` rows: the "=" row as a pair, the ">=" row negated
+    READ = [
+        Constraint((0, 2), (1.0, -2.5), 3.0),
+        Constraint((), (), 0.0),
+        Constraint((), (), -0.0),
+        Constraint((1, 1, 0), (-0.5, -0.5, -4.0), 1.0),
+    ]
+    ROWS = Rows(
+        [0, 2, 2, 2, 5], [0, 2, 1, 1, 0], [1.0, -2.5, -0.5, -0.5, -4.0], [3.0, 0.0, -0.0, 1.0]
+    )
 
     def test_constraints_read_back(self):
         lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
-        assert list(lp.constraints) == [Constraint(*con) for con in self.CONS]
-        assert lp.constraints[-1] == Constraint(*self.CONS[-1])
-        assert lp.constraints.indptr.tolist() == [0, 2, 2, 5]
-        assert lp.constraints.relation.tolist() == [0, 2, 1]
+        assert list(lp.constraints) == self.READ
+        assert lp.constraints[-1] == self.READ[-1]
+        assert lp.constraints.indptr.tolist() == [0, 2, 2, 2, 5]
+        assert lp.constraints.rhs.tolist() == [3.0, 0.0, -0.0, 1.0]
         with pytest.raises(IndexError):
-            lp.constraints[3]
+            lp.constraints[4]
+        with pytest.raises(TypeError):
+            Rows([0, 1], [0], [1.0], [0], [1.0])  # no relation field
 
     def test_replace_and_concatenate(self):
         lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
         doubled = dataclasses.replace(lp, constraints=Rows.stack([lp.constraints] * 2))
-        assert list(doubled.constraints) == [Constraint(*con) for con in self.CONS * 2]
+        assert list(doubled.constraints) == self.READ * 2
         assert len(dataclasses.replace(lp, constraints=rows_of([])).constraints) == 0
         assert len(LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3).constraints) == 0
 
@@ -538,27 +553,27 @@ class TestRows:
         listed = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
         arrays = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, self.ROWS)
         assert dump_lp(listed) == dump_lp(arrays)
-        for name in ("indptr", "indices", "coeffs", "relation", "rhs"):
+        for name in ("indptr", "indices", "coeffs", "rhs"):
             got, want = getattr(listed.constraints, name), getattr(self.ROWS, name)
             assert got.dtype == want.dtype and np.array_equal(got, want)
         sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
         for built, _ in (build_nominal_lp(sc), build_robust_lp(sc, 12.0)):
-            read = [(c.indices, c.coeffs, c.relation, c.rhs) for c in built.constraints]
+            read = [(c.indices, c.coeffs, LESS_EQUAL, c.rhs) for c in built.constraints]
             relisted = dataclasses.replace(built, constraints=rows_of(read))
             assert dump_lp(relisted) == dump_lp(built)
 
     @pytest.mark.parametrize(
         "rows, message",
         [
-            (Rows([0, 2], [0, 3], [1.0, 1.0], "<=", [1.0]), "constraint 0: variable index 3"),
-            (Rows([0, 1, 2], [0, -1], [1.0, 1.0], "<=", [1.0, 1.0]), "constraint 1: variable index -1"),
-            (Rows([0, 1], [0], [1.0], [3], [1.0]), "constraint 0: unknown relation code 3"),
-            (Rows([0, 1], [0], [1.0], "<=", [np.nan]), "constraint 0: non-finite right-hand side"),
-            (Rows([0, 2, 1], [0, 1], [1.0, 1.0], "<=", [1.0, 1.0]), "not in CSR form"),
-            (Rows([0, 2], [0, 1], [1.0], "<=", [1.0]), "not in CSR form"),
-            (Rows([0, 1, 3], [0, 0, 1], [1.0, np.nan, 1.0], ">=", [1.0, 1.0]),
+            (Rows([0, 2], [0, 3], [1.0, 1.0], [1.0]), "constraint 0: variable index 3"),
+            (Rows([0, 1, 2], [0, -1], [1.0, 1.0], [1.0, 1.0]), "constraint 1: variable index -1"),
+            (Rows([0, 1], [0], [1.0], [1.0, 1.0]), "not in CSR form"),  # two rhs, one row
+            (Rows([0, 1], [0], [1.0], [np.nan]), "constraint 0: non-finite right-hand side"),
+            (Rows([0, 2, 1], [0, 1], [1.0, 1.0], [1.0, 1.0]), "not in CSR form"),
+            (Rows([0, 2], [0, 1], [1.0], [1.0]), "not in CSR form"),
+            (Rows([0, 1, 3], [0, 0, 1], [1.0, np.nan, 1.0], [1.0, 1.0]),
              "constraint 1: non-finite coefficient"),
-            (Rows([0, 1, 3], [0, 0, 1], [1.0, 1.0, -np.inf], ">=", [1.0, 1.0]),
+            (Rows([0, 1, 3], [0, 0, 1], [1.0, 1.0, -np.inf], [1.0, 1.0]),
              "constraint 1: non-finite coefficient"),
         ],
     )
@@ -577,9 +592,7 @@ class TestRows:
                 span = slice(rows.indptr[k], rows.indptr[k + 1])
                 lhs = sum(c * x[j] for j, c in zip(rows.indices[span], rows.coeffs[span]))
                 lhs_by_row.append(lhs)
-                gap = {LESS_EQUAL: lhs - rhs, GREATER_EQUAL: rhs - lhs}.get(
-                    RELATIONS[rows.relation[k]], abs(lhs - rhs)
-                )
+                gap = lhs - rhs
                 if gap > 1e-6:
                     expected[k] = gap
             assert rows.dot(x).tolist() == lhs_by_row
@@ -589,7 +602,7 @@ class TestRows:
                 assert got[k] == pytest.approx(gap, rel=1e-12, abs=1e-12)
 
     def test_constraint_list_raises(self):
-        for constraints in ([Constraint((0,), (1.0,), LESS_EQUAL, 1.0)], [], ()):
+        for constraints in ([Constraint((0,), (1.0,), 1.0)], [], ()):
             kind = type(constraints).__name__
             with pytest.raises(LpFormatError, match=f"constraints must be Rows, got {kind}"):
                 LinearProgram(1, [1.0], [[0.0, 1.0]], constraints)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chargeopt.scenario import (
+    MAX_DEVIATION_FRACTION,
     ChargingSession,
     DeviationRule,
     PriceSeries,
@@ -302,6 +303,13 @@ class TestBuildScenario:
             DeviationRule.proportional(0.25),
         )
         assert np.allclose(sc.prices.deviation_bound, 0.02)
+
+    def test_deviation_fraction_above_the_solver_limit_rejected(self):
+        # bounds beyond the limit put the robust LP's dual columns below the pivot tolerance
+        assert DeviationRule.proportional(MAX_DEVIATION_FRACTION).fraction == 1e3
+        for fraction in (np.nextafter(1e3, np.inf), 1e10):
+            with pytest.raises(ScenarioError, match=r"must be finite and in \[0, 1000\], got"):
+                DeviationRule.proportional(fraction)
 
     def test_absolute_deviation_rule(self):
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), 1.0, 10.0)
