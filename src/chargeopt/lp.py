@@ -33,15 +33,20 @@ fixed column never enters the basis.
 
 A pivot is one rank-1 update of the whole tableau, matrix, basic values and
 reduced costs together.  It touches only the rows where the pivot column is
-nonzero, and in them only the columns where the pivot row is nonzero.  Every
-other entry would change by an exact zero, so the pivots are the same as
-with a full dense update while the work follows the sparsity.  A bound flip
-negates whole columns, reduced-cost row included.
+nonzero, and in them only the columns where the pivot row is nonzero.  A
+cell whose subtraction cancels, ``|new| <= CANCELLATION_TOL * |old|``, is
+written as an exact zero (Maros, *Computational Techniques of the Simplex
+Method*, 2003): a true result that small would carry a relative rounding
+error of at least 1e-4, so no meaningful digit is lost, and the rounding
+residue does not become fill that later pivots must carry.  A cell that was
+zero keeps whatever the update writes.  A bound flip negates whole columns,
+reduced-cost row included.
 
 The tolerances are fixed: ``FEASIBILITY_TOL`` for bound and row violations,
-``PIVOT_TOL`` for pivot elements and ``REDUCED_COST_TOL`` for pricing.  Every
-tie-break is by lowest index, so re-solving the same program gives a
-bit-identical result.
+``PIVOT_TOL`` for pivot elements, ``REDUCED_COST_TOL`` for pricing and
+``CANCELLATION_TOL`` for the pivots' cancellation rule.  Every tie-break is
+by lowest index, so re-solving the same program gives a bit-identical
+result.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ import numpy as np
 FEASIBILITY_TOL = 1e-6
 PIVOT_TOL = 1e-7
 REDUCED_COST_TOL = 1e-7
+CANCELLATION_TOL = 1e-12
 
 
 class LpError(Exception):
@@ -224,7 +230,8 @@ class SolverStats:
     """What the simplex did on one solve.
 
     ``bound_flips`` counts the columns the ratio tests moved to their other
-    bound instead of pivoting them in.  ``check_seconds`` and
+    bound instead of pivoting them in, and ``pivot_cells`` the tableau cells
+    the pivots' rank-1 updates rewrote.  ``check_seconds`` and
     ``worst_residual`` (the largest bound or row violation of the returned
     point, 0 when it violates none) describe the final feasibility check and
     stay 0 and ``None`` when no point is returned.
@@ -233,6 +240,7 @@ class SolverStats:
     dual_iterations: int
     primal_iterations: int
     bound_flips: int
+    pivot_cells: int
     bland: bool  # whether Bland's rule chose any iteration of either phase
     dual_seconds: float
     primal_seconds: float
@@ -326,15 +334,17 @@ class _Tableau:
         self.red = tab[m, :n]
         self.spans = spans  # (n,) upper range of each column variable, inf allowed
         self.basis = basis  # (m,) column index basic in each row
+        self.basic_span = spans[basis]  # (m,) span of each row's basic variable
         self.flipped = np.zeros(n, dtype=bool)
-        # columns that may not enter: the basic ones, and the fixed ones (span 0),
-        # which cannot move and so are dual feasible at any reduced cost
-        self.locked = spans == 0
-        self.locked[basis] = True
+        # columns that may enter: neither basic nor fixed (span 0); a fixed column
+        # cannot move and so is dual feasible at any reduced cost
+        self.enterable = spans != 0
+        self.enterable[basis] = False
         self.bland_after = self.bland_factor * (m + n)
         self.max_iter = 50_000 + 200 * (m + n)
         self.iterations = 0
         self.flips = 0  # columns moved to their other bound by a ratio test
+        self.pivot_cells = 0  # cells rewritten by the pivots' rank-1 updates
         self.bland = False  # whether Bland's rule chose any iteration
 
     def _bland_due(self) -> bool:
@@ -350,8 +360,8 @@ class _Tableau:
         red = self.red
         while True:
             bland = self._bland_due()
-            rhs = self.rhs.copy()  # one pass over the strided last column
-            above = rhs - self.spans[self.basis]
+            rhs = self.rhs
+            above = rhs - self.basic_span
             viol = np.maximum(-rhs, above)
             if bland:
                 # dual Bland rule: the violated row with the lowest basic index
@@ -367,7 +377,7 @@ class _Tableau:
             # raising nonbasic column j by t moves the leaving variable by -mat[r, j] * t;
             # slope[j] > 0 moves it towards the bound it violates
             slope = self.mat[r] if leaves_at_upper else -self.mat[r]
-            cand = ((slope > PIVOT_TOL) & ~self.locked).nonzero()[0]
+            cand = ((slope > PIVOT_TOL) & self.enterable).nonzero()[0]
             if not len(cand):
                 return LpStatus.INFEASIBLE
             ratios = np.maximum(red[cand], 0.0) / slope[cand]
@@ -398,7 +408,7 @@ class _Tableau:
         m = self.mat.shape[0]
         while True:
             bland = self._bland_due()
-            masked = np.where(self.locked, np.inf, self.red)
+            masked = np.where(self.enterable, self.red, np.inf)
             if bland:
                 eligible = (masked < -REDUCED_COST_TOL).nonzero()[0]
                 q = int(eligible[0]) if len(eligible) else -1
@@ -411,7 +421,7 @@ class _Tableau:
             ratios = np.full(m, np.inf)
             pos = col > PIVOT_TOL
             ratios[pos] = np.maximum(self.rhs[pos], 0.0) / col[pos]
-            bspan = self.spans[self.basis]
+            bspan = self.basic_span
             neg = (col < -PIVOT_TOL) & np.isfinite(bspan)
             ratios[neg] = (self.rhs[neg] - bspan[neg]) / col[neg]
             ratios = np.maximum(ratios, 0.0)
@@ -457,10 +467,17 @@ class _Tableau:
         rows = col.nonzero()[0]
         cols = prow.nonzero()[0]
         cells = (rows[:, None] * len(prow) + cols).ravel()
-        tab.reshape(-1)[cells] -= np.multiply.outer(col[rows], prow[cols]).ravel()
+        flat = tab.reshape(-1)
+        new = flat[cells]
+        cancels = np.abs(new) * CANCELLATION_TOL
+        new -= np.multiply.outer(col[rows], prow[cols]).ravel()
+        new[np.abs(new) <= cancels] = 0.0  # rounding residue, not fill for later pivots
+        flat[cells] = new
+        self.pivot_cells += len(cells)
         self.basis[r] = q
-        self.locked[q] = True
-        self.locked[leaving] = self.spans[leaving] == 0
+        self.basic_span[r] = self.spans[q]
+        self.enterable[q] = False
+        self.enterable[leaving] = self.spans[leaving] != 0
         if leaves_at_upper:
             self._flip([leaving])
 
@@ -496,7 +513,7 @@ def _simplex(lp: LinearProgram):
     m = len(rows)
     if m == 0:
         # pure box problem: each variable sits at whichever bound its cost prefers
-        stats = SolverStats(0, 0, 0, False, 0.0, 0.0)
+        stats = SolverStats(0, 0, 0, 0, False, 0.0, 0.0)
         x = np.where(c > 0, lo, np.where(c < 0, up, off))
         if not np.all(np.isfinite(x)):
             return LpStatus.UNBOUNDED, None, stats
@@ -534,6 +551,7 @@ def _simplex(lp: LinearProgram):
         dual_iterations,
         tab.iterations - dual_iterations,
         tab.flips,
+        tab.pivot_cells,
         tab.bland,
         t1 - t0,
         time.perf_counter() - t1,

@@ -147,6 +147,7 @@ class TestSimulate:
             stats = record["stats"]
             assert stats["dual_iterations"] + stats["primal_iterations"] == sol.iterations > 0
             assert stats["bound_flips"] == sol.stats.bound_flips
+            assert stats["pivot_cells"] == sol.stats.pivot_cells > 0
             assert stats["worst_residual"] is not None and stats["worst_residual"] <= 1e-6
 
     @pytest.mark.parametrize("policy", [["--policy", "robust"], ["--policy", "mpc"], []])

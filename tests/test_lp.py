@@ -500,6 +500,49 @@ class TestDegeneracyAndDeterminism:
                 assert abs(sol.objective_value - direct) <= 1e-9 * (1 + abs(direct))
 
 
+class TestPivot:
+    """One pivot on a hand-built tableau: basis (4, 5), pivot on row 0, column 0.
+
+    The pivot row is ``[1, 3, 2, 9.99999999, 1, 0 | 3]`` and the pivot column holds 0.1
+    in row 1 and in the reduced-cost row, so each of their cells changes by 0.1
+    times the pivot row's entry.
+    """
+
+    @staticmethod
+    def pivoted():
+        tab = np.array(
+            [
+                [1.0, 3.0, 2.0, 9.99999999, 1.0, 0.0, 3.0],
+                [0.1, 0.3, 0.0, 1.0, 0.0, 1.0, 0.3],
+                [0.1, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0],
+            ]
+        )
+        spans = np.array([1.0, INF, INF, INF, INF, INF])
+        tab = _Tableau(tab, spans, np.array([4, 5]))
+        tab._pivot(0, 0, leaves_at_upper=False)
+        return tab
+
+    def test_cancelling_cells_become_exact_zeros(self):
+        assert 0.3 - 0.1 * 3.0 != 0.0  # the residue the rule removes
+        tab = self.pivoted()
+        # the matrix cell, the basic value and the reduced cost
+        assert tab.tab[1, 1] == tab.rhs[1] == tab.red[1] == 0.0
+        assert tab.pivot_cells == 12  # rows 1 and 2, columns 0-4 and the basic values
+        assert tab.basis.tolist() == [0, 5]
+        assert tab.basic_span.tolist() == [1.0, INF]
+        assert tab.enterable.tolist() == [False, True, True, True, True, False]
+
+    def test_fill_cells_are_kept(self):
+        tab = self.pivoted()
+        assert tab.tab[1, [2, 4]].tolist() == [-0.2, -0.1]
+        assert tab.red[[2, 4]].tolist() == [-0.2, -0.1]
+
+    def test_results_far_above_the_tolerance_are_kept(self):
+        tab = self.pivoted()
+        # 1 - 0.999999999: a result of 1e-9 relative to the old value is not residue
+        assert tab.tab[1, 3] == 1.0 - 0.1 * 9.99999999 == pytest.approx(1e-9, rel=1e-6)
+
+
 def test_dump_lp_one_line_per_constraint():
     lp = LinearProgram(
         2,
@@ -608,18 +651,27 @@ class TestRows:
                 LinearProgram(1, [1.0], [[0.0, 1.0]], constraints)
 
 
-# (iterations, objective repr) of the delivery, nominal and robust (budget 12)
-# LPs of two congested synthetic days; a change of the kernel's arithmetic or
-# of its pivot choices shows here.  The second day puts more than 32 sessions
-# in some slot rows.
+# (iterations, pivot cells, objective repr) of the delivery, nominal and robust
+# (budget 12) LPs of two congested synthetic days; a change of the kernel's
+# arithmetic or of its pivot choices shows here, and so does rounding residue
+# that fills the tableau again.  The second day puts more than 32 sessions in
+# some slot rows.
 PINNED = [
     (
         dict(seed=1, num_slots=48),
-        [(104, "-1875.2901459269856"), (223, "171.05853327497323"), (243, "186.53005903232005")],
+        [
+            (105, 3222, "-1875.2901459269854"),
+            (236, 40670, "171.05853327497323"),
+            (248, 46462, "186.53005903232005"),
+        ],
     ),
     (
         dict(seed=2, num_slots=24, peak_overlap=True),
-        [(14, "-446.41016378711856"), (67, "39.87578332112572"), (80, "49.84472915140715")],
+        [
+            (14, 1494, "-446.41016378711856"),
+            (67, 40971, "39.87578332112572"),
+            (80, 47892, "49.84472915140715"),
+        ],
     ),
 ]
 
@@ -639,4 +691,6 @@ def test_kernel_is_pinned(monkeypatch, kwargs, expected):
     assert adjustments  # the delivery LP was solved
     solve_deliverable(eff)
     solve_deliverable(eff, 12.0)
-    assert [(s.iterations, repr(s.objective_value)) for s in solved] == expected
+    assert [
+        (s.iterations, s.stats.pivot_cells, repr(s.objective_value)) for s in solved
+    ] == expected
