@@ -36,7 +36,6 @@ from .model import (
 )
 from .mpc import MpcConfig, run_online, trace_to_json_dict, write_events_csv
 from .scenario import (
-    MAX_DEVIATION_FRACTION,
     DeviationRule,
     ScenarioError,
     SolarSeries,
@@ -155,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(args):
     _check("--hours", args.hours, 1)
-    if args.deviation_fraction > MAX_DEVIATION_FRACTION:  # DeviationRule names nan and < 0
-        _check("--deviation-fraction", args.deviation_fraction, 0, MAX_DEVIATION_FRACTION)
     deviation = DeviationRule.proportional(args.deviation_fraction)
     grid = TimeGrid(args.start, args.hours, args.slot_hours)
     station = StationConfig(
@@ -374,10 +371,19 @@ def main(argv=None) -> int:
     handler = {"simulate": cmd_simulate, "sensitivity": cmd_sensitivity, "bench": cmd_bench}
     try:
         args = build_parser().parse_args(argv)
-        return handler[args.command](args)
+        # a cost past the float range is an input error, not an infinite report
+        with np.errstate(over="raise"):
+            return handler[args.command](args)
     except DemandInfeasibleError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except FloatingPointError as exc:
+        print(
+            f"error: a cost overflows ({exc}): --deviation-fraction, --gamma or the prices "
+            "are too large",
+            file=sys.stderr,
+        )
+        return 1
     except (ScenarioError, LpError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

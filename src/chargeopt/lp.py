@@ -40,7 +40,9 @@ Method*, 2003): a true result that small would carry a relative rounding
 error of at least 1e-4, so no meaningful digit is lost, and the rounding
 residue does not become fill that later pivots must carry.  A cell that was
 zero keeps whatever the update writes.  A bound flip negates whole columns,
-reduced-cost row included.
+reduced-cost row included; a variable that leaves the basis at its upper
+bound is flipped in its pivot row before the update, which then writes its
+column already flipped.
 
 The tolerances are fixed: ``FEASIBILITY_TOL`` for bound and row violations,
 ``PIVOT_TOL`` for pivot elements, ``REDUCED_COST_TOL`` for pricing and
@@ -229,6 +231,7 @@ class Violation:
 class SolverStats:
     """What the simplex did on one solve.
 
+    ``rows`` and ``cols`` give the size of the program solved.
     ``bound_flips`` counts the columns the ratio tests moved to their other
     bound instead of pivoting them in, and ``pivot_cells`` the tableau cells
     the pivots' rank-1 updates rewrote.  ``check_seconds`` and
@@ -237,6 +240,8 @@ class SolverStats:
     stay 0 and ``None`` when no point is returned.
     """
 
+    rows: int
+    cols: int
     dual_iterations: int
     primal_iterations: int
     bound_flips: int
@@ -461,6 +466,12 @@ class _Tableau:
         col = tab[:, q].copy()
         col[r] = 0.0
         prow = tab[r]
+        if leaves_at_upper:
+            # the leaving variable y becomes span - y in the pivot row, so the update
+            # below writes its column and the basic values already flipped
+            prow[-1] -= self.spans[leaving] * prow[leaving]
+            prow[leaving] = -prow[leaving]
+            self.flipped[leaving] = ~self.flipped[leaving]
         # one rank-1 update of matrix, basic values and reduced costs; it would
         # subtract exact zeros outside the rows where the pivot column is nonzero
         # and the columns where the pivot row is
@@ -478,8 +489,6 @@ class _Tableau:
         self.basic_span[r] = self.spans[q]
         self.enterable[q] = False
         self.enterable[leaving] = self.spans[leaving] != 0
-        if leaves_at_upper:
-            self._flip([leaving])
 
     def values(self, ncols: int) -> np.ndarray:
         """Current value of the first ``ncols`` column variables, flips undone."""
@@ -513,7 +522,7 @@ def _simplex(lp: LinearProgram):
     m = len(rows)
     if m == 0:
         # pure box problem: each variable sits at whichever bound its cost prefers
-        stats = SolverStats(0, 0, 0, 0, False, 0.0, 0.0)
+        stats = SolverStats(m, n_main, 0, 0, 0, 0, False, 0.0, 0.0)
         x = np.where(c > 0, lo, np.where(c < 0, up, off))
         if not np.all(np.isfinite(x)):
             return LpStatus.UNBOUNDED, None, stats
@@ -548,6 +557,8 @@ def _simplex(lp: LinearProgram):
         tab.red[tab.basis] = 0.0
         status = tab.run()
     stats = SolverStats(
+        m,
+        n_main,
         dual_iterations,
         tab.iterations - dual_iterations,
         tab.flips,

@@ -4,9 +4,21 @@ The nominal program minimizes grid energy cost over the charging powers of
 the plugged-in (session, slot) cells and the per-slot net purchases, bounded
 by the grid capacity.  Free solar is substituted out: a supply row
 ``load[t] - purchase[t] <= S_t`` replaces the paper's grid-cap and
-net-purchase rows, and the decoder sets ``solar_used = min(load, S)``.  The
-robust variant adds a budget-priced scalar dual plus one dual per slot, tied
-to the net purchases by the dual feasibility rows.
+net-purchase rows, and the decoder sets ``solar_used = min(load, S)``.
+
+A slot whose purchase is already known gets no purchase column.  A dark
+slot (``S_t = 0``) buys its load: its cells carry the price, and it keeps
+only the row ``load[t] <= G``, where its socket caps sum above ``G``.  A
+slot whose socket caps sum to at most ``S_t`` buys nothing and has no row.
+
+The robust variant adds a budget-priced scalar dual plus one dual per slot,
+tied to the net purchases (a dark slot's load) by the dual feasibility rows
+``bound[t] * dt * purchase[t] <= dev[t] + budget`` of Bertsimas and Sim
+(Oper. Res. 52(1), 2004).  Each row is divided by its ``b_t = bound[t] *
+dt``, with ``dev[t] = b_t * mu[t]`` and ``budget = s * scaled`` for ``s =
+max b_t``, so every entry of the row is a ratio of bounds, whatever their
+size (Tomlin, Math. Prog. Study 4, 1975).  A slot with ``b_t = 0``, or with
+nothing to buy, has no dual row, since that row cannot bind.
 """
 
 from __future__ import annotations
@@ -63,54 +75,66 @@ class VariableMap:
     """Column layout of a charging LP.
 
     Columns run one charging power per plugged-in cell (``availability >
-    0``), session-major, then one net purchase per slot, then for robust
-    programs the budget dual followed by the per-slot deviation duals.
-    Cells where the session is not plugged in have no column.  ``cells``
-    holds the flat index ``i * num_slots + t`` of each charging column.
+    0``), session-major, then one net purchase per slot of ``bought``, then
+    for robust programs the scaled budget dual followed by one scaled
+    deviation dual per slot of ``protected``.  Cells where the session is not
+    plugged in have no column.  ``cells`` holds the flat index ``i *
+    num_slots + t`` of each charging column.
+
+    A slot buys its load where it has no solar (``dark``), and nothing where
+    its socket caps sum to at most its solar; neither has a purchase column.
+    ``bought`` lists the other slots, ``capped`` the dark slots whose socket
+    caps sum above the grid capacity, and ``protected`` the slots with a
+    positive deviation bound and something to buy: a purchase column, or a
+    dark slot's plugged-in cells.
     """
 
     num_sessions: int
     num_slots: int
     robust: bool
     cells: np.ndarray
+    dark: np.ndarray  # (T,) bool
+    bought: np.ndarray
+    capped: np.ndarray
+    protected: np.ndarray
 
     @classmethod
     def for_scenario(cls, sc: Scenario, robust: bool) -> "VariableMap":
-        return cls(sc.num_sessions, sc.num_slots, robust, np.flatnonzero(sc.availability > 0))
+        caps = _socket_caps(sc).sum(axis=0)
+        dark = sc.solar.cap == 0
+        bought = ~dark & (caps > sc.solar.cap)
+        capped = dark & (caps > sc.station.grid_capacity)
+        protected = (bought | (dark & (caps > 0))) & (sc.prices.deviation_bound > 0) & robust
+        return cls(
+            sc.num_sessions,
+            sc.num_slots,
+            robust,
+            np.flatnonzero(sc.availability > 0),
+            dark,
+            bought.nonzero()[0],
+            capped.nonzero()[0],
+            protected.nonzero()[0],
+        )
 
     @property
     def num_charge(self) -> int:
         return len(self.cells)
 
-    def purchase(self, t: int) -> int:
-        return self.num_charge + t
+    @property
+    def purchases(self) -> np.ndarray:
+        """The purchase column of each slot of ``bought``."""
+        return self.num_charge + np.arange(len(self.bought))
 
     @property
     def budget_dual(self) -> int:
         if not self.robust:
             raise ValueError("nominal programs have no protection variables")
-        return self.num_charge + self.num_slots
-
-    def deviation_dual(self, t: int) -> int:
-        return self.budget_dual + 1 + t
+        return self.num_charge + len(self.bought)
 
     @property
     def num_vars(self) -> int:
-        base = self.num_charge + self.num_slots
-        return base + self.num_slots + 1 if self.robust else base
-
-    def slot_rows(self, purchases: bool) -> tuple[np.ndarray, np.ndarray]:
-        """One row per slot listing the charging columns of the sessions plugged in
-        there, in session order, then with ``purchases`` the slot's purchase column,
-        as ``(indptr, columns)``: slot ``t`` holds ``columns[indptr[t]:indptr[t + 1]]``."""
-        slot_of = self.cells % self.num_slots
-        if purchases:
-            slot_of = np.concatenate([slot_of, np.arange(self.num_slots)])
-        indptr = np.zeros(self.num_slots + 1, dtype=np.intp)
-        np.cumsum(np.bincount(slot_of, minlength=self.num_slots), out=indptr[1:])
-        # the charging columns come first and the purchases follow them, so a
-        # column's index is its position in slot_of
-        return indptr, np.argsort(slot_of, kind="stable")
+        base = self.num_charge + len(self.bought)
+        return base + 1 + len(self.protected) if self.robust else base
 
 
 @dataclass(frozen=True)
@@ -158,36 +182,70 @@ def _socket_caps(sc: Scenario) -> np.ndarray:
     return max_power[:, None] * sc.availability
 
 
+def _rows(row: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray) -> Rows:
+    """Rows from one ``(row, column, weight)`` entry each; a row keeps its entries in the
+    order given."""
+    indptr = np.zeros(len(rhs) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row, minlength=len(rhs)), out=indptr[1:])
+    order = np.argsort(row, kind="stable")
+    return Rows(indptr, cols[order], coeffs[order], rhs)
+
+
+def _deviation_scales(sc: Scenario, vm: VariableMap) -> tuple[np.ndarray, np.float64]:
+    """``b_t = bound[t] * dt`` over the protected slots and their largest, ``s``: the robust
+    rows scale deviation dual ``t`` by ``b_t`` and the budget dual by ``s``.  ``s`` stays a
+    numpy scalar, so that a product past the float range warns."""
+    b = sc.prices.deviation_bound[vm.protected] * sc.grid.slot_hours
+    return b, b.max(initial=0.0)
+
+
 def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearProgram:
-    """Demand rows, one supply row ``load[t] - purchase[t] <= S_t`` per slot, then for
-    robust maps the dual rows; socket and grid caps are column bounds."""
+    """Demand rows, one supply row per bought or capped slot, then for robust maps one
+    dual row per protected slot; socket and grid caps are column bounds."""
     T, dt = sc.num_slots, sc.grid.slot_hours
-    purchases = slice(vm.purchase(0), vm.purchase(0) + T)
+    nc, purchases = vm.num_charge, vm.purchases
+    slot = vm.cells % T
+    price = sc.prices.nominal * dt
     obj = np.zeros(vm.num_vars)
-    obj[purchases] = sc.prices.nominal * dt
+    obj[:nc] = np.where(vm.dark[slot], price[slot], 0.0)  # a dark slot buys its load
+    obj[purchases] = price[vm.bought]
     bounds = np.zeros((vm.num_vars, 2))
     bounds[:, 1] = INF
-    bounds[: vm.num_charge, 1] = _socket_caps(sc).reshape(-1)[vm.cells]
+    bounds[:nc, 1] = _socket_caps(sc).reshape(-1)[vm.cells]
     bounds[purchases, 1] = sc.station.grid_capacity
-    indptr, cols = vm.slot_rows(purchases=True)
+    # load[t] - purchase[t] <= S_t at a bought slot, load[t] <= G at a capped one
+    supplied = np.sort(np.concatenate([vm.bought, vm.capped]))  # bought slots are not dark
+    row_of = np.full(T, -1)
+    row_of[supplied] = np.arange(len(supplied))
+    live = (row_of[slot] >= 0).nonzero()[0]
     rows = [
         _demand_rows(sc, vm, -1.0),
-        Rows(indptr, cols, np.where(cols < vm.num_charge, 1.0, -1.0), sc.solar.cap),
+        _rows(
+            np.concatenate([row_of[slot[live]], row_of[vm.bought]]),
+            np.concatenate([live, purchases]),
+            np.concatenate([np.ones(len(live)), -np.ones(len(purchases))]),
+            np.where(vm.dark[supplied], sc.station.grid_capacity, sc.solar.cap[supplied]),
+        ),
     ]
     if vm.robust:
-        obj[vm.budget_dual] = gamma
-        obj[vm.budget_dual + 1 :] = 1.0
-        # bound[t] * dt * purchase[t] - dev_dual[t] - budget_dual <= -0.0, the negation
-        # of dev_dual[t] + budget_dual - bound[t] * dt * purchase[t] >= 0.0
-        slot = np.arange(T)
-        members = [vm.deviation_dual(0) + slot, np.full(T, vm.budget_dual), vm.purchase(0) + slot]
-        weights = [-np.ones(T), -np.ones(T), sc.prices.deviation_bound * dt]
+        # the dual row dev[t] + budget >= b_t * purchase[t] with dev[t] = b_t * mu[t] and
+        # budget = s * scaled, over b_t: purchase[t] - mu[t] - (s / b_t) * scaled <= 0, where
+        # a dark slot's load stands for its purchase
+        b, s = _deviation_scales(sc, vm)
+        k = np.arange(len(b))
+        mu = vm.budget_dual + 1 + k
+        obj[vm.budget_dual] = gamma * s
+        obj[mu] = b
+        dual_row = np.full(T, -1)
+        dual_row[vm.protected] = k
+        loads = (vm.dark[slot] & (dual_row[slot] >= 0)).nonzero()[0]
+        buys = (dual_row[vm.bought] >= 0).nonzero()[0]
         rows.append(
-            Rows(
-                3 * np.arange(T + 1),
-                np.column_stack(members).ravel(),
-                np.column_stack(weights).ravel(),
-                -np.zeros(T),
+            _rows(
+                np.concatenate([dual_row[slot[loads]], dual_row[vm.bought[buys]], k, k]),
+                np.concatenate([loads, purchases[buys], mu, np.full(len(k), vm.budget_dual)]),
+                np.concatenate([np.ones(len(loads) + len(buys)), -np.ones(len(k)), -s / b]),
+                np.zeros(len(k)),
             )
         )
     return LinearProgram(vm.num_vars, obj, bounds, Rows.stack(rows))
@@ -202,9 +260,10 @@ def build_nominal_lp(sc: Scenario) -> tuple[LinearProgram, VariableMap]:
 def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, VariableMap]:
     """Nominal LP extended with the deviation-budget protection term.
 
-    Adds the budget dual (objective weight ``gamma``) and per-slot deviation
-    duals (weight 1) with rows ``dev_dual[t] + budget_dual >= bound[t] * dt *
-    purchase[t]``.
+    Adds the budget dual (objective weight ``gamma``) and one deviation dual
+    per protected slot (weight 1) with rows ``dev_dual[t] + budget_dual >=
+    bound[t] * dt * purchase[t]``, each scaled by its bound as
+    :func:`_charging_lp` sets out; :func:`extract_schedule` unscales them.
     """
     if not 0 <= gamma < math.inf:  # the budget is an objective coefficient
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
@@ -237,8 +296,8 @@ def _max_delivery_lp(sc: Scenario) -> np.ndarray:
     caps = np.minimum(_socket_caps(sc).reshape(-1)[vm.cells], supply[vm.cells % vm.num_slots])
     bounds = np.column_stack([np.zeros(vm.num_charge), caps])
     obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
-    indptr, cols = vm.slot_rows(purchases=False)
-    supply_rows = Rows(indptr, cols, np.ones(len(cols)), supply)
+    columns = np.arange(vm.num_charge)
+    supply_rows = _rows(vm.cells % vm.num_slots, columns, np.ones(vm.num_charge), supply)
     rows = Rows.stack([supply_rows, _demand_rows(sc, vm, 1.0)])
     sol = solve_lp(LinearProgram(vm.num_charge, obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
@@ -283,21 +342,28 @@ def extract_schedule(
 ) -> Schedule:
     """Decode an optimal solution and verify it against the scenario.
 
-    Solar usage is ``min(load, S)`` per slot.  Costs are recomputed from the
-    variable values and cross-checked against the solver's objective; any
-    physical-constraint violation raises :class:`ScheduleConsistencyError`
-    rather than passing silently.
+    Solar usage is ``min(load, S)`` per slot, and the net purchase of a slot
+    without a purchase column is its load where it is dark, 0 elsewhere.  The
+    deviation duals are ``bound[t] * dt`` times their columns (0 where a slot
+    has none), and the budget dual is the largest such scale times its
+    column.  Costs are recomputed from the variable values and cross-checked
+    against the solver's objective; any physical-constraint violation raises
+    :class:`ScheduleConsistencyError` rather than passing silently.
     """
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError(f"cannot extract a schedule from a {sol.status.value} solution")
     x = sol.x
     charging = _charging_matrix(x, vm)
-    purchase = x[vm.purchase(0) : vm.purchase(0) + vm.num_slots].copy()
-    solar = np.minimum(charging.sum(axis=0), sc.solar.cap)
+    load = charging.sum(axis=0)
+    purchase = np.where(vm.dark, load, 0.0)
+    purchase[vm.bought] = x[vm.purchases]
+    solar = np.minimum(load, sc.solar.cap)
     nominal_cost = sc.energy_cost(purchase)
     if vm.robust:
-        budget_dual = float(x[vm.budget_dual])
-        dev_duals = x[vm.budget_dual + 1 :].copy()
+        b, s = _deviation_scales(sc, vm)
+        budget_dual = float(s * x[vm.budget_dual])
+        dev_duals = np.zeros(vm.num_slots)
+        dev_duals[vm.protected] = b * x[vm.budget_dual + 1 :]
         protection = float(gamma) * budget_dual + float(dev_duals.sum())
     else:
         budget_dual, dev_duals, protection = None, None, 0.0

@@ -277,21 +277,22 @@ def variable_names(vm) -> dict[str, int]:
     names = {}
     for k, flat in enumerate(vm.cells.tolist()):
         names[f"charge[{flat // vm.num_slots},{flat % vm.num_slots}]"] = k
-    for t in range(vm.num_slots):
-        names[f"purchase[{t}]"] = vm.purchase(t)
+    for t, j in zip(vm.bought.tolist(), vm.purchases.tolist()):
+        names[f"purchase[{t}]"] = j
     if vm.robust:
         names["budget_dual"] = vm.budget_dual
-        for t in range(vm.num_slots):
-            names[f"deviation_dual[{t}]"] = vm.deviation_dual(t)
+        for k, t in enumerate(vm.protected.tolist()):
+            names[f"deviation_dual[{t}]"] = vm.budget_dual + 1 + k
     return names
 
 
 def allocation_to_point(allocation: np.ndarray, sc, vm) -> np.ndarray:
     """Map a feasible power allocation onto the nominal LP's variable vector.
 
-    The net purchase is set to the draw left after solar, so a valid
-    allocation yields a feasible LP point.  Power in a cell where the
-    session is not plugged in has no column and raises :class:`ValueError`.
+    The net purchase of each slot with a purchase column is set to the draw
+    left after solar, so a valid allocation yields a feasible LP point.
+    Power in a cell where the session is not plugged in has no column and
+    raises :class:`ValueError`.
     """
     if vm.robust:
         raise ValueError("expected the nominal variable map")
@@ -300,5 +301,6 @@ def allocation_to_point(allocation: np.ndarray, sc, vm) -> np.ndarray:
         raise ValueError("allocation charges a session in a slot where it is not plugged in")
     x = np.zeros(vm.num_vars)
     x[: vm.num_charge] = flat[vm.cells]
-    x[vm.num_charge :] = np.maximum(allocation.sum(axis=0) - sc.solar.cap, 0.0)
+    draw = allocation.sum(axis=0) - sc.solar.cap
+    x[vm.purchases] = np.maximum(draw[vm.bought], 0.0)
     return x

@@ -1,6 +1,8 @@
 """End-to-end command tests on the bundled fixtures."""
 
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +134,7 @@ class TestSimulate:
         assert len(raw["solver"]) == 2
         again = report_from_json_dict(raw)
         assert isinstance(again.solver[0].stats, SolverStats)
+        assert all(r.stats.rows > 0 and r.stats.cols > 0 for r in again.solver)
         assert again.to_json_dict() == raw  # floats survive the round trip exactly
 
     def test_solver_records_one_per_lp(self, toy_dir, tmp_path):
@@ -149,6 +152,7 @@ class TestSimulate:
             assert stats["bound_flips"] == sol.stats.bound_flips
             assert stats["pivot_cells"] == sol.stats.pivot_cells > 0
             assert stats["worst_residual"] is not None and stats["worst_residual"] <= 1e-6
+            assert (stats["rows"], stats["cols"]) == (len(lp.constraints), lp.num_vars)
 
     @pytest.mark.parametrize("policy", [["--policy", "robust"], ["--policy", "mpc"], []])
     @pytest.mark.parametrize("gamma", ["nan", "inf", "-inf"])
@@ -176,15 +180,26 @@ class TestSimulate:
         assert f"error: {field} must be" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_huge_deviation_fraction_exits_1(self, toy_dir, tmp_path, capsys):
-        # bounds this large put the robust LP's dual columns below the pivot tolerance
+    def test_huge_deviation_fraction_solves(self, toy_dir, tmp_path, capsys):
+        # the robust rows are scaled by their bounds: no fraction puts them below the
+        # pivot tolerance, and a cost past the float range is an input error
         out = tmp_path / "r.json"
         flags = [*toy_flags(toy_dir, out), "--policy", "robust", "--gamma", "6"]
-        assert main(["simulate", *flags, "--deviation-fraction", "1e12"]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", *flags, "--deviation-fraction", "1e10"]) == 0
+            costs = load(out)["costs"]
+            assert math.isfinite(costs["robust_objective"])
+            assert costs["robust_objective"] > costs["robust_nominal"]
+            out.unlink()
+            code = main(
+                ["simulate", *flags, "--grid-capacity", "3", "--deviation-fraction", "1.7e308"]
+            )
+        assert code == 1
         err = capsys.readouterr().err
-        assert "--deviation-fraction must be at most 1000, got 1000000000000.0" in err
+        assert "error: a cost overflows" in err and "--deviation-fraction" in err
+        assert "Traceback" not in err
         assert not out.exists()
-        assert main(["simulate", *flags, "--deviation-fraction", "1e3"]) == 0
 
     def test_infinite_grid_capacity_is_unlimited(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"

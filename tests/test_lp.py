@@ -661,8 +661,8 @@ PINNED = [
         dict(seed=1, num_slots=48),
         [
             (105, 3222, "-1875.2901459269854"),
-            (236, 40670, "171.05853327497323"),
-            (248, 46462, "186.53005903232005"),
+            (209, 37573, "171.05853327497317"),
+            (332, 584306, "186.53005903232003"),
         ],
     ),
     (
@@ -670,7 +670,7 @@ PINNED = [
         [
             (14, 1494, "-446.41016378711856"),
             (67, 40971, "39.87578332112572"),
-            (80, 47892, "49.84472915140715"),
+            (74, 48439, "49.84472915140715"),
         ],
     ),
 ]

@@ -23,6 +23,7 @@ from chargeopt.model import (
 )
 from chargeopt.scenario import (
     ChargingSession,
+    DeviationRule,
     PriceSeries,
     SolarSeries,
     StationConfig,
@@ -35,6 +36,7 @@ from oracles import (
     charge_column,
     highs_objective,
     highs_physical_objective,
+    schedule_violations,
     variable_names,
 )
 
@@ -47,6 +49,17 @@ def two_slot_scenario():
     station = StationConfig(grid_capacity=100.0, charge_efficiency=1.0, default_max_power=10.0)
     sess = ChargingSession("a", DAY, DAY + timedelta(hours=2), 10.0, 10.0)
     return build_scenario([sess], [0.2, 0.1], SolarSeries(np.zeros(2)), grid, station)
+
+
+def folded_slots(sc):
+    """The bought, capped and (robust) protected slots of a scenario, from its arrays."""
+    caps = (np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability).sum(axis=0)
+    solar = sc.solar.cap
+    bought = (solar > 0) & (caps > solar)
+    capped = (solar == 0) & (caps > sc.station.grid_capacity)
+    exposed = bought | ((solar == 0) & (caps > 0))
+    protected = exposed & (sc.prices.deviation_bound > 0)
+    return np.flatnonzero(bought), np.flatnonzero(capped), np.flatnonzero(protected)
 
 
 def inflated(sc):
@@ -83,28 +96,33 @@ class TestNominal:
         assert np.allclose(sched.charging_power, 0.0, atol=1e-9)
 
     def test_variable_and_constraint_counts(self):
-        for seed, n_evs in [(1, 2), (2, 5)]:
-            sc = random_scenario(n_evs, seed=seed)
+        for seed, n_evs in [(1, 2), (2, 5), (3, 40)]:
+            sc = random_scenario(n_evs, seed=seed, station=StationConfig(grid_capacity=30.0))
             n, t = sc.num_sessions, sc.num_slots
             live = int(np.count_nonzero(sc.availability > 0))
             assert live < n * t  # unplugged cells get no column
-            # demand and supply (and robust dual) rows; socket and grid caps are bounds
+            bought, capped, protected = folded_slots(sc)
+            # demand, supply (and robust dual) rows; socket and grid caps are bounds
             lp, vm = build_nominal_lp(sc)
-            assert lp.num_vars == live + t == vm.num_vars
-            assert len(lp.constraints) == n + t
+            assert vm.bought.tolist() == bought.tolist()
+            assert vm.capped.tolist() == capped.tolist()
+            assert lp.num_vars == live + len(bought) == vm.num_vars
+            assert len(lp.constraints) == n + len(bought) + len(capped)
             lp, vm = build_robust_lp(sc, 3.0)
-            assert lp.num_vars == live + 2 * t + 1 == vm.num_vars
-            assert len(lp.constraints) == n + 2 * t
+            assert vm.protected.tolist() == protected.tolist()
+            assert lp.num_vars == live + len(bought) + 1 + len(protected) == vm.num_vars
+            assert len(lp.constraints) == n + len(bought) + len(capped) + len(protected)
             for i, sess in enumerate(sc.sessions):
                 for k in np.flatnonzero(sc.availability[i] > 0):
                     assert lp.var_bounds[charge_column(vm, i, k), 1] == sess.max_power * sc.availability[i, k]
-            purchases = lp.var_bounds[vm.purchase(0) : vm.purchase(0) + t]
+            purchases = lp.var_bounds[vm.purchases]
             assert np.all(purchases == [0.0, sc.station.grid_capacity])
+        assert len(capped) and len(bought) and len(protected)  # the largest day has each kind
 
     def test_rows_list_only_plugged_in_sessions(self):
-        sc = random_scenario(5, seed=2)
+        sc = random_scenario(40, seed=3, station=StationConfig(grid_capacity=30.0))
         lp, vm = build_nominal_lp(sc)
-        n, t = sc.num_sessions, sc.num_slots
+        n = sc.num_sessions
         rows = lp.constraints
 
         def columns(k):
@@ -112,10 +130,18 @@ class TestNominal:
 
         for i in range(n):
             assert columns(i) == [charge_column(vm, i, k) for k in np.flatnonzero(sc.availability[i] > 0)]
-        for k in range(t):
-            plugged = np.flatnonzero(sc.availability[:, k] > 0)
-            assert columns(n + k) == [charge_column(vm, i, k) for i in plugged] + [vm.purchase(k)]
-            assert rows.rhs[n + k] == sc.solar.cap[k]
+        bought, capped, _ = folded_slots(sc)
+        supplied = sorted(bought.tolist() + capped.tolist())
+        assert len(rows) == n + len(supplied)
+        purchase = dict(zip(vm.bought.tolist(), vm.purchases.tolist()))
+        for r, k in enumerate(supplied, start=n):
+            plugged = [charge_column(vm, i, k) for i in np.flatnonzero(sc.availability[:, k] > 0)]
+            if k in purchase:
+                assert columns(r) == plugged + [purchase[k]]
+                assert rows.rhs[r] == sc.solar.cap[k]
+            else:  # a dark slot whose caps exceed the grid
+                assert columns(r) == plugged
+                assert rows.rhs[r] == sc.station.grid_capacity
         i, k = np.argwhere(sc.availability == 0)[0]
         with pytest.raises(KeyError):
             charge_column(vm, int(i), int(k))
@@ -124,8 +150,7 @@ class TestNominal:
         sc = two_slot_scenario()
         lp, vm = build_nominal_lp(sc)
         x = np.zeros(vm.num_vars)
-        x[charge_column(vm, 0, 1)] = 10.5  # socket cap is 10 kW
-        x[vm.purchase(1)] = 10.5
+        x[charge_column(vm, 0, 1)] = 10.5  # socket cap is 10 kW; a dark slot buys its load
         violations = check_point(lp, x, 1e-9)
         assert [(v.kind, v.index) for v in violations] == [("upper_bound", charge_column(vm, 0, 1))]
         assert violations[0].amount == pytest.approx(0.5)
@@ -135,7 +160,8 @@ class TestNominal:
         _, vm = build_robust_lp(sc, 1.0)
         names = variable_names(vm)
         assert names["charge[0,1]"] == 1
-        assert names["budget_dual"] == 2 + 2  # two plugged-in cells, two purchases
+        assert names["budget_dual"] == 2  # two plugged-in cells; both slots are dark
+        assert names["deviation_dual[1]"] == 4
         assert len(names) == vm.num_vars
 
 
@@ -212,6 +238,59 @@ class TestRobust:
             sched = solve_deliverable(eff, [None, 0.0, 4.5, 24.0][seed % 4])
             assert np.all(sched.net_purchase >= 0.0), f"seed {seed}"
             assert np.all(sched.charging_power >= 0.0), f"seed {seed}"
+
+
+def folding_case(seed):
+    """A generated day with dark, sunny and partly sunny slots, some zero prices and some
+    zero deviation bounds, the bounds given as a fixed series as the MPC windows give them."""
+    rng = np.random.default_rng(seed)
+    grid = float(rng.choice([12.0, 30.0, 1e4]))
+    sc = random_scenario(
+        int(rng.integers(3, 12)), seed=seed, num_slots=12, peak_overlap=bool(seed % 2),
+        station=StationConfig(grid_capacity=grid),
+    )
+    caps = (np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability).sum(axis=0)
+    kind = rng.integers(0, 3, sc.num_slots)  # dark, sunny, partly sunny
+    solar = np.select([kind == 0, kind == 1], [0.0, caps + rng.uniform(0.0, 5.0, sc.num_slots)],
+                      rng.uniform(0.0, 1.0, sc.num_slots) * caps)
+    prices = np.where(rng.random(sc.num_slots) < 0.2, 0.0, sc.prices.nominal)
+    bounds = np.where(rng.random(sc.num_slots) < 0.3, 0.0, rng.uniform(0.0, 0.05, sc.num_slots))
+    return build_scenario(
+        sc.sessions, prices, SolarSeries(solar), sc.grid, sc.station, DeviationRule.fixed(bounds)
+    )
+
+
+class TestFoldedProgram:
+    def test_matches_the_unfolded_program(self):
+        # the paper's LP, with a purchase column and both rows in every slot, against the
+        # folded and scaled one, over every kind of slot the fold treats apart
+        pytest.importorskip("scipy")
+        seen = set()
+        for seed in range(40):
+            sc, _ = apply_demand_policy(folding_case(seed), "clamp")
+            bought, capped, protected = folded_slots(sc)
+            dark = sc.solar.cap == 0
+            folded = np.setdiff1d(np.arange(sc.num_slots), bought)
+            seen.update(
+                name for name, hit in [
+                    ("dark", dark.any()), ("sunny", (~dark[folded]).any()), ("capped", len(capped)),
+                    ("zero price", (sc.prices.nominal == 0).any()),
+                    ("zero bound", (sc.prices.deviation_bound == 0).any()),
+                    ("protected dark", dark[protected].any()),
+                ] if hit
+            )
+            for gamma in (None, 0.0, 4.0, 12.0):
+                sched = solve_deliverable(sc, gamma)
+                expected = highs_physical_objective(sc, gamma)
+                assert sched.objective_value == pytest.approx(expected, rel=1e-7, abs=1e-9), seed
+                load = sched.charging_power.sum(axis=0)
+                np.testing.assert_array_equal(
+                    sched.net_purchase[folded], np.maximum(load - sc.solar.cap, 0.0)[folded]
+                )
+                assert schedule_violations(
+                    sc, sched.charging_power, sched.net_purchase, sched.solar_used
+                ) == []
+        assert seen == {"dark", "sunny", "capped", "zero price", "zero bound", "protected dark"}
 
 
 class TestDemandPolicy:

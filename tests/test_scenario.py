@@ -7,8 +7,8 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from chargeopt.model import solve_offline
 from chargeopt.scenario import (
-    MAX_DEVIATION_FRACTION,
     ChargingSession,
     DeviationRule,
     PriceSeries,
@@ -304,12 +304,22 @@ class TestBuildScenario:
         )
         assert np.allclose(sc.prices.deviation_bound, 0.02)
 
-    def test_deviation_fraction_above_the_solver_limit_rejected(self):
-        # bounds beyond the limit put the robust LP's dual columns below the pivot tolerance
-        assert DeviationRule.proportional(MAX_DEVIATION_FRACTION).fraction == 1e3
-        for fraction in (np.nextafter(1e3, np.inf), 1e10):
-            with pytest.raises(ScenarioError, match=r"must be finite and in \[0, 1000\], got"):
-                DeviationRule.proportional(fraction)
+    def test_deviation_fraction_has_no_upper_limit(self, toy_dir):
+        # the robust rows are scaled by their bounds, so any finite fraction solves
+        grid = day_grid()
+        station = StationConfig(grid_capacity=40.0)
+        sessions, _ = parse_sessions(toy_dir / "sessions.csv", grid, station)
+        solar = pv_cap(parse_irradiance(toy_dir / "irradiance.csv", grid), station)
+        prices = parse_prices(toy_dir / "prices.csv", grid)
+        for fraction in (0.25, 1e10):
+            sc = build_scenario(
+                sessions, prices, solar, grid, station, DeviationRule.proportional(fraction)
+            )
+            robust, _ = solve_offline(sc, gamma=6.0)
+            assert np.isfinite(robust.objective_value)
+            assert robust.objective_value >= robust.nominal_cost > 0
+        with pytest.raises(ScenarioError, match="must be finite and nonnegative, got -1.0"):
+            DeviationRule.proportional(-1.0)
 
     def test_absolute_deviation_rule(self):
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), 1.0, 10.0)
