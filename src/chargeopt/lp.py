@@ -17,19 +17,23 @@ its row's value at the columns' starting bounds.  Every row gets one slack
 column of infinite span.  Upper bounds are handled natively with the
 bound-flip technique rather than as extra rows.
 
-Phase 1 is a dual simplex from the all-slack basis.  Each column starts at
-the bound its cost prefers, so that basis is dual feasible; a column whose
-preferred bound is infinite is priced 0 for phase 1 only.  The leaving row
-is the basic variable with the largest bound violation, and the entering
-column comes from a bound-flipping ratio test (Maros, EJOR 146(3), 2003):
-each boxed column passed on the way moves to its other bound while the row
-stays violated.  A violated row that no column can repair proves the
-program infeasible.  Phase 2 is the primal simplex with the true costs from
-the final basis, with Dantzig pricing (most negative reduced cost, first
-index on ties); on a program that phase 1 did not re-price it has nothing
-to do.  Both phases switch to Bland's rule after ``10 * (rows + cols)``
-iterations so that degenerate instances are guaranteed to terminate.  A
-fixed column never enters the basis.
+A program is accepted only if each column has a finite bound that its cost
+prefers: none is free, none with a negative cost lacks an upper bound and
+none with a positive cost a lower one.  Every program the package builds is
+of this kind.  Each column starts at that bound, so the objective is bounded
+below on the box and the all-slack basis is dual feasible with the true
+costs.  The dual phase runs from that basis.  The leaving row is the basic
+variable with the largest bound violation, and the entering column comes
+from a bound-flipping ratio test (Maros, EJOR 146(3), 2003; Koberstein, PhD
+thesis, Paderborn, 2005, ch. 3): each boxed column passed on the way moves
+to its other bound while the row stays violated, and the test always ends
+on a pivot, so the basis stays dual feasible.  A violated row that no column
+can repair proves the program infeasible.  The primal phase then runs from
+the final basis with Dantzig pricing (most negative reduced cost, first
+index on ties); on an accepted program it makes no iteration.  Both phases
+switch to Bland's rule after ``10 * (rows + cols)`` iterations so that
+degenerate instances are guaranteed to terminate.  A fixed column never
+enters the basis.
 
 A pivot is one rank-1 update of the whole tableau, matrix, basic values and
 reduced costs together.  It touches only the rows where the pivot column is
@@ -83,7 +87,6 @@ class LpSolverError(LpError):
 class LpStatus(Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
@@ -156,7 +159,9 @@ class LinearProgram:
     """Minimize ``objective @ x`` subject to box bounds and sparse rows.
 
     ``var_bounds`` is an ``(num_vars, 2)`` array of ``[lower, upper]`` pairs;
-    ``math.inf`` marks an unbounded side (never a large finite stand-in).
+    ``math.inf`` marks an unbounded side (never a large finite stand-in).  The
+    side a variable's cost prefers must be finite: the lower bound for a
+    positive cost, the upper for a negative one, either for a zero cost.
     ``constraints`` is :class:`Rows`; any other value raises :class:`LpFormatError`.
     """
 
@@ -172,7 +177,8 @@ class LinearProgram:
             raise LpFormatError(f"constraints must be Rows, got {type(self.constraints).__name__}")
 
     def validate(self):
-        """Raise :class:`LpFormatError` on any invariant violation."""
+        """Raise :class:`LpFormatError` on any invariant violation, the class docstring's
+        finite preferred bound included."""
         if self.objective.shape != (self.num_vars,):
             raise LpFormatError(
                 f"objective has length {self.objective.shape}, expected {self.num_vars}"
@@ -187,13 +193,19 @@ class LinearProgram:
         if np.any(np.isnan(self.var_bounds)):
             bad = int(np.argmax(np.isnan(self.var_bounds).any(axis=1)))
             raise LpFormatError(f"variable {bad}: NaN bound")
-        if not np.all(self.var_bounds[:, 0] <= self.var_bounds[:, 1]):
-            bad = int(np.argmax(self.var_bounds[:, 0] > self.var_bounds[:, 1]))
+        lo, up, c = self.var_bounds[:, 0], self.var_bounds[:, 1], self.objective
+        if not np.all(lo <= up):
+            bad = int(np.argmax(lo > up))
             raise LpFormatError(f"variable {bad}: lower bound exceeds upper bound")
-        if np.any(np.isposinf(self.var_bounds[:, 0])) or np.any(
-            np.isneginf(self.var_bounds[:, 1])
-        ):
+        if np.isposinf(lo).any() or np.isneginf(up).any():
             raise LpFormatError("bounds must satisfy lower < +inf and upper > -inf")
+        # the dual phase starts each column at the bound its cost prefers, which must be finite
+        no_start = np.isneginf(lo) & (np.isposinf(up) | (c > 0)) | np.isposinf(up) & (c < 0)
+        if no_start.any():
+            j = int(no_start.argmax())
+            if np.isinf(lo[j]) and np.isinf(up[j]):
+                raise LpFormatError(f"variable {j}: free")
+            raise LpFormatError(f"variable {j}: its cost prefers an infinite bound")
         rows = self.constraints
         m, nnz = len(rows.rhs), len(rows.indices)
         if (
@@ -399,11 +411,11 @@ class _Tableau:
                 k = int(reach.searchsorted(viol[r]))
                 if k == len(cand) and viol[r] - reach[-1] > FEASIBILITY_TOL:
                     return LpStatus.INFEASIBLE
+                # the last candidate always enters, so the basis stays dual feasible
+                k = min(k, len(cand) - 1)
                 if k:
                     self._flip(cand[:k])
                     self.flips += k
-                if k == len(cand):
-                    continue  # the flips alone bring the row within tolerance
                 q = int(cand[k])
             self._pivot(r, q, leaves_at_upper)
 
@@ -439,7 +451,7 @@ class _Tableau:
                 t_row = ratios[r]
             t_own = self.spans[q]
             if not np.isfinite(min(t_row, t_own)):
-                return LpStatus.UNBOUNDED
+                raise LpSolverError("primal simplex found a ray of a bounded program")
             self.iterations += 1
             self.bland |= bland
             if t_own < t_row:
@@ -499,62 +511,45 @@ class _Tableau:
 
 
 def _simplex(lp: LinearProgram):
-    """Dual phase 1, then primal phase 2, over the rows of ``lp``.
+    """Dual phase, then primal phase, over the rows of a validated ``lp``: the
+    dual phase ends optimal or proves the program infeasible, and the primal
+    phase finds nothing to improve.
 
     Returns ``(status, x, stats)``; the stats carry no check figures yet.
     """
-    lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
-    c = lp.objective
+    lo, up, c = lp.var_bounds[:, 0], lp.var_bounds[:, 1], lp.objective
 
-    # affine map x = off + sgn * y with y in [0, span]: each column starts at
-    # the bound its cost prefers, and free variables get a mirrored partner
-    # column so every column variable is nonnegative
-    fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
-    at_up = fin_up & (~fin_lo | (c < 0))
-    off = np.where(at_up, up, np.where(fin_lo, lo, 0.0))
+    # affine map x = off + sgn * y with y in [0, span]: a column sits at its upper
+    # bound when its cost is negative or it has no lower bound
+    at_up = np.isfinite(up) & ((c < 0) | np.isneginf(lo))
+    off = np.where(at_up, up, lo)
     sgn = np.where(at_up, -1.0, 1.0)
-    span = np.where(fin_lo & fin_up, up - lo, np.inf)
+    span = up - lo
     n_main = lp.num_vars
-    mirror = np.nonzero(~fin_lo & ~fin_up)[0]
-    n_struct = n_main + len(mirror)
 
     rows = lp.constraints
     m = len(rows)
     if m == 0:
-        # pure box problem: each variable sits at whichever bound its cost prefers
-        stats = SolverStats(m, n_main, 0, 0, 0, 0, False, 0.0, 0.0)
-        x = np.where(c > 0, lo, np.where(c < 0, up, off))
-        if not np.all(np.isfinite(x)):
-            return LpStatus.UNBOUNDED, None, stats
-        return LpStatus.OPTIMAL, x, stats
+        # pure box problem: each variable sits at the bound its cost prefers
+        return LpStatus.OPTIMAL, off, SolverStats(m, n_main, 0, 0, 0, 0, False, 0.0, 0.0)
 
     # every row gets one slack column of span inf, basic at the start
-    n = n_struct + m
+    n = n_main + m
     dense = np.zeros((m + 1, n + 1))
     # one scatter of every nonzero; a repeated index in a row sums its coefficients
     cells = rows.row_of * (n + 1) + rows.indices
     np.add.at(dense.reshape(-1), cells, rows.coeffs * sgn[rows.indices])
-    dense[:m, n_main:n_struct] = -dense[:m, mirror]
     dense[:m, n] = rows.rhs - rows.dot(off)
-    basis = n_struct + np.arange(m)
+    basis = n_main + np.arange(m)
     dense[np.arange(m), basis] = 1.0
-    spans = np.concatenate([span, np.full(len(mirror) + m, np.inf)])
-    # only a column of span inf can price below zero at its preferred bound;
-    # pricing it at 0 makes the all-slack basis dual feasible
-    cost = np.zeros(n)
-    cost[:n_main] = c * sgn
-    cost[n_main:n_struct] = -cost[mirror]
-    dense[m, :n] = np.maximum(cost, 0.0)
-    tab = _Tableau(dense, spans, basis)
+    dense[m, :n_main] = c * sgn
+    tab = _Tableau(dense, np.concatenate([span, np.full(m, np.inf)]), basis)
 
     t0 = time.perf_counter()
     status = tab.run_dual()
     dual_iterations = tab.iterations
     t1 = time.perf_counter()
     if status is LpStatus.OPTIMAL:
-        cost = np.where(tab.flipped, -cost, cost)
-        tab.red[:] = cost - cost[tab.basis] @ tab.mat
-        tab.red[tab.basis] = 0.0
         status = tab.run()
     stats = SolverStats(
         m,
@@ -570,18 +565,17 @@ def _simplex(lp: LinearProgram):
     if status is not LpStatus.OPTIMAL:
         return status, None, stats
 
-    y = tab.values(n_struct)
-    x = off + sgn * y[:n_main]
-    x[mirror] -= y[n_main:]
+    x = off + sgn * tab.values(n_main)
     # the dual phase stops within the feasibility tolerance of a bound, not on
     # it, and lower + span can round past upper: the point keeps its box exactly
     return LpStatus.OPTIMAL, np.clip(x, lo, up), stats
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` to proven optimality, infeasibility, or unboundedness.
+    """Solve ``lp`` to proven optimality or infeasibility.
 
-    Malformed programs raise :class:`LpFormatError`; an infeasible but
+    Malformed programs, and programs with a variable that has no finite bound
+    its cost prefers, raise :class:`LpFormatError`; an infeasible but
     well-formed program returns status ``INFEASIBLE``.
     """
     lp.validate()

@@ -99,8 +99,8 @@ class VariableMap:
     protected: np.ndarray
 
     @classmethod
-    def for_scenario(cls, sc: Scenario, robust: bool) -> "VariableMap":
-        caps = _socket_caps(sc).sum(axis=0)
+    def for_scenario(cls, sc: Scenario, robust: bool, socket_caps: np.ndarray) -> "VariableMap":
+        caps = socket_caps.sum(axis=0)
         dark = sc.solar.cap == 0
         bought = ~dark & (caps > sc.solar.cap)
         capped = dark & (caps > sc.station.grid_capacity)
@@ -163,15 +163,15 @@ class Schedule:
         return np.maximum(self.charging_power.sum(axis=0) - self.solar_used, 0.0)
 
 
-def _demand_rows(sc: Scenario, vm: VariableMap, sign: float) -> Rows:
+def _demand_rows(sc: Scenario, cells: np.ndarray, sign: float) -> Rows:
     """One row per session, ``sign * delivered <= sign * required``: ``sign`` -1 asks for at
-    least the requirement over the session's plugged-in cells, +1 for at most it."""
+    least the requirement over the session's plugged-in ``cells``, +1 for at most it."""
     coeff = sc.station.charge_efficiency * sc.grid.slot_hours
-    first = np.searchsorted(vm.cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
+    first = np.searchsorted(cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
     return Rows(
         first,
-        np.arange(vm.num_charge),
-        np.full(vm.num_charge, sign * coeff),
+        np.arange(len(cells)),
+        np.full(len(cells), sign * coeff),
         sign * np.array([sess.required_energy for sess in sc.sessions]),
     )
 
@@ -199,9 +199,11 @@ def _deviation_scales(sc: Scenario, vm: VariableMap) -> tuple[np.ndarray, np.flo
     return b, b.max(initial=0.0)
 
 
-def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearProgram:
-    """Demand rows, one supply row per bought or capped slot, then for robust maps one
-    dual row per protected slot; socket and grid caps are column bounds."""
+def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, VariableMap]:
+    """Demand rows, one supply row per bought or capped slot, then for a budget ``gamma``
+    one dual row per protected slot; socket and grid caps are column bounds."""
+    caps = _socket_caps(sc)
+    vm = VariableMap.for_scenario(sc, gamma is not None, caps)
     T, dt = sc.num_slots, sc.grid.slot_hours
     nc, purchases = vm.num_charge, vm.purchases
     slot = vm.cells % T
@@ -211,7 +213,7 @@ def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearPr
     obj[purchases] = price[vm.bought]
     bounds = np.zeros((vm.num_vars, 2))
     bounds[:, 1] = INF
-    bounds[:nc, 1] = _socket_caps(sc).reshape(-1)[vm.cells]
+    bounds[:nc, 1] = caps.reshape(-1)[vm.cells]
     bounds[purchases, 1] = sc.station.grid_capacity
     # load[t] - purchase[t] <= S_t at a bought slot, load[t] <= G at a capped one
     supplied = np.sort(np.concatenate([vm.bought, vm.capped]))  # bought slots are not dark
@@ -219,7 +221,7 @@ def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearPr
     row_of[supplied] = np.arange(len(supplied))
     live = (row_of[slot] >= 0).nonzero()[0]
     rows = [
-        _demand_rows(sc, vm, -1.0),
+        _demand_rows(sc, vm.cells, -1.0),
         _rows(
             np.concatenate([row_of[slot[live]], row_of[vm.bought]]),
             np.concatenate([live, purchases]),
@@ -248,13 +250,12 @@ def _charging_lp(sc: Scenario, vm: VariableMap, gamma: float | None) -> LinearPr
                 np.zeros(len(k)),
             )
         )
-    return LinearProgram(vm.num_vars, obj, bounds, Rows.stack(rows))
+    return LinearProgram(vm.num_vars, obj, bounds, Rows.stack(rows)), vm
 
 
 def build_nominal_lp(sc: Scenario) -> tuple[LinearProgram, VariableMap]:
     """Nominal cost-minimization LP; demand policy must already be applied."""
-    vm = VariableMap.for_scenario(sc, robust=False)
-    return _charging_lp(sc, vm, None), vm
+    return _charging_lp(sc, None)
 
 
 def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, VariableMap]:
@@ -267,8 +268,7 @@ def build_robust_lp(sc: Scenario, gamma: float) -> tuple[LinearProgram, Variable
     """
     if not 0 <= gamma < math.inf:  # the budget is an objective coefficient
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma!r}")
-    vm = VariableMap.for_scenario(sc, robust=True)
-    return _charging_lp(sc, vm, gamma), vm
+    return _charging_lp(sc, gamma)
 
 
 def max_delivery(sc: Scenario) -> np.ndarray:
@@ -285,24 +285,27 @@ def max_delivery(sc: Scenario) -> np.ndarray:
     if np.all(caps.sum(axis=0) <= sc.station.grid_capacity + sc.solar.cap):
         reachable = sc.station.charge_efficiency * sc.grid.slot_hours * caps.sum(axis=1)
         return np.minimum([s.required_energy for s in sc.sessions], reachable)
-    return _max_delivery_lp(sc)
+    return _max_delivery_lp(sc, caps)
 
 
-def _max_delivery_lp(sc: Scenario) -> np.ndarray:
+def _max_delivery_lp(sc: Scenario, caps: np.ndarray | None = None) -> np.ndarray:
     """:func:`max_delivery` by its auxiliary LP; each cell's cap is at most its slot's supply."""
-    vm = VariableMap.for_scenario(sc, robust=False)
+    caps = _socket_caps(sc) if caps is None else caps
+    cells = np.flatnonzero(sc.availability > 0)
+    slot = cells % sc.num_slots
     coeff = sc.station.charge_efficiency * sc.grid.slot_hours
     supply = sc.station.grid_capacity + sc.solar.cap
-    caps = np.minimum(_socket_caps(sc).reshape(-1)[vm.cells], supply[vm.cells % vm.num_slots])
-    bounds = np.column_stack([np.zeros(vm.num_charge), caps])
-    obj = np.full(vm.num_charge, -coeff)  # maximize delivered energy
-    columns = np.arange(vm.num_charge)
-    supply_rows = _rows(vm.cells % vm.num_slots, columns, np.ones(vm.num_charge), supply)
-    rows = Rows.stack([supply_rows, _demand_rows(sc, vm, 1.0)])
-    sol = solve_lp(LinearProgram(vm.num_charge, obj, bounds, rows))
+    upper = np.minimum(caps.reshape(-1)[cells], supply[slot])
+    bounds = np.column_stack([np.zeros(len(cells)), upper])
+    obj = np.full(len(cells), -coeff)  # maximize delivered energy
+    supply_rows = _rows(slot, np.arange(len(cells)), np.ones(len(cells)), supply)
+    rows = Rows.stack([supply_rows, _demand_rows(sc, cells, 1.0)])
+    sol = solve_lp(LinearProgram(len(cells), obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"delivery LP ended {sol.status}; it is feasible by construction")
-    return coeff * _charging_matrix(sol.x, vm).sum(axis=1)
+    power = np.zeros(caps.size)
+    power[cells] = sol.x
+    return coeff * power.reshape(caps.shape).sum(axis=1)
 
 
 def _charging_matrix(x: np.ndarray, vm: VariableMap) -> np.ndarray:

@@ -151,7 +151,7 @@ class StationConfig:
     default_max_power: float = 86.0  # kW, fallback socket limit per session
 
     def __post_init__(self):
-        # inf is an unlimited grid connection or socket; nan fails every comparison
+        # inf is an unlimited grid connection; nan fails every comparison
         if not self.grid_capacity > 0:
             raise ScenarioError(f"grid_capacity must be positive, got {self.grid_capacity!r}")
         for name in ("charge_efficiency", "pv_efficiency"):
@@ -159,9 +159,9 @@ class StationConfig:
                 raise ScenarioError(f"{name} must lie in (0, 1], got {getattr(self, name)!r}")
         if not 0 <= self.pv_area < math.inf:
             raise ScenarioError(f"pv_area must be finite and nonnegative, got {self.pv_area!r}")
-        if not self.default_max_power > 0:
+        if not 0 < self.default_max_power < math.inf:
             raise ScenarioError(
-                f"default_max_power must be positive, got {self.default_max_power!r}"
+                f"default_max_power must be finite and positive, got {self.default_max_power!r}"
             )
 
 

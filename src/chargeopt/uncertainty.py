@@ -84,13 +84,15 @@ def verify_dual_equivalence(
 
     Solves ``min gamma*lam + sum(mu)`` with ``-mu[t] - lam <= -exposure[t]``
     through the LP engine and compares with :func:`worst_case_extra_cost`.
+    ``gamma`` is priced at ``min(gamma, T)`` for ``T`` terms, finite for an infinite
+    budget: any ``gamma >= T`` gives the sum of the terms, at ``lam = 0``.
     Raises :class:`DualityGapError` if the residual exceeds
     ``rtol * (1 + oracle)``.
     """
     terms = _exposure_terms(net_purchase, dt, budget)
     oracle = worst_case_extra_cost(net_purchase, dt, budget)
     t = len(terms)
-    obj = np.concatenate([[budget.gamma], np.ones(t)])
+    obj = np.concatenate([[min(budget.gamma, t)], np.ones(t)])
     bounds = np.zeros((t + 1, 2))
     bounds[:, 1] = np.inf
     pairs = np.stack([np.zeros(t, dtype=np.intp), np.arange(1, t + 1)], axis=1)

@@ -4,11 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeopt.lp import (
     Constraint,
     LinearProgram,
     LpFormatError,
+    LpSolverError,
     LpStatus,
     Rows,
     _Tableau,
@@ -75,8 +78,10 @@ class TestSolveExamples:
         assert oracle == pytest.approx(-1.0)
 
     def test_unbounded(self):
+        # a cost that prefers an infinite bound has no dual feasible start
         lp = LinearProgram(1, [-1.0], [[0.0, INF]])
-        assert solve_lp(lp).status is LpStatus.UNBOUNDED
+        with pytest.raises(LpFormatError, match="variable 0: its cost prefers an infinite bound"):
+            solve_lp(lp)
 
     def test_equality_native(self):
         lp = LinearProgram(
@@ -101,9 +106,8 @@ class TestSolveExamples:
                 ]
             ),
         )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(-4.0, abs=1e-9)
+        with pytest.raises(LpFormatError, match="variable 0: free"):
+            solve_lp(lp)
 
     def test_malformed_raises_not_infeasible(self):
         lp = LinearProgram(2, [1.0], [[0.0, 1.0], [0.0, 1.0]])
@@ -210,22 +214,40 @@ def criterion_2_lps():
 
 
 def bounds_as_rows(lp):
-    """The same program with some box sides moved into rows, so that columns of
-    span inf start at a bound their cost does not prefer (negative-cost columns
-    lose their upper bound, every third variable becomes free)."""
+    """The same program with the box side each column's cost does not prefer
+    moved into a row: the lower bound of a negative-cost column, the upper bound
+    of any other.  Every column then has span inf and starts at its finite side."""
     bounds = lp.var_bounds.copy()
     moved = []
     for j, (lo, up) in enumerate(lp.var_bounds):
-        if j % 3 == 2:
-            bounds[j] = [-INF, INF]
+        if lp.objective[j] < 0:
+            bounds[j, 0] = -INF
             moved.append(((j,), (1.0,), GREATER_EQUAL, lo))
-        elif lp.objective[j] >= 0:
-            continue
-        bounds[j, 1] = INF
-        moved.append(((j,), (1.0,), LESS_EQUAL, up))
+        else:
+            bounds[j, 1] = INF
+            moved.append(((j,), (1.0,), LESS_EQUAL, up))
     return LinearProgram(
         lp.num_vars, lp.objective, bounds, Rows.stack([lp.constraints, rows_of(moved)])
     )
+
+
+BEALE_COST = [-0.75, 150.0, -0.02, 6.0]
+
+
+def beale_tableau():
+    """Beale's cycling instance on its all-slack basis: primal feasible (every
+    right-hand side is nonnegative) but not dual feasible, the kind of start a
+    warm basis hands the primal phase.  Its optimum is -0.05 at (0.04, 0, 1, 0)."""
+    tab = np.array(
+        [
+            [0.25, -60.0, -1 / 25, 9.0, 1.0, 0.0, 0.0, 0.0],
+            [0.5, -90.0, -1 / 50, 3.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+            [*BEALE_COST, 0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    return _Tableau(tab, np.full(7, INF), np.array([4, 5, 6]))
+
 
 
 def assert_matches_enumeration(lp, sol):
@@ -238,7 +260,7 @@ def assert_matches_enumeration(lp, sol):
 
 
 class TestDualPhase:
-    """Dual phase 1 from the all-logical basis, then primal phase 2."""
+    """The dual phase from the all-slack basis, then the primal phase."""
 
     @pytest.mark.parametrize("moved", [False, True], ids=["boxed", "bounds-as-rows"])
     def test_bland_from_the_first_iteration(self, monkeypatch, moved):
@@ -251,50 +273,48 @@ class TestDualPhase:
             used["dual"] += sol.stats.dual_iterations
             used["primal"] += sol.stats.primal_iterations
         assert used["dual"] > 0
-        assert (used["primal"] > 0) == moved  # boxed columns never need phase 2
+        assert used["primal"] == 0  # the dual phase ends dual feasible
 
     def test_bland_in_phase_2_on_a_cycling_instance(self, monkeypatch):
         monkeypatch.setattr(_Tableau, "bland_factor", 0)
-        lp = LinearProgram(
-            4,
-            [-0.75, 150.0, -0.02, 6.0],
-            [[0.0, INF]] * 4,
-            rows_of(
-                [
-                    ((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
-                    ((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
-                    ((2,), (1.0,), LESS_EQUAL, 1.0),
-                ]
-            ),
-        )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
-        assert sol.stats.bland and sol.stats.primal_iterations > 0
+        tab = beale_tableau()
+        assert tab.run() is LpStatus.OPTIMAL
+        assert tab.bland and tab.iterations == 6
+        x = tab.values(4)
+        np.testing.assert_allclose(x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
+        assert np.dot(BEALE_COST, x) == pytest.approx(-0.05, abs=1e-12)
 
     def test_dual_infeasible_start_goes_through_phase_2(self):
-        phase_2 = 0
+        # the transform that used to give columns a start their cost does not
+        # prefer: negative-cost columns lose their upper bound, every third is free
+        rejected = 0
         for lp in criterion_2_lps():
-            sol = solve_lp(bounds_as_rows(lp))
-            assert_matches_enumeration(lp, sol)
-            phase_2 += sol.stats.primal_iterations
-        assert phase_2 > 0
+            no_start = (lp.objective < 0) | (np.arange(lp.num_vars) % 3 == 2)
+            if not no_start.any():
+                continue
+            bounds = lp.var_bounds.copy()
+            bounds[lp.objective < 0, 1] = INF
+            bounds[2::3] = [-INF, INF]
+            start = LinearProgram(lp.num_vars, lp.objective, bounds, lp.constraints)
+            with pytest.raises(LpFormatError, match=f"variable {no_start.argmax()}: "):
+                solve_lp(start)
+            rejected += 1
+        assert rejected == 193  # the other 7 have two columns, both of cost >= 0
 
     def test_unbounded_through_phase_2(self):
-        # the row starts violated, so the dual phase runs before phase 2 finds the ray
         lp = LinearProgram(
             2,
             [-1.0, 1.0],
             [[0.0, INF], [0.0, 1.0]],
             rows_of([((0, 1), (1.0, -1.0), GREATER_EQUAL, 0.5)]),
         )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.UNBOUNDED
-        assert sol.stats.dual_iterations == 1
+        with pytest.raises(LpFormatError, match="variable 0: its cost prefers an infinite bound"):
+            solve_lp(lp)
         free = LinearProgram(
             2, [1.0, 0.0], [[-INF, INF], [0.0, 1.0]], rows_of([((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)])
         )
-        assert solve_lp(free).status is LpStatus.UNBOUNDED
+        with pytest.raises(LpFormatError, match="variable 0: free"):
+            solve_lp(free)
 
     def test_infeasible_row_without_an_eligible_column(self):
         # -x0 >= 1 with x0 >= 0: no column can raise the row's slack
@@ -363,6 +383,33 @@ class TestDualPhase:
         assert not stats.bland
         assert 0.0 <= stats.worst_residual <= 1e-6
         assert min(stats.dual_seconds, stats.primal_seconds, stats.check_seconds) >= 0.0
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(
+        seed=st.integers(0, 2**16),
+        slot_hours=st.sampled_from([1.0, 0.5]),
+        gamma=st.sampled_from([0.0, 4.0, 12.0]),
+    )
+    def test_random_scenario_lps_skip_phase_2(self, seed, slot_hours, gamma):
+        # a 10 kW grid under 22 kW sockets congests every dark slot with a session in it,
+        # so the delivery LP is solved before the nominal and robust charging LPs
+        sc = random_scenario(
+            12,
+            seed=seed,
+            slot_hours=slot_hours,
+            max_power=22.0,
+            station=StationConfig(grid_capacity=10.0),
+        )
+        solved = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "solve_lp", lambda lp: solved.append(solve_lp(lp)) or solved[-1])
+            eff, _ = apply_demand_policy(sc, "clamp")
+            solve_deliverable(eff)
+            solve_deliverable(eff, gamma)
+        assert len(solved) == 3
+        for sol in solved:
+            assert sol.status is LpStatus.OPTIMAL
+            assert sol.stats.primal_iterations == 0
 
     def test_points_keep_their_box_exactly(self):
         rng = np.random.default_rng(2)
@@ -450,22 +497,18 @@ class TestAgainstEnumeration:
 
 
 class TestDegeneracyAndDeterminism:
-    def test_beale_cycling_instance_terminates(self):
-        lp = LinearProgram(
-            4,
-            [-0.75, 150.0, -0.02, 6.0],
-            [[0.0, INF]] * 4,
-            rows_of(
-                [
-                    ((0, 1, 2, 3), (0.25, -60.0, -1 / 25, 9.0), LESS_EQUAL, 0.0),
-                    ((0, 1, 2, 3), (0.5, -90.0, -1 / 50, 3.0), LESS_EQUAL, 0.0),
-                    ((2,), (1.0,), LESS_EQUAL, 1.0),
-                ]
-            ),
-        )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
-        assert sol.objective_value == pytest.approx(-0.05, abs=1e-9)
+    def test_beale_cycling_instance_terminates(self, monkeypatch):
+        # Dantzig's rule cycles until Bland's rule takes over after 10 * (3 + 7) iterations
+        tab = beale_tableau()
+        assert tab.run() is LpStatus.OPTIMAL
+        assert tab.bland and tab.iterations == 102
+        assert np.dot(BEALE_COST, tab.values(4)) == pytest.approx(-0.05, abs=1e-12)
+        monkeypatch.setattr(_Tableau, "bland_factor", 10**9)
+        tab = beale_tableau()
+        tab.max_iter = 1000
+        with pytest.raises(LpSolverError, match="iteration limit"):
+            tab.run()
+        assert not tab.bland
 
     def test_duplicate_constraints_terminate(self):
         dup = ((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)

@@ -118,10 +118,12 @@ class TestDualEquivalence:
         assert verify_dual_equivalence(np.zeros(4), 1.0, budget(2.0, np.zeros(4))) == 0.0
 
     def test_reference_case(self):
-        residual = verify_dual_equivalence(
-            np.array([3.0, 1.0, 2.0]), 1.0, budget(1.5, [1, 1, 1])
-        )
-        assert residual <= 1e-6 * (1 + 4.0)
+        # an infinite budget prices every slot at its bound
+        for gamma, oracle in ((1.5, 4.0), (float("inf"), 6.0)):
+            residual = verify_dual_equivalence(
+                np.array([3.0, 1.0, 2.0]), 1.0, budget(gamma, [1, 1, 1])
+            )
+            assert residual <= 1e-6 * (1 + oracle)
 
     def test_randomized_trials(self):
         rng = np.random.default_rng(20260810)
