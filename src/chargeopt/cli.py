@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from collections import Counter
@@ -140,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="budget used to score worst cases (default: max of the list)",
     )
     sens.add_argument(
-        "--workers", type=int, default=1, help="parallel solver processes (default 1)"
+        "--workers", type=int, default=1, help="most solver processes, one per budget and CPU"
     )
 
     bench = sub.add_parser("bench", help="solve-time benchmark on synthetic instances")
@@ -164,6 +165,8 @@ def _load_scenario(args):
         default_max_power=args.default_max_power,
     )
     sessions, report = parse_sessions(args.sessions, grid, station)
+    for _, reason in report.rejected:
+        print(f"warning: {reason}", file=sys.stderr)
     if report.rejected:
         print(f"note: rejected {len(report.rejected)} session row(s)", file=sys.stderr)
     prices = read_series_csv(args.prices, grid) * args.price_scale
@@ -313,8 +316,10 @@ def cmd_sensitivity(args) -> int:
     work = [(eff, g, eval_gamma) for g in gammas]
     if 0.0 not in gammas:
         work.insert(0, (eff, 0.0, eval_gamma))
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool starts all its processes at once: at most one per solve and one per CPU
+    workers = min(args.workers, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sensitivity_point, work))
     else:
         results = [_sensitivity_point(w) for w in work]
@@ -379,8 +384,9 @@ def main(argv=None) -> int:
         return 2
     except FloatingPointError as exc:
         print(
-            f"error: a cost overflows ({exc}): --deviation-fraction, --gamma or the prices "
-            "are too large",
+            f"error: a cost overflows ({exc}): an input that scales a cost or a power is too "
+            "large: the prices, energies or powers in the files, --deviation-fraction, --gamma, "
+            "--default-max-power or --pv-area",
             file=sys.stderr,
         )
         return 1

@@ -4,7 +4,8 @@ A program keeps its rows as CSR arrays (:class:`Rows`): ``indptr``,
 ``indices``, ``coeffs`` and ``rhs``.  Every row reads ``coeffs . x <= rhs``:
 a builder negates a ``>=`` row, and no builder needs an equality.  The model
 builders emit those arrays directly, and a program is made from them only.
-Validation, the feasibility check and the plain-text dump work on them.
+Validation, the feasibility check and the plain-text dump work on them;
+indexing a :class:`Rows` gives one of its rows as a one-row :class:`Rows`.
 Each row's left-hand side at a point is one sparse product,
 :meth:`Rows.dot`; the feasibility check and the tableau build both use it.
 
@@ -60,7 +61,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import time
-from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -89,18 +89,9 @@ class LpStatus(Enum):
     INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class Constraint:
-    """One row of :class:`Rows` as read back: ``sum(coeffs[k] * x[indices[k]]) <= rhs``."""
-
-    indices: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    rhs: float
-
-
 @dataclass(frozen=True, eq=False)
-class Rows(Sequence):
-    """Constraint rows in CSR form.
+class Rows:
+    """The rows of a program in CSR form.
 
     Row ``k`` is ``sum(coeffs[p] * x[indices[p]]) <= rhs[k]`` over ``p`` in
     ``indptr[k]:indptr[k + 1]``.
@@ -140,18 +131,13 @@ class Rows(Sequence):
     def __len__(self) -> int:
         return len(self.rhs)
 
-    def __getitem__(self, k: int) -> Constraint:
-        """Row ``k`` as a :class:`Constraint`: a view kept, with the ``Sequence`` base, for
-        ``perfbench/tracing.py``, which counts nonzeros row by row; the package reads arrays."""
-        if not -len(self) <= k < len(self):
+    def __getitem__(self, k: int) -> Rows:
+        """Row ``k`` from 0 as a one-row :class:`Rows`, for ``perfbench/tracing.py``, which counts
+        nonzeros row by row; ``IndexError`` past the last row ends plain iteration."""
+        if not 0 <= k < len(self):
             raise IndexError(f"row {k} out of range")
-        k %= len(self)
-        span = slice(self.indptr[k], self.indptr[k + 1])
-        return Constraint(
-            tuple(self.indices[span].tolist()),
-            tuple(self.coeffs[span].tolist()),
-            float(self.rhs[k]),
-        )
+        lo, hi = self.indptr[k], self.indptr[k + 1]
+        return Rows([0, hi - lo], self.indices[lo:hi], self.coeffs[lo:hi], self.rhs[k : k + 1])
 
 
 @dataclass

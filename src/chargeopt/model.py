@@ -289,20 +289,22 @@ def max_delivery(sc: Scenario) -> np.ndarray:
 
 
 def _max_delivery_lp(sc: Scenario, caps: np.ndarray | None = None) -> np.ndarray:
-    """:func:`max_delivery` by its auxiliary LP; each cell's cap is at most its slot's supply."""
+    """:func:`max_delivery` by its auxiliary LP; each cell's cap is at most its slot's supply and
+    its session's requirement over ``eta * dt``, which its demand row implies anyway."""
     caps = _socket_caps(sc) if caps is None else caps
     cells = np.flatnonzero(sc.availability > 0)
     slot = cells % sc.num_slots
     coeff = sc.station.charge_efficiency * sc.grid.slot_hours
     supply = sc.station.grid_capacity + sc.solar.cap
-    upper = np.minimum(caps.reshape(-1)[cells], supply[slot])
+    need = (np.array([s.required_energy for s in sc.sessions]) / coeff)[cells // sc.num_slots]
+    upper = np.minimum(np.minimum(caps.reshape(-1)[cells], supply[slot]), need)
     bounds = np.column_stack([np.zeros(len(cells)), upper])
     obj = np.full(len(cells), -coeff)  # maximize delivered energy
     supply_rows = _rows(slot, np.arange(len(cells)), np.ones(len(cells)), supply)
     rows = Rows.stack([supply_rows, _demand_rows(sc, cells, 1.0)])
     sol = solve_lp(LinearProgram(len(cells), obj, bounds, rows))
     if sol.status is not LpStatus.OPTIMAL:
-        raise LpSolverError(f"delivery LP ended {sol.status}; it is feasible by construction")
+        raise LpSolverError(f"delivery LP ended {sol.status.value}; feasible by construction")
     power = np.zeros(caps.size)
     power[cells] = sol.x
     return coeff * power.reshape(caps.shape).sum(axis=1)

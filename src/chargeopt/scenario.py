@@ -13,7 +13,6 @@ import csv
 import dataclasses
 import json
 import math
-import sys
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from email.utils import parsedate_to_datetime
@@ -334,9 +333,9 @@ def _field(where: str, name: str, raw, cast):
 
 
 def _csv_rows(path) -> list[tuple[int, list[str]]]:
-    """The rows of a CSV file with their numbers from 1, fully blank rows left out."""
+    """A UTF-8 CSV file's rows, numbered from 1, without blank rows or a byte-order mark."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = list(csv.reader(fh))
     except (ValueError, csv.Error) as exc:  # not text, or not CSV
         raise ScenarioError(f"{path}: {exc}") from exc
@@ -377,11 +376,12 @@ def parse_sessions(path, grid: TimeGrid, station: StationConfig):
     """Read sessions from CSV or ACN-style JSON, clipped to the grid window.
 
     Returns ``(sessions, report)``.  Rows whose departure does not follow the
-    arrival are rejected (counted in the report, echoed to stderr); a missing,
-    unreadable or out-of-range field, and a repeated session ID, raise
-    :class:`ScenarioError` naming the file, the row (CSV) or item (JSON) and
-    the field.  Sessions entirely outside the window are dropped; a missing
-    per-session power falls back to ``station.default_max_power``.
+    arrival are rejected: ``report.rejected`` holds each one's number and
+    reason, and nothing is printed.  A missing, unreadable or out-of-range
+    field, and a repeated session ID, raise :class:`ScenarioError` naming the
+    file, the row (CSV) or item (JSON) and the field.  Sessions entirely
+    outside the window are dropped; a missing per-session power falls back to
+    ``station.default_max_power``.
     """
     path = Path(path)
     acn = path.suffix.lower() == ".json"
@@ -409,7 +409,6 @@ def parse_sessions(path, grid: TimeGrid, station: StationConfig):
         if departure <= arrival:
             reason = f"{unit} {num}: departure {_iso(departure)} not after arrival"
             report.rejected.append((num, reason))
-            print(f"warning: {reason}", file=sys.stderr)
             continue
         arrival, departure = max(arrival, grid.start), min(departure, grid.end)
         if departure <= arrival:
@@ -435,9 +434,9 @@ def _read_session_csv(path: Path):
 
 
 def _read_acn_json(path: Path):
-    """``(item number, {field: raw value or None})`` for each item."""
+    """``(item number, {field: raw value or None})`` per item of a UTF-8 file, BOM or not."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             payload = json.load(fh)
     except ValueError as exc:  # not text, or not JSON
         raise ScenarioError(f"{path}: {exc}") from exc

@@ -30,6 +30,14 @@ def toy_flags(toy_dir, out, prices="prices.csv", solar=True):
     return args
 
 
+def toy_sessions_at_power(toy_dir, path, power):
+    """A copy of the toy sessions with every socket at ``power`` kW."""
+    lines = (toy_dir / "sessions.csv").read_text().splitlines()
+    rows = [",".join(ln.split(",")[:4] + [power]) for ln in lines[1:]]
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    return path
+
+
 def load(out):
     with open(out) as fh:
         return json.load(fh)
@@ -201,6 +209,42 @@ class TestSimulate:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "power, flags, cause",
+        [
+            ("1e308", [], "powers in the files"),
+            (None, ["--pv-area", "1e308", "--pv-efficiency", "1"], "--pv-area"),
+        ],
+        ids=["socket-power", "pv-area"],
+    )
+    def test_power_overflow_names_its_input(self, toy_dir, tmp_path, capsys, power, flags, cause):
+        out = tmp_path / "r.json"
+        args = toy_flags(toy_dir, out)
+        if power is not None:
+            sessions = toy_sessions_at_power(toy_dir, tmp_path / "s.csv", power)
+            args[args.index("--sessions") + 1] = str(sessions)
+        assert main(["simulate", *args, *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a cost overflows") and cause in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power, grid", [("1e15", "1e14"), ("1e12", "1e11")])
+    def test_huge_grid_clamps_no_demand(self, toy_dir, tmp_path, power, grid):
+        # the delivery LP bounds each cell by its session's requirement as well, so no
+        # bound sits at the grid's scale and every toy demand stays deliverable
+        sessions = toy_sessions_at_power(toy_dir, tmp_path / "s.csv", power)
+        for policy in (["nominal"], ["robust", "--gamma", "6"], ["mpc"]):
+            out = tmp_path / f"{policy[0]}.json"
+            flags = toy_flags(toy_dir, out)
+            flags[flags.index("--sessions") + 1] = str(sessions)
+            code = main(
+                ["simulate", *flags, "--grid-capacity", grid, "--demand-policy", "strict",
+                 "--policy", *policy]
+            )
+            assert code == 0, policy
+            assert not any(load(out)["unmet_energy_kwh"].values())
+
     def test_infinite_grid_capacity_is_unlimited(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
         assert main(["simulate", *toy_flags(toy_dir, out), "--grid-capacity", "inf"]) == 0
@@ -324,6 +368,20 @@ class TestSimulate:
         ) in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_rejected_session_rows_are_reported_by_the_command(self, toy_dir, tmp_path, capsys):
+        # the library prints nothing; the command writes one warning per row, then a note
+        lines = (toy_dir / "sessions.csv").read_text().splitlines()
+        back = "ev-x,2019-06-03T12:00:00Z,2019-06-03T08:00:00Z,10.0,11.0"
+        sessions = tmp_path / "s.csv"
+        sessions.write_text("\n".join([*lines, back]) + "\n")
+        flags = toy_flags(toy_dir, tmp_path / "r.json")
+        flags[flags.index("--sessions") + 1] = str(sessions)
+        assert main(["simulate", *flags]) == 0
+        assert capsys.readouterr().err == (
+            f"warning: row {len(lines) + 1}: departure 2019-06-03T08:00:00Z not after arrival\n"
+            "note: rejected 1 session row(s)\n"
+        )
+
     def test_strict_policy_unreachable_exits_2(self, toy_dir, tmp_path, capsys):
         # 1 kW sockets cannot deliver the toy demands
         code = main(
@@ -383,6 +441,34 @@ class TestDemandPolicyOnce:
 
 
 class TestSensitivity:
+    @pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, [])])
+    def test_pool_has_at_most_one_process_per_solve(
+        self, toy_dir, tmp_path, monkeypatch, cpus, pools
+    ):
+        # a fake executor records its size and maps in-process: no process is started
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        out = tmp_path / "s.json"
+        flags = [*toy_flags(toy_dir, out), "--gamma", "0,6", "--workers", "64"]
+        assert main(["sensitivity", *flags]) == 0
+        assert made == pools
+        assert [r["gamma"] for r in load(out)["sensitivity"]] == [0.0, 6.0]
+
     def test_rows_sorted_and_zero_row_baseline(self, toy_dir, tmp_path):
         out = tmp_path / "s.json"
         code = main(

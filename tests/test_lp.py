@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chargeopt.lp import (
-    Constraint,
     LinearProgram,
     LpFormatError,
     LpSolverError,
@@ -599,39 +598,51 @@ def test_dump_lp_one_line_per_constraint():
 
 
 class TestRows:
-    """Rows are CSR arrays of ``<=`` rows; reading a row back gives its :class:`Constraint`."""
+    """Rows are CSR arrays of ``<=`` rows; indexing gives one row as a one-row :class:`Rows`."""
 
     CONS = [
         ((0, 2), (1.0, -2.5), LESS_EQUAL, 3.0),
         ((), (), EQUAL, 0.0),
         ((1, 1, 0), (0.5, 0.5, 4.0), GREATER_EQUAL, -1.0),
     ]
-    # the same rows as ``<=`` rows: the "=" row as a pair, the ">=" row negated
+    # the same rows as ``<=`` rows, (indices, coeffs, rhs) each: the "=" row as a pair,
+    # the ">=" row negated
     READ = [
-        Constraint((0, 2), (1.0, -2.5), 3.0),
-        Constraint((), (), 0.0),
-        Constraint((), (), -0.0),
-        Constraint((1, 1, 0), (-0.5, -0.5, -4.0), 1.0),
+        ((0, 2), (1.0, -2.5), 3.0),
+        ((), (), 0.0),
+        ((), (), -0.0),
+        ((1, 1, 0), (-0.5, -0.5, -4.0), 1.0),
     ]
     ROWS = Rows(
         [0, 2, 2, 2, 5], [0, 2, 1, 1, 0], [1.0, -2.5, -0.5, -0.5, -4.0], [3.0, 0.0, -0.0, 1.0]
     )
 
+    @staticmethod
+    def read(rows):
+        """``(indices, coeffs, rhs)`` of each row, read from its one-row :class:`Rows`."""
+        out = []
+        for row in rows:
+            assert isinstance(row, Rows) and row.indptr.tolist() == [0, len(row.indices)]
+            (rhs,) = row.rhs.tolist()
+            out.append((tuple(row.indices.tolist()), tuple(row.coeffs.tolist()), rhs))
+        return out
+
     def test_constraints_read_back(self):
         lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
-        assert list(lp.constraints) == self.READ
-        assert lp.constraints[-1] == self.READ[-1]
+        assert self.read(lp.constraints) == self.READ
+        assert self.read([lp.constraints[3]]) == self.READ[3:]
         assert lp.constraints.indptr.tolist() == [0, 2, 2, 2, 5]
         assert lp.constraints.rhs.tolist() == [3.0, 0.0, -0.0, 1.0]
-        with pytest.raises(IndexError):
-            lp.constraints[4]
+        for k in (4, -1):  # rows are read forward from 0 only
+            with pytest.raises(IndexError):
+                lp.constraints[k]
         with pytest.raises(TypeError):
             Rows([0, 1], [0], [1.0], [0], [1.0])  # no relation field
 
     def test_replace_and_concatenate(self):
         lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
         doubled = dataclasses.replace(lp, constraints=Rows.stack([lp.constraints] * 2))
-        assert list(doubled.constraints) == self.READ * 2
+        assert self.read(doubled.constraints) == self.READ * 2
         assert len(dataclasses.replace(lp, constraints=rows_of([])).constraints) == 0
         assert len(LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3).constraints) == 0
 
@@ -644,7 +655,7 @@ class TestRows:
             assert got.dtype == want.dtype and np.array_equal(got, want)
         sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
         for built, _ in (build_nominal_lp(sc), build_robust_lp(sc, 12.0)):
-            read = [(c.indices, c.coeffs, LESS_EQUAL, c.rhs) for c in built.constraints]
+            read = [(i, c, LESS_EQUAL, rhs) for i, c, rhs in self.read(built.constraints)]
             relisted = dataclasses.replace(built, constraints=rows_of(read))
             assert dump_lp(relisted) == dump_lp(built)
 
@@ -688,7 +699,7 @@ class TestRows:
                 assert got[k] == pytest.approx(gap, rel=1e-12, abs=1e-12)
 
     def test_constraint_list_raises(self):
-        for constraints in ([Constraint((0,), (1.0,), 1.0)], [], ()):
+        for constraints in ([((0,), (1.0,), 1.0)], [], ()):
             kind = type(constraints).__name__
             with pytest.raises(LpFormatError, match=f"constraints must be Rows, got {kind}"):
                 LinearProgram(1, [1.0], [[0.0, 1.0]], constraints)

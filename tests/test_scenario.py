@@ -94,8 +94,8 @@ class TestParseSessions:
         )
         sessions, report = parse_sessions(path, day_grid(), StationConfig())
         assert [s.id for s in sessions] == ["ok"]
-        assert len(report.rejected) == 1 and report.rejected[0][0] == 2
-        assert "row 2" in capsys.readouterr().err
+        assert report.rejected == [(2, "row 2: departure 2019-06-03T08:00:00Z not after arrival")]
+        assert capsys.readouterr() == ("", "")  # the library prints nothing
 
     def test_duplicate_session_id_names_row_and_field(self, toy_dir, tmp_path):
         lines = (toy_dir / "sessions.csv").read_text().splitlines()
@@ -177,10 +177,12 @@ class TestParseSessions:
             ]
         }
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(payload))
-        sessions, _ = parse_sessions(path, day_grid(), StationConfig())
-        assert sessions[0].arrival == datetime(2019, 6, 3, 8, 15, tzinfo=UTC)
-        assert sessions[0].required_energy == pytest.approx(12.5)
+        for bom in ("", "\ufeff"):  # a leading byte-order mark is dropped
+            path.write_text(bom + json.dumps(payload), encoding="utf-8")
+            sessions, _ = parse_sessions(path, day_grid(), StationConfig())
+            assert sessions[0].id == "1_39_78_362_2019-06-03"
+            assert sessions[0].arrival == datetime(2019, 6, 3, 8, 15, tzinfo=UTC)
+            assert sessions[0].required_energy == pytest.approx(12.5)
 
     def test_roundtrip_lossless_for_in_window_sessions(self, tmp_path):
         sessions = [
@@ -192,6 +194,9 @@ class TestParseSessions:
         back, report = parse_sessions(path, day_grid(), StationConfig())
         assert back == sessions
         assert not report.rejected and report.dropped_outside_window == 0
+        # a leading byte-order mark is dropped, so the first column keeps its header
+        path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert parse_sessions(path, day_grid(), StationConfig())[0] == sessions
 
 
 class TestSeries:
@@ -207,6 +212,9 @@ class TestSeries:
     def test_eur_kwh_passthrough(self, tmp_path):
         grid = TimeGrid(DAY, 1, 1.0)
         path = write(tmp_path / "p.csv", "timestamp,value\n2019-06-03T00:00:00Z,0.12\n")
+        assert parse_prices(path, grid, "EUR/kWh")[0] == pytest.approx(0.12)
+        # a headerless file whose first row follows a byte-order mark keeps that row
+        path.write_text("\ufeff2019-06-03T00:00:00Z,0.12\n", encoding="utf-8")
         assert parse_prices(path, grid, "EUR/kWh")[0] == pytest.approx(0.12)
 
     def test_constant_series(self, tmp_path):
