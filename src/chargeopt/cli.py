@@ -29,6 +29,7 @@ from . import reports
 from .fcfs import run_fcfs
 from .lp import LpError, LpSolverError, LpStatus, dump_lp, solve_lp
 from .model import (
+    DEMAND_POLICIES,
     DemandInfeasibleError,
     apply_demand_policy,
     build_nominal_lp,
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--no-solar", action="store_true", help="zero the PV ceiling everywhere")
         p.add_argument(
-            "--demand-policy", choices=["strict", "clamp"], default="clamp",
+            "--demand-policy", choices=DEMAND_POLICIES, default="clamp",
             help="unreachable demands: fail (strict) or lower them loudly (clamp)",
         )
         p.add_argument("--out", required=True, help="JSON report path; CSVs land next to it")

@@ -23,18 +23,18 @@ prefers: none is free, none with a negative cost lacks an upper bound and
 none with a positive cost a lower one.  Every program the package builds is
 of this kind.  Each column starts at that bound, so the objective is bounded
 below on the box and the all-slack basis is dual feasible with the true
-costs.  The dual phase runs from that basis.  The leaving row is the basic
-variable with the largest bound violation, and the entering column comes
-from a bound-flipping ratio test (Maros, EJOR 146(3), 2003; Koberstein, PhD
-thesis, Paderborn, 2005, ch. 3): each boxed column passed on the way moves
-to its other bound while the row stays violated, and the test always ends
-on a pivot, so the basis stays dual feasible.  A violated row that no column
-can repair proves the program infeasible.  The primal phase then runs from
-the final basis with Dantzig pricing (most negative reduced cost, first
-index on ties); on an accepted program it makes no iteration.  Both phases
-switch to Bland's rule after ``10 * (rows + cols)`` iterations so that
-degenerate instances are guaranteed to terminate.  A fixed column never
-enters the basis.
+costs.  A single phase, the dual simplex, runs from that basis.  The
+leaving row is the basic variable with the largest bound violation, and the
+entering column comes from a bound-flipping ratio test (Maros, EJOR 146(3),
+2003; Koberstein, PhD thesis, Paderborn, 2005, ch. 3): each boxed column
+passed on the way moves to its other bound while the row stays violated, and
+the test always ends on a pivot, so the basis stays dual feasible.  A
+violated row that no column can repair proves the program infeasible.  When
+no row is violated the basis is optimal, which the phase checks before it
+says so: an enterable column with a reduced cost below ``-REDUCED_COST_TOL``
+raises :class:`LpSolverError` instead.  After ``10 * (rows + cols)``
+iterations the phase switches to Bland's rule so that degenerate instances
+are guaranteed to terminate.  A fixed column never enters the basis.
 
 A pivot is one rank-1 update of the whole tableau, matrix, basic values and
 reduced costs together.  It touches only the rows where the pivot column is
@@ -50,10 +50,10 @@ bound is flipped in its pivot row before the update, which then writes its
 column already flipped.
 
 The tolerances are fixed: ``FEASIBILITY_TOL`` for bound and row violations,
-``PIVOT_TOL`` for pivot elements, ``REDUCED_COST_TOL`` for pricing and
-``CANCELLATION_TOL`` for the pivots' cancellation rule.  Every tie-break is
-by lowest index, so re-solving the same program gives a bit-identical
-result.
+``PIVOT_TOL`` for pivot elements, ``REDUCED_COST_TOL`` for the optimality
+check and ``CANCELLATION_TOL`` for the pivots' cancellation rule.  Every
+tie-break is by lowest index, so re-solving the same program gives a
+bit-identical result.
 """
 
 from __future__ import annotations
@@ -241,19 +241,17 @@ class SolverStats:
     rows: int
     cols: int
     dual_iterations: int
-    primal_iterations: int
     bound_flips: int
     pivot_cells: int
-    bland: bool  # whether Bland's rule chose any iteration of either phase
+    bland: bool  # whether Bland's rule chose any iteration
     dual_seconds: float
-    primal_seconds: float
     check_seconds: float = 0.0
     worst_residual: float | None = None
 
     @property
     def iterations(self) -> int:
-        """Iterations of both phases."""
-        return self.dual_iterations + self.primal_iterations
+        """Iterations of the dual simplex, the solver's only phase."""
+        return self.dual_iterations
 
 
 @dataclass(frozen=True)
@@ -261,7 +259,7 @@ class LpSolution:
     status: LpStatus
     x: np.ndarray | None
     objective_value: float | None
-    iterations: int  # both phases
+    iterations: int
     stats: SolverStats
 
 
@@ -317,7 +315,7 @@ def dump_lp(lp: LinearProgram) -> str:
 
 
 class _Tableau:
-    """Dense tableau state shared by both phases.
+    """Dense tableau state of the dual simplex.
 
     ``tab`` is ``(m + 1, n + 1)`` and C-contiguous (``_pivot`` writes through
     a flat view): ``mat`` is its ``(m, n)`` block, ``rhs`` its last column
@@ -370,12 +368,12 @@ class _Tableau:
                 # dual Bland rule: the violated row with the lowest basic index
                 rows = (viol > FEASIBILITY_TOL).nonzero()[0]
                 if not len(rows):
-                    return LpStatus.OPTIMAL
+                    return self._optimal()
                 r = int(rows[self.basis[rows].argmin()])
             else:
                 r = int(viol.argmax())
                 if not viol[r] > FEASIBILITY_TOL:
-                    return LpStatus.OPTIMAL
+                    return self._optimal()
             leaves_at_upper = bool(above[r] > 0)
             # raising nonbasic column j by t moves the leaving variable by -mat[r, j] * t;
             # slope[j] > 0 moves it towards the bound it violates
@@ -405,49 +403,12 @@ class _Tableau:
                 q = int(cand[k])
             self._pivot(r, q, leaves_at_upper)
 
-    def run(self) -> LpStatus:
-        """Primal simplex from a primal feasible basis until optimal; mutates
-        the tableau in place."""
-        m = self.mat.shape[0]
-        while True:
-            bland = self._bland_due()
-            masked = np.where(self.enterable, self.red, np.inf)
-            if bland:
-                eligible = (masked < -REDUCED_COST_TOL).nonzero()[0]
-                q = int(eligible[0]) if len(eligible) else -1
-            else:
-                q = int(masked.argmin())
-                q = q if masked[q] < -REDUCED_COST_TOL else -1
-            if q < 0:
-                return LpStatus.OPTIMAL
-            col = self.mat[:, q]
-            ratios = np.full(m, np.inf)
-            pos = col > PIVOT_TOL
-            ratios[pos] = np.maximum(self.rhs[pos], 0.0) / col[pos]
-            bspan = self.basic_span
-            neg = (col < -PIVOT_TOL) & np.isfinite(bspan)
-            ratios[neg] = (self.rhs[neg] - bspan[neg]) / col[neg]
-            ratios = np.maximum(ratios, 0.0)
-            r = int(ratios.argmin())
-            t_row = ratios[r]
-            if bland and np.isfinite(t_row):
-                # Bland leaving rule: lowest basic variable index among ties
-                tied = (ratios <= t_row + 1e-12 * (1.0 + t_row)).nonzero()[0]
-                r = int(tied[self.basis[tied].argmin()])
-                t_row = ratios[r]
-            t_own = self.spans[q]
-            if not np.isfinite(min(t_row, t_own)):
-                raise LpSolverError("primal simplex found a ray of a bounded program")
-            self.iterations += 1
-            self.bland |= bland
-            if t_own < t_row:
-                self._flip([q])
-                self.flips += 1
-            else:
-                self._pivot(r, q, leaves_at_upper=bool(neg[r]))
-            tiny = (self.rhs < 0.0) & (self.rhs > -1e-9)
-            if tiny.any():
-                self.rhs[tiny] = 0.0
+    def _optimal(self) -> LpStatus:
+        """OPTIMAL for a primal feasible basis, once no enterable column has a
+        reduced cost below ``-REDUCED_COST_TOL``; raises otherwise."""
+        if (self.red[self.enterable] < -REDUCED_COST_TOL).any():
+            raise LpSolverError("dual simplex ended on a basis that is not dual feasible")
+        return LpStatus.OPTIMAL
 
     def _flip(self, cols):
         """Move each column in ``cols`` (nonbasic, finite span) to its other bound."""
@@ -497,9 +458,8 @@ class _Tableau:
 
 
 def _simplex(lp: LinearProgram):
-    """Dual phase, then primal phase, over the rows of a validated ``lp``: the
-    dual phase ends optimal or proves the program infeasible, and the primal
-    phase finds nothing to improve.
+    """The dual simplex over the rows of a validated ``lp``, from the
+    all-slack basis: it ends optimal or proves the program infeasible.
 
     Returns ``(status, x, stats)``; the stats carry no check figures yet.
     """
@@ -517,7 +477,7 @@ def _simplex(lp: LinearProgram):
     m = len(rows)
     if m == 0:
         # pure box problem: each variable sits at the bound its cost prefers
-        return LpStatus.OPTIMAL, off, SolverStats(m, n_main, 0, 0, 0, 0, False, 0.0, 0.0)
+        return LpStatus.OPTIMAL, off, SolverStats(m, n_main, 0, 0, 0, False, 0.0)
 
     # every row gets one slack column of span inf, basic at the start
     n = n_main + m
@@ -533,20 +493,8 @@ def _simplex(lp: LinearProgram):
 
     t0 = time.perf_counter()
     status = tab.run_dual()
-    dual_iterations = tab.iterations
-    t1 = time.perf_counter()
-    if status is LpStatus.OPTIMAL:
-        status = tab.run()
     stats = SolverStats(
-        m,
-        n_main,
-        dual_iterations,
-        tab.iterations - dual_iterations,
-        tab.flips,
-        tab.pivot_cells,
-        tab.bland,
-        t1 - t0,
-        time.perf_counter() - t1,
+        m, n_main, tab.iterations, tab.flips, tab.pivot_cells, tab.bland, time.perf_counter() - t0
     )
     if status is not LpStatus.OPTIMAL:
         return status, None, stats

@@ -43,6 +43,7 @@ from .scenario import Scenario
 INF = float("inf")
 CONSTRAINT_TOL = 1e-6
 COST_CROSSCHECK_RTOL = 1e-9
+DEMAND_POLICIES = ("strict", "clamp")
 
 
 class DemandInfeasibleError(Exception):
@@ -325,7 +326,7 @@ def apply_demand_policy(sc: Scenario, policy: str = "clamp"):
     :class:`DemandInfeasibleError` instead.  Returns ``(scenario,
     adjustments)``; the scenario is unchanged when every demand is reachable.
     """
-    if policy not in ("strict", "clamp"):
+    if policy not in DEMAND_POLICIES:
         raise ValueError(f"unknown demand policy {policy!r}")
     deliverable = max_delivery(sc)
     adjustments = []
@@ -365,6 +366,8 @@ def extract_schedule(
     solar = np.minimum(load, sc.solar.cap)
     nominal_cost = sc.energy_cost(purchase)
     if vm.robust:
+        if gamma is None:
+            raise ValueError("a robust schedule needs its budget gamma to price its protection")
         b, s = _deviation_scales(sc, vm)
         budget_dual = float(s * x[vm.budget_dual])
         dev_duals = np.zeros(vm.num_slots)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CONSTRAINT_TOL, DemandAdjustment, solve_offline
+from .model import CONSTRAINT_TOL, DEMAND_POLICIES, DemandAdjustment, solve_offline
 from .reports import write_records_csv
 from .scenario import DeviationRule, Scenario, SolarSeries, TimeGrid, build_scenario
 
@@ -45,8 +45,13 @@ class MpcConfig:
     demand_policy: str = "clamp"
 
     def __post_init__(self):
-        if self.resolve_interval < 1:
-            raise ValueError("resolve interval must be at least one slot")
+        interval = self.resolve_interval
+        if not (interval >= 1 and float(interval).is_integer()):
+            raise ValueError(f"resolve interval must be a whole number of slots, got {interval!r}")
+        if self.gamma is not None and not 0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma!r}")
+        if self.demand_policy not in DEMAND_POLICIES:
+            raise ValueError(f"unknown demand policy {self.demand_policy!r}")
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class SolveEvent:
     trigger: str
     horizon_slots: int
     wall_seconds: float
-    iterations: int  # both simplex phases of the window LP
+    iterations: int  # simplex iterations of the window LP
     members: int  # sessions in the window
     clamped: int  # demand adjustments the window's demand policy made
 

@@ -33,18 +33,18 @@ class UncertaintyBudget:
         )
         if not self.gamma >= 0:  # inf prices every slot at its bound
             raise ValueError(f"gamma must be nonnegative, got {self.gamma!r}")
-        if np.any(self.deviation_bound < 0):
-            raise ValueError("deviation bounds must be nonnegative")
+        if not np.all(np.isfinite(self.deviation_bound) & (self.deviation_bound >= 0)):
+            raise ValueError("deviation bounds must be finite and nonnegative")
 
 
 def _exposure_terms(net_purchase, dt, budget: UncertaintyBudget) -> np.ndarray:
     purchase = np.asarray(net_purchase, dtype=float)
     if purchase.shape != budget.deviation_bound.shape:
         raise ValueError("net purchase and deviation bounds differ in length")
-    if np.any(purchase < 0):
-        raise ValueError("net purchase must be nonnegative")
-    if dt <= 0:
-        raise ValueError("slot length must be positive")
+    if not np.all(np.isfinite(purchase) & (purchase >= 0)):
+        raise ValueError("net purchase must be finite and nonnegative")
+    if not 0 < dt < np.inf:
+        raise ValueError(f"slot length must be positive and finite, got {dt!r}")
     return budget.deviation_bound * purchase * dt
 
 

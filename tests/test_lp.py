@@ -230,23 +230,19 @@ def bounds_as_rows(lp):
     )
 
 
-BEALE_COST = [-0.75, 150.0, -0.02, 6.0]
-
-
 def beale_tableau():
     """Beale's cycling instance on its all-slack basis: primal feasible (every
-    right-hand side is nonnegative) but not dual feasible, the kind of start a
-    warm basis hands the primal phase.  Its optimum is -0.05 at (0.04, 0, 1, 0)."""
+    right-hand side is nonnegative) but not dual feasible, so the dual simplex
+    must not call it optimal.  Its optimum is -0.05 at (0.04, 0, 1, 0)."""
     tab = np.array(
         [
             [0.25, -60.0, -1 / 25, 9.0, 1.0, 0.0, 0.0, 0.0],
             [0.5, -90.0, -1 / 50, 3.0, 0.0, 1.0, 0.0, 0.0],
             [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
-            [*BEALE_COST, 0.0, 0.0, 0.0, 0.0],
+            [-0.75, 150.0, -0.02, 6.0, 0.0, 0.0, 0.0, 0.0],
         ]
     )
     return _Tableau(tab, np.full(7, INF), np.array([4, 5, 6]))
-
 
 
 def assert_matches_enumeration(lp, sol):
@@ -259,29 +255,27 @@ def assert_matches_enumeration(lp, sol):
 
 
 class TestDualPhase:
-    """The dual phase from the all-slack basis, then the primal phase."""
+    """The dual simplex from the all-slack basis, the solver's only phase."""
 
     @pytest.mark.parametrize("moved", [False, True], ids=["boxed", "bounds-as-rows"])
     def test_bland_from_the_first_iteration(self, monkeypatch, moved):
         monkeypatch.setattr(_Tableau, "bland_factor", 0)
-        used = {"dual": 0, "primal": 0}
+        used = 0
         for lp in criterion_2_lps():
             sol = solve_lp(bounds_as_rows(lp) if moved else lp)
             assert_matches_enumeration(lp, sol)
             assert sol.stats.bland == (sol.iterations > 0)
-            used["dual"] += sol.stats.dual_iterations
-            used["primal"] += sol.stats.primal_iterations
-        assert used["dual"] > 0
-        assert used["primal"] == 0  # the dual phase ends dual feasible
+            used += sol.stats.dual_iterations
+        assert used > 0
 
-    def test_bland_in_phase_2_on_a_cycling_instance(self, monkeypatch):
-        monkeypatch.setattr(_Tableau, "bland_factor", 0)
+    @pytest.mark.parametrize("bland_factor", [0, 10])
+    def test_optimal_only_when_dual_feasible(self, monkeypatch, bland_factor):
+        # no row of Beale's tableau is violated, but two columns price below zero
+        monkeypatch.setattr(_Tableau, "bland_factor", bland_factor)
         tab = beale_tableau()
-        assert tab.run() is LpStatus.OPTIMAL
-        assert tab.bland and tab.iterations == 6
-        x = tab.values(4)
-        np.testing.assert_allclose(x, [0.04, 0.0, 1.0, 0.0], atol=1e-12)
-        assert np.dot(BEALE_COST, x) == pytest.approx(-0.05, abs=1e-12)
+        with pytest.raises(LpSolverError, match="not dual feasible"):
+            tab.run_dual()
+        assert tab.iterations == 0
 
     def test_dual_infeasible_start_goes_through_phase_2(self):
         # the transform that used to give columns a start their cost does not
@@ -371,17 +365,16 @@ class TestDualPhase:
         assert_matches_enumeration(lp(4.5), inconsistent)
 
     @pytest.mark.parametrize("gamma", [None, 12.0])
-    def test_charging_lps_skip_phase_2(self, gamma):
+    def test_charging_lp_stats(self, gamma):
         sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
         lp, _ = build_nominal_lp(sc) if gamma is None else build_robust_lp(sc, gamma)
         sol = solve_lp(lp)
         assert sol.status is LpStatus.OPTIMAL
         stats = sol.stats
-        assert stats.primal_iterations == 0
         assert stats.dual_iterations == sol.iterations > 0
         assert not stats.bland
         assert 0.0 <= stats.worst_residual <= 1e-6
-        assert min(stats.dual_seconds, stats.primal_seconds, stats.check_seconds) >= 0.0
+        assert min(stats.dual_seconds, stats.check_seconds) >= 0.0
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(
@@ -389,7 +382,7 @@ class TestDualPhase:
         slot_hours=st.sampled_from([1.0, 0.5]),
         gamma=st.sampled_from([0.0, 4.0, 12.0]),
     )
-    def test_random_scenario_lps_skip_phase_2(self, seed, slot_hours, gamma):
+    def test_random_scenario_lps_end_dual_feasible(self, seed, slot_hours, gamma):
         # a 10 kW grid under 22 kW sockets congests every dark slot with a session in it,
         # so the delivery LP is solved before the nominal and robust charging LPs
         sc = random_scenario(
@@ -405,10 +398,8 @@ class TestDualPhase:
             eff, _ = apply_demand_policy(sc, "clamp")
             solve_deliverable(eff)
             solve_deliverable(eff, gamma)
-        assert len(solved) == 3
-        for sol in solved:
-            assert sol.status is LpStatus.OPTIMAL
-            assert sol.stats.primal_iterations == 0
+        # each solve checks that its final basis is dual feasible before it says optimal
+        assert [sol.status for sol in solved] == [LpStatus.OPTIMAL] * 3
 
     def test_points_keep_their_box_exactly(self):
         rng = np.random.default_rng(2)
@@ -496,18 +487,27 @@ class TestAgainstEnumeration:
 
 
 class TestDegeneracyAndDeterminism:
-    def test_beale_cycling_instance_terminates(self, monkeypatch):
-        # Dantzig's rule cycles until Bland's rule takes over after 10 * (3 + 7) iterations
-        tab = beale_tableau()
-        assert tab.run() is LpStatus.OPTIMAL
-        assert tab.bland and tab.iterations == 102
-        assert np.dot(BEALE_COST, tab.values(4)) == pytest.approx(-0.05, abs=1e-12)
+    def test_dual_phase_iteration_limit(self, monkeypatch):
+        # -x_i <= -1 for five columns of cost 1: each violated row takes one pivot
+        def tableau():
+            k = 5
+            tab = np.zeros((k + 1, 2 * k + 1))
+            tab[np.arange(k), np.arange(k)] = -1.0
+            tab[np.arange(k), k + np.arange(k)] = 1.0
+            tab[:k, -1] = -1.0
+            tab[k, :k] = 1.0
+            return _Tableau(tab, np.full(2 * k, INF), k + np.arange(k))
+
         monkeypatch.setattr(_Tableau, "bland_factor", 10**9)
-        tab = beale_tableau()
-        tab.max_iter = 1000
+        tab = tableau()
+        assert tab.run_dual() is LpStatus.OPTIMAL
+        assert tab.iterations == 5
+        np.testing.assert_array_equal(tab.values(5), np.ones(5))
+        tab = tableau()
+        tab.max_iter = 2
         with pytest.raises(LpSolverError, match="iteration limit"):
-            tab.run()
-        assert not tab.bland
+            tab.run_dual()
+        assert tab.iterations == 3 and not tab.bland
 
     def test_duplicate_constraints_terminate(self):
         dup = ((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)

@@ -424,6 +424,15 @@ class TestExtract:
         with pytest.raises(ValueError):
             extract_schedule(bad, vm, sc)
 
+    def test_robust_schedule_needs_its_budget(self):
+        sc = two_slot_scenario()
+        lp, vm = build_robust_lp(sc, 1.0)
+        sol = solve_lp(lp)
+        assert vm.robust
+        with pytest.raises(ValueError, match="robust schedule needs its budget"):
+            extract_schedule(sol, vm, sc)
+        assert extract_schedule(sol, vm, sc, 1.0).objective_value == sol.objective_value
+
     def test_delivered_energy_property(self):
         for seed in range(5):
             sc = random_scenario(4, seed=seed)

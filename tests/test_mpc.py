@@ -168,8 +168,7 @@ class TestOnlineRun:
 
         def recording_solve(window, *args):
             schedule, adjs = solve_offline(window, *args)
-            stats = schedule.stats
-            iterations = stats.dual_iterations + stats.primal_iterations
+            iterations = schedule.stats.dual_iterations
             solves[slot_of[window.grid.start]] = (window.num_sessions, iterations, len(adjs))
             return schedule, adjs
 
@@ -192,6 +191,22 @@ class TestOnlineRun:
     def test_bad_interval_rejected(self):
         with pytest.raises(ValueError):
             MpcConfig(resolve_interval=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"resolve_interval": float("nan")}, "resolve interval"),
+            ({"resolve_interval": float("inf")}, "resolve interval"),
+            ({"resolve_interval": 2.5}, "resolve interval"),
+            ({"gamma": -1.0}, "gamma must be finite and nonnegative"),
+            ({"gamma": float("nan")}, "gamma must be finite and nonnegative"),
+            ({"gamma": float("inf")}, "gamma must be finite and nonnegative"),
+            ({"demand_policy": "drop"}, "unknown demand policy 'drop'"),
+        ],
+    )
+    def test_bad_config_rejected_when_built(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            MpcConfig(**kwargs)
 
 
 class TestKeptPlans:

@@ -74,6 +74,16 @@ class TestWorstCaseExtraCost:
             budget(float("nan"), [1.0])
         with pytest.raises(ValueError):
             budget(1.0, [-1.0])
+        # a non-finite bound, purchase or slot length would score nan or inf, not a cost
+        for bound in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="deviation bounds must be finite"):
+                budget(1.0, [bound, 1.0])
+        for purchase in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="net purchase must be finite"):
+                worst_case_extra_cost(np.array([purchase, 1.0]), 1.0, budget(1.0, [1.0, 1.0]))
+        for dt in (float("nan"), float("inf"), 0.0):
+            with pytest.raises(ValueError, match="slot length must be positive and finite"):
+                worst_case_extra_cost(np.array([1.0, 1.0]), dt, budget(1.0, [1.0, 1.0]))
 
 
 class TestWorstCaseTotalCost:
