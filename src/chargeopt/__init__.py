@@ -4,9 +4,9 @@ from .fcfs import FcfsResult, run_fcfs
 from .lp import (
     LinearProgram,
     LpFormatError,
+    LpInfeasibleError,
     LpSolution,
     LpSolverError,
-    LpStatus,
     Rows,
     SolverStats,
     check_point,

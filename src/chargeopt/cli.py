@@ -27,7 +27,7 @@ import numpy as np
 
 from . import reports
 from .fcfs import run_fcfs
-from .lp import LpError, LpSolverError, LpStatus, dump_lp, solve_lp
+from .lp import LpError, dump_lp, solve_lp
 from .model import (
     DEMAND_POLICIES,
     DemandInfeasibleError,
@@ -170,6 +170,11 @@ def _load_scenario(args):
         print(f"warning: {reason}", file=sys.stderr)
     if report.rejected:
         print(f"note: rejected {len(report.rejected)} session row(s)", file=sys.stderr)
+    if report.dropped_outside_window:
+        print(
+            f"note: dropped {report.dropped_outside_window} session(s) outside the time grid",
+            file=sys.stderr,
+        )
     prices = read_series_csv(args.prices, grid) * args.price_scale
     if args.irradiance:
         solar = pv_cap(parse_irradiance(args.irradiance, grid), station)
@@ -219,9 +224,11 @@ def cmd_simulate(args) -> int:
     if args.gamma is not None:
         _check("--gamma", args.gamma, 0)
     _check("--resolve-interval", args.resolve_interval, 1)
-    sc = _load_scenario(args)
     if args.policy == "robust" and args.gamma is None:
         raise ScenarioError("--policy robust requires --gamma")
+    if args.policy == "fcfs" and args.dump_lp:
+        raise ScenarioError("--dump-lp needs an optimized policy: nominal, robust or mpc")
+    sc = _load_scenario(args)
 
     report = reports.RunReport(command="simulate")
     ts = [sc.grid.slot_start(t).strftime("%Y-%m-%dT%H:%M:%SZ") for t in range(sc.num_slots)]
@@ -357,10 +364,8 @@ def cmd_bench(args) -> int:
         times = []
         for _ in range(args.repetitions):
             t0 = time.perf_counter()
-            sol = solve_lp(lp)
+            solve_lp(lp)
             times.append(time.perf_counter() - t0)
-            if sol.status is not LpStatus.OPTIMAL:
-                raise LpSolverError(f"bench instance ended {sol.status.value}")
         row = reports.BenchRow(count, float(np.mean(times)), args.repetitions, times)
         report.bench.append(row)
         print(f"{count} EVs: mean {row.mean_solve_seconds:.3f} s over {args.repetitions} runs")

@@ -29,10 +29,11 @@ entering column comes from a bound-flipping ratio test (Maros, EJOR 146(3),
 2003; Koberstein, PhD thesis, Paderborn, 2005, ch. 3): each boxed column
 passed on the way moves to its other bound while the row stays violated, and
 the test always ends on a pivot, so the basis stays dual feasible.  A
-violated row that no column can repair proves the program infeasible.  When
-no row is violated the basis is optimal, which the phase checks before it
-says so: an enterable column with a reduced cost below ``-REDUCED_COST_TOL``
-raises :class:`LpSolverError` instead.  After ``10 * (rows + cols)``
+violated row that no column can repair proves the program infeasible, and
+:func:`solve_lp` raises :class:`LpInfeasibleError`.  When no row is violated
+the basis is optimal, which the phase checks before it says so: an enterable
+column with a reduced cost below ``-REDUCED_COST_TOL`` raises
+:class:`LpSolverError` instead.  After ``10 * (rows + cols)``
 iterations the phase switches to Bland's rule so that degenerate instances
 are guaranteed to terminate.  A fixed column never enters the basis.
 
@@ -62,7 +63,6 @@ import dataclasses
 import functools
 import time
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -84,9 +84,12 @@ class LpSolverError(LpError):
     """The solver reached a state it cannot trust; never silent."""
 
 
-class LpStatus(Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
+class LpInfeasibleError(LpError):
+    """The program has no feasible point; ``stats`` describes the solve that proved it."""
+
+    def __init__(self, message: str, stats: SolverStats):
+        super().__init__(message)
+        self.stats = stats
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +238,7 @@ class SolverStats:
     the pivots' rank-1 updates rewrote.  ``check_seconds`` and
     ``worst_residual`` (the largest bound or row violation of the returned
     point, 0 when it violates none) describe the final feasibility check and
-    stay 0 and ``None`` when no point is returned.
+    stay 0 and ``None`` in the stats of an :class:`LpInfeasibleError`.
     """
 
     rows: int
@@ -256,9 +259,10 @@ class SolverStats:
 
 @dataclass(frozen=True)
 class LpSolution:
-    status: LpStatus
-    x: np.ndarray | None
-    objective_value: float | None
+    """An optimal point of a program: inside its box, and within ``FEASIBILITY_TOL`` of each row."""
+
+    x: np.ndarray
+    objective_value: float
     iterations: int
     stats: SolverStats
 
@@ -354,10 +358,11 @@ class _Tableau:
             raise LpSolverError("simplex iteration limit exceeded")
         return self.iterations >= self.bland_after
 
-    def run_dual(self) -> LpStatus:
+    def run_dual(self) -> int | None:
         """Dual simplex from a dual feasible basis (``red >= 0``) until every
-        basic variable is within ``FEASIBILITY_TOL`` of its range; INFEASIBLE
-        when a violated row cannot be repaired.  Mutates the tableau in place."""
+        basic variable is within ``FEASIBILITY_TOL`` of its range, then
+        ``None``; a violated row that no column can repair ends it instead, and
+        its index is returned.  Mutates the tableau in place."""
         red = self.red
         while True:
             bland = self._bland_due()
@@ -380,7 +385,7 @@ class _Tableau:
             slope = self.mat[r] if leaves_at_upper else -self.mat[r]
             cand = ((slope > PIVOT_TOL) & self.enterable).nonzero()[0]
             if not len(cand):
-                return LpStatus.INFEASIBLE
+                return r
             ratios = np.maximum(red[cand], 0.0) / slope[cand]
             self.iterations += 1
             self.bland |= bland
@@ -394,7 +399,7 @@ class _Tableau:
                 reach = (slope[cand] * self.spans[cand]).cumsum()
                 k = int(reach.searchsorted(viol[r]))
                 if k == len(cand) and viol[r] - reach[-1] > FEASIBILITY_TOL:
-                    return LpStatus.INFEASIBLE
+                    return r
                 # the last candidate always enters, so the basis stays dual feasible
                 k = min(k, len(cand) - 1)
                 if k:
@@ -403,12 +408,11 @@ class _Tableau:
                 q = int(cand[k])
             self._pivot(r, q, leaves_at_upper)
 
-    def _optimal(self) -> LpStatus:
-        """OPTIMAL for a primal feasible basis, once no enterable column has a
-        reduced cost below ``-REDUCED_COST_TOL``; raises otherwise."""
+    def _optimal(self) -> None:
+        """Let a primal feasible basis end the phase as optimal only when no
+        enterable column has a reduced cost below ``-REDUCED_COST_TOL``."""
         if (self.red[self.enterable] < -REDUCED_COST_TOL).any():
             raise LpSolverError("dual simplex ended on a basis that is not dual feasible")
-        return LpStatus.OPTIMAL
 
     def _flip(self, cols):
         """Move each column in ``cols`` (nonbasic, finite span) to its other bound."""
@@ -459,9 +463,11 @@ class _Tableau:
 
 def _simplex(lp: LinearProgram):
     """The dual simplex over the rows of a validated ``lp``, from the
-    all-slack basis: it ends optimal or proves the program infeasible.
+    all-slack basis.
 
-    Returns ``(status, x, stats)``; the stats carry no check figures yet.
+    Returns ``(x, stats)`` for an optimal basis; the stats carry no check
+    figures yet.  Raises :class:`LpInfeasibleError` naming the basic variable,
+    or the row's slack, whose bound violation no column can repair.
     """
     lo, up, c = lp.var_bounds[:, 0], lp.var_bounds[:, 1], lp.objective
 
@@ -477,7 +483,7 @@ def _simplex(lp: LinearProgram):
     m = len(rows)
     if m == 0:
         # pure box problem: each variable sits at the bound its cost prefers
-        return LpStatus.OPTIMAL, off, SolverStats(m, n_main, 0, 0, 0, False, 0.0)
+        return off, SolverStats(m, n_main, 0, 0, 0, False, 0.0)
 
     # every row gets one slack column of span inf, basic at the start
     n = n_main + m
@@ -492,30 +498,31 @@ def _simplex(lp: LinearProgram):
     tab = _Tableau(dense, np.concatenate([span, np.full(m, np.inf)]), basis)
 
     t0 = time.perf_counter()
-    status = tab.run_dual()
+    stuck = tab.run_dual()
     stats = SolverStats(
         m, n_main, tab.iterations, tab.flips, tab.pivot_cells, tab.bland, time.perf_counter() - t0
     )
-    if status is not LpStatus.OPTIMAL:
-        return status, None, stats
+    if stuck is not None:
+        j = int(tab.basis[stuck])
+        what = f"variable {j}" if j < n_main else f"the slack of row {j - n_main}"
+        raise LpInfeasibleError(f"infeasible: no column can bring {what} within its bounds", stats)
 
     x = off + sgn * tab.values(n_main)
     # the dual phase stops within the feasibility tolerance of a bound, not on
     # it, and lower + span can round past upper: the point keeps its box exactly
-    return LpStatus.OPTIMAL, np.clip(x, lo, up), stats
+    return np.clip(x, lo, up), stats
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` to proven optimality or infeasibility.
+    """Solve ``lp`` to proven optimality: the point returned passed the final
+    feasibility check.
 
     Malformed programs, and programs with a variable that has no finite bound
     its cost prefers, raise :class:`LpFormatError`; an infeasible but
-    well-formed program returns status ``INFEASIBLE``.
+    well-formed program raises :class:`LpInfeasibleError`.
     """
     lp.validate()
-    status, x, stats = _simplex(lp)
-    if status is not LpStatus.OPTIMAL:
-        return LpSolution(status, None, None, stats.iterations, stats)
+    x, stats = _simplex(lp)
     t0 = time.perf_counter()
     residuals = _violations(lp, x, 0.0)
     worst = max((v.amount for v in residuals), default=0.0)
@@ -527,4 +534,4 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise LpSolverError(
             f"solver returned an infeasible point ({len(bad)} violations, worst {worst:.3e})"
         )
-    return LpSolution(LpStatus.OPTIMAL, x, float(lp.objective @ x), stats.iterations, stats)
+    return LpSolution(x, float(lp.objective @ x), stats.iterations, stats)

@@ -29,15 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import (
-    LinearProgram,
-    LpSolution,
-    LpSolverError,
-    LpStatus,
-    Rows,
-    SolverStats,
-    solve_lp,
-)
+from .lp import LinearProgram, LpSolution, LpSolverError, Rows, SolverStats, solve_lp
 from .scenario import Scenario
 
 INF = float("inf")
@@ -58,7 +50,7 @@ class DemandInfeasibleError(Exception):
         super().__init__(f"unreachable demand: {lines}")
 
 
-class ScheduleConsistencyError(Exception):
+class ScheduleConsistencyError(LpSolverError):
     """Decoded solver output violates the physical constraints (solver bug surfaced)."""
 
 
@@ -304,8 +296,6 @@ def _max_delivery_lp(sc: Scenario, caps: np.ndarray | None = None) -> np.ndarray
     supply_rows = _rows(slot, np.arange(len(cells)), np.ones(len(cells)), supply)
     rows = Rows.stack([supply_rows, _demand_rows(sc, cells, 1.0)])
     sol = solve_lp(LinearProgram(len(cells), obj, bounds, rows))
-    if sol.status is not LpStatus.OPTIMAL:
-        raise LpSolverError(f"delivery LP ended {sol.status.value}; feasible by construction")
     power = np.zeros(caps.size)
     power[cells] = sol.x
     return coeff * power.reshape(caps.shape).sum(axis=1)
@@ -356,8 +346,6 @@ def extract_schedule(
     against the solver's objective; any physical-constraint violation raises
     :class:`ScheduleConsistencyError` rather than passing silently.
     """
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ValueError(f"cannot extract a schedule from a {sol.status.value} solution")
     x = sol.x
     charging = _charging_matrix(x, vm)
     load = charging.sum(axis=0)
@@ -424,16 +412,8 @@ def solve_deliverable(sc: Scenario, gamma: float | None = None) -> Schedule:
     The demands must already have passed :func:`apply_demand_policy`; a
     budget ``gamma`` selects the robust LP, ``None`` the nominal one.
     """
-    if gamma is None:
-        lp, vm = build_nominal_lp(sc)
-    else:
-        lp, vm = build_robust_lp(sc, gamma)
-    sol = solve_lp(lp)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise LpSolverError(
-            f"charging LP ended {sol.status.value} although demands were made deliverable"
-        )
-    return extract_schedule(sol, vm, sc, gamma)
+    lp, vm = build_nominal_lp(sc) if gamma is None else build_robust_lp(sc, gamma)
+    return extract_schedule(solve_lp(lp), vm, sc, gamma)
 
 
 def solve_offline(

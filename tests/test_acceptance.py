@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chargeopt.fcfs import run_fcfs
-from chargeopt.lp import LpStatus, Rows, check_point, solve_lp
+from chargeopt.lp import LpInfeasibleError, Rows, check_point, solve_lp
 from chargeopt.model import (
     apply_demand_policy,
     build_nominal_lp,
@@ -97,18 +97,19 @@ def test_criterion_2_lp_oracle_equivalence():
     optima = 0
     for trial in range(200):
         lp = random_box_lp(rng)
-        sol = solve_lp(lp)
         status, oracle = vertex_enumeration_optimum(lp)
         if status == "infeasible":
-            assert sol.status is LpStatus.INFEASIBLE, f"trial {trial}"
+            with pytest.raises(LpInfeasibleError):
+                solve_lp(lp)
         else:
             optima += 1
-            assert sol.status is LpStatus.OPTIMAL, f"trial {trial}"
+            sol = solve_lp(lp)
             assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle)), f"trial {trial}"
-    # degenerate fixtures terminate
+    # degenerate fixtures terminate: this one, every row twice, proves itself infeasible
     dup = random_box_lp(np.random.default_rng(77))
     degenerate = dataclasses.replace(dup, constraints=Rows.stack([dup.constraints] * 2))
-    solve_lp(degenerate)
+    with pytest.raises(LpInfeasibleError):
+        solve_lp(degenerate)
     elapsed = time.perf_counter() - t0
     report(
         2,
@@ -205,9 +206,8 @@ def test_criterion_7_solve_time():
         times = []
         for _ in range(5):
             t0 = time.perf_counter()
-            sol = solve_lp(lp)
+            solve_lp(lp)
             times.append(time.perf_counter() - t0)
-            assert sol.status is LpStatus.OPTIMAL
         means[count] = float(np.mean(times))
         assert means[count] <= limit, f"{count} EVs: mean {means[count]:.2f}s over limit {limit}s"
     report(

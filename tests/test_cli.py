@@ -293,6 +293,37 @@ class TestSimulate:
         assert capsys.readouterr().err == "error: simplex iteration limit exceeded\n"
         assert not (tmp_path / "r.json").exists()
 
+    def test_schedule_check_failure_exits_1(self, toy_dir, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise model.ScheduleConsistencyError("socket cap exceeded")
+
+        monkeypatch.setattr(model, "_verify_phys134", broken)
+        out = tmp_path / "r.json"
+        assert main(["simulate", *toy_flags(toy_dir, out)]) == 1
+        assert capsys.readouterr().err == "error: socket cap exceeded\n"
+        assert not out.exists()
+
+    def test_infeasible_lp_exits_1(self, toy_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(_Tableau, "run_dual", lambda tab: 0)  # row 0 cannot be repaired
+        out = tmp_path / "r.json"
+        assert main(["simulate", *toy_flags(toy_dir, out)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: infeasible: no column can bring the slack of row 0 within its bounds\n"
+        assert not out.exists()
+
+    def test_sessions_outside_the_grid_noted(self, toy_dir, tmp_path, capsys):
+        # the toy day's first session a year later: every row falls outside the grid
+        sessions = tmp_path / "s.csv"
+        header, first = (toy_dir / "sessions.csv").read_text().splitlines()[:2]
+        sessions.write_text(f"{header}\n{first.replace('2019', '2020')}\n")
+        out = tmp_path / "r.json"
+        flags = toy_flags(toy_dir, out)
+        flags[flags.index("--sessions") + 1] = str(sessions)
+        assert main(["simulate", *flags, "--policy", "fcfs"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "note: dropped 1 session(s) outside the time grid\n"
+        assert captured.out == "fcfs 0.0000 EUR\n"
+
     @pytest.mark.parametrize(
         "policy", [["nominal"], ["robust", "--gamma", "6"], ["mpc"]], ids=["nominal", "robust", "mpc"]
     )
@@ -592,12 +623,18 @@ class TestBench:
         ("simulate", ["--slot-hours", "1e300"], "24 slots, slot_hours 1e+300"),
         ("simulate", ["--start", "garbage"], "argument --start: unparsable timestamp 'garbage'"),
         ("sensitivity", ["--price-units", "EUR"], "argument --price-units: unknown price units 'EUR'"),
+        ("simulate", ["--policy", "robust"], "--policy robust requires --gamma"),
+        (
+            "simulate",
+            ["--policy", "fcfs", "--dump-lp", "lp.txt"],
+            "--dump-lp needs an optimized policy: nominal, robust or mpc",
+        ),
     ],
     ids=[
         "gamma-abc", "gamma-empty", "workers-0", "workers-neg", "counts-abc", "counts-empty",
         "eval-gamma-neg", "resolve-interval-0", "hours-0", "seed-neg", "nominal-gamma-neg",
         "hours-abc", "policy-bogus", "start-overflow", "slot-hours-overflow", "start-garbage",
-        "price-units-garbage",
+        "price-units-garbage", "robust-no-gamma", "fcfs-dump-lp",
     ],
 )
 def test_bad_flag_exits_1(toy_dir, tmp_path, capsys, monkeypatch, command, flags, message):

@@ -1,5 +1,6 @@
 """Solver unit tests: worked examples, oracle agreement, degeneracy, determinism."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 from chargeopt.lp import (
     LinearProgram,
     LpFormatError,
+    LpInfeasibleError,
     LpSolverError,
-    LpStatus,
     Rows,
     _Tableau,
     check_point,
@@ -46,21 +47,13 @@ def lp_1d(constraints):
 class TestSolveExamples:
     def test_single_binding_bound(self):
         sol = solve_lp(lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)]))
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(1.0, abs=1e-9)
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
 
     def test_contradictory_constraints_infeasible(self):
-        sol = solve_lp(
-            lp_1d(
-                [
-                    ((0,), (1.0,), GREATER_EQUAL, 1.0),
-                    ((0,), (1.0,), LESS_EQUAL, 0.0),
-                ]
-            )
-        )
-        assert sol.status is LpStatus.INFEASIBLE
-        assert sol.x is None and sol.objective_value is None
+        lp = lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0), ((0,), (1.0,), LESS_EQUAL, 0.0)])
+        with pytest.raises(LpInfeasibleError):
+            solve_lp(lp)
 
     def test_two_var_polytope_matches_enumeration(self):
         lp = LinearProgram(
@@ -72,7 +65,6 @@ class TestSolveExamples:
         status, oracle = vertex_enumeration_optimum(lp)
         assert status == "optimal"
         sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(oracle, rel=1e-9)
         assert oracle == pytest.approx(-1.0)
 
@@ -90,7 +82,6 @@ class TestSolveExamples:
             rows_of([((0, 1), (1.0, 1.0), EQUAL, 3.0)]),
         )
         sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_free_variables(self):
@@ -136,52 +127,64 @@ class TestRowsAsGiven:
         repeated_row = ((0, 1, 1, 0), (1.0, 0.5, 1.5, 1.0), LESS_EQUAL, 3.0)
         repeated = solve_lp(lp(repeated_row))
         merged = solve_lp(lp(((0, 1), (2.0, 2.0), LESS_EQUAL, 3.0)))
-        assert repeated.status is merged.status is LpStatus.OPTIMAL
         assert repeated.objective_value == pytest.approx(merged.objective_value, abs=1e-12)
         assert repeated.objective_value == pytest.approx(-3.0, abs=1e-9)
         np.testing.assert_allclose(repeated.x, merged.x, atol=1e-12)
         status, oracle = vertex_enumeration_optimum(lp(repeated_row))
         assert status == "optimal" and oracle == pytest.approx(-3.0, abs=1e-9)
 
+    # the case ids keep the names these cases have always had, outcome included
     @pytest.mark.parametrize(
-        "relation, rhs, status",
+        "relation, rhs, feasible",
         [
-            (LESS_EQUAL, 1.0, LpStatus.OPTIMAL),
-            (LESS_EQUAL, -1.0, LpStatus.INFEASIBLE),
-            (GREATER_EQUAL, -1.0, LpStatus.OPTIMAL),
-            (GREATER_EQUAL, 1.0, LpStatus.INFEASIBLE),
-            (EQUAL, 0.0, LpStatus.OPTIMAL),
-            (EQUAL, 0.5, LpStatus.INFEASIBLE),
+            (LESS_EQUAL, 1.0, True),
+            (LESS_EQUAL, -1.0, False),
+            (GREATER_EQUAL, -1.0, True),
+            (GREATER_EQUAL, 1.0, False),
+            (EQUAL, 0.0, True),
+            (EQUAL, 0.5, False),
+        ],
+        ids=[
+            "<=-1.0-LpStatus.OPTIMAL", "<=--1.0-LpStatus.INFEASIBLE",
+            ">=--1.0-LpStatus.OPTIMAL", ">=-1.0-LpStatus.INFEASIBLE",
+            "=-0.0-LpStatus.OPTIMAL", "=-0.5-LpStatus.INFEASIBLE",
         ],
     )
-    def test_empty_row(self, relation, rhs, status):
+    def test_empty_row(self, relation, rhs, feasible):
         lp = LinearProgram(
             2,
             [1.0, -1.0],
             [[0.0, 1.0], [0.0, 1.0]],
             rows_of([((), (), relation, rhs), ((0, 1), (1.0, 1.0), LESS_EQUAL, 1.5)]),
         )
-        sol = solve_lp(lp)
-        assert sol.status is status
-        if status is LpStatus.OPTIMAL:
-            assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
+        if feasible:
+            assert solve_lp(lp).objective_value == pytest.approx(-1.0, abs=1e-9)
+        else:
+            with pytest.raises(LpInfeasibleError):
+                solve_lp(lp)
 
     @pytest.mark.parametrize(
-        "rows, status",
+        "rows, feasible",
         [
-            ([((0, 1), (1.0, 1.0), LESS_EQUAL, 3.0)], LpStatus.OPTIMAL),
-            ([((0, 1), (1.0, -1.0), EQUAL, -1.0)], LpStatus.OPTIMAL),
-            ([((0, 1), (1.0, 1.0), GREATER_EQUAL, 4.0)], LpStatus.INFEASIBLE),
-            ([((1,), (1.0,), EQUAL, 2.5)], LpStatus.INFEASIBLE),
+            ([((0, 1), (1.0, 1.0), LESS_EQUAL, 3.0)], True),
+            ([((0, 1), (1.0, -1.0), EQUAL, -1.0)], True),
+            ([((0, 1), (1.0, 1.0), GREATER_EQUAL, 4.0)], False),
+            ([((1,), (1.0,), EQUAL, 2.5)], False),
+        ],
+        ids=[
+            "rows0-LpStatus.OPTIMAL", "rows1-LpStatus.OPTIMAL",
+            "rows2-LpStatus.INFEASIBLE", "rows3-LpStatus.INFEASIBLE",
         ],
     )
-    def test_all_variables_fixed(self, rows, status):
+    def test_all_variables_fixed(self, rows, feasible):
         lp = LinearProgram(2, [3.0, -1.0], [[1.0, 1.0], [2.0, 2.0]], rows_of(rows))
-        sol = solve_lp(lp)
-        assert sol.status is status
-        if status is LpStatus.OPTIMAL:
+        if feasible:
+            sol = solve_lp(lp)
             np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-12)
             assert sol.objective_value == pytest.approx(1.0, abs=1e-12)
+        else:
+            with pytest.raises(LpInfeasibleError):
+                solve_lp(lp)
 
     def test_singleton_equality_row(self):
         def lp(rhs):
@@ -198,12 +201,12 @@ class TestRowsAsGiven:
             )
 
         sol = solve_lp(lp(3.0))
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.x[0] == pytest.approx(1.5, abs=1e-9)
         assert sol.objective_value == pytest.approx(2.0, abs=1e-9)
         status, oracle = vertex_enumeration_optimum(lp(3.0))
         assert status == "optimal" and oracle == pytest.approx(sol.objective_value, abs=1e-9)
-        assert solve_lp(lp(10.0)).status is LpStatus.INFEASIBLE  # x0 = 5 is above its bound
+        with pytest.raises(LpInfeasibleError):
+            solve_lp(lp(10.0))  # x0 = 5 is above its bound
 
 
 def criterion_2_lps():
@@ -245,13 +248,29 @@ def beale_tableau():
     return _Tableau(tab, np.full(7, INF), np.array([4, 5, 6]))
 
 
-def assert_matches_enumeration(lp, sol):
+def assert_matches_enumeration(lp, solved=None):
+    """Solve ``solved`` (by default ``lp``), an equivalent of ``lp``: it raises
+    :class:`LpInfeasibleError` exactly where vertex enumeration of ``lp`` finds
+    no vertex, and otherwise reaches its optimum.  Returns the solve's stats."""
+    solved = lp if solved is None else solved
     status, oracle = vertex_enumeration_optimum(lp)
     if status == "infeasible":
-        assert sol.status is LpStatus.INFEASIBLE
-    else:
-        assert sol.status is LpStatus.OPTIMAL
-        assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle))
+        with pytest.raises(LpInfeasibleError) as exc:
+            solve_lp(solved)
+        return exc.value.stats
+    sol = solve_lp(solved)
+    assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle))
+    return sol.stats
+
+
+def optimal_solves(lps):
+    """``(lp, solution)`` for each program of ``lps`` that is feasible."""
+    for lp in lps:
+        try:
+            sol = solve_lp(lp)
+        except LpInfeasibleError:
+            continue
+        yield lp, sol
 
 
 class TestDualPhase:
@@ -262,10 +281,9 @@ class TestDualPhase:
         monkeypatch.setattr(_Tableau, "bland_factor", 0)
         used = 0
         for lp in criterion_2_lps():
-            sol = solve_lp(bounds_as_rows(lp) if moved else lp)
-            assert_matches_enumeration(lp, sol)
-            assert sol.stats.bland == (sol.iterations > 0)
-            used += sol.stats.dual_iterations
+            stats = assert_matches_enumeration(lp, bounds_as_rows(lp) if moved else lp)
+            assert stats.bland == (stats.iterations > 0)
+            used += stats.dual_iterations
         assert used > 0
 
     @pytest.mark.parametrize("bland_factor", [0, 10])
@@ -317,9 +335,9 @@ class TestDualPhase:
             [[0.0, INF], [0.0, 1.0]],
             rows_of([((0, 1), (-1.0, 0.0), GREATER_EQUAL, 1.0)]),
         )
-        sol = solve_lp(lp)
-        assert sol.status is LpStatus.INFEASIBLE
-        assert sol.stats.bound_flips == 0
+        with pytest.raises(LpInfeasibleError) as exc:
+            solve_lp(lp)
+        assert exc.value.stats.bound_flips == 0
 
     def test_infeasible_when_the_boxed_breakpoints_run_out(self):
         def lp(up):
@@ -330,13 +348,33 @@ class TestDualPhase:
                 rows_of([((0, 1), (1.0, 1.0), GREATER_EQUAL, 3.0)]),
             )
 
-        sol = solve_lp(lp(1.0))  # both columns at their upper bound still leave it short
-        assert sol.status is LpStatus.INFEASIBLE
-        assert sol.stats.bound_flips == 0
+        with pytest.raises(LpInfeasibleError) as exc:
+            solve_lp(lp(1.0))  # both columns at their upper bound still leave it short
+        assert exc.value.stats.bound_flips == 0
         sol = solve_lp(lp(5.0))  # x0 is passed at its upper bound, x1 enters
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.stats.bound_flips == 1
         np.testing.assert_allclose(sol.x, [1.0, 2.0], atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows, what, iterations",
+        [
+            ([((0,), (-1.0,), GREATER_EQUAL, 1.0)], "the slack of row 0", 0),
+            # the second row pushes x1, basic since the first pivot, to 2: past its bound 1
+            (
+                [((0, 1), (1.0, 1.0), GREATER_EQUAL, 2.0), ((1,), (1.0,), GREATER_EQUAL, 2.0)],
+                "variable 1",
+                2,
+            ),
+        ],
+    )
+    def test_infeasible_error_names_what_it_cannot_repair(self, rows, what, iterations):
+        lp = LinearProgram(2, [1.0, 1.0], [[0.0, 1.0], [0.0, 1.0]], rows_of(rows))
+        with pytest.raises(LpInfeasibleError, match=f"no column can bring {what} within") as exc:
+            solve_lp(lp)
+        stats = exc.value.stats
+        assert stats.iterations == iterations
+        assert (stats.rows, stats.cols) == (len(rows), 2)
+        assert (stats.check_seconds, stats.worst_residual) == (0.0, None)
 
     @pytest.mark.parametrize("bland", [False, True])
     def test_equality_pairs(self, monkeypatch, bland):
@@ -357,19 +395,17 @@ class TestDualPhase:
                 ),
             )
 
-        redundant = solve_lp(lp(4.0))
-        assert_matches_enumeration(lp(4.0), redundant)
-        assert redundant.objective_value == pytest.approx(0.0, abs=1e-9)
-        inconsistent = solve_lp(lp(4.5))
-        assert inconsistent.status is LpStatus.INFEASIBLE
-        assert_matches_enumeration(lp(4.5), inconsistent)
+        assert_matches_enumeration(lp(4.0))
+        assert solve_lp(lp(4.0)).objective_value == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(LpInfeasibleError):
+            solve_lp(lp(4.5))
+        assert_matches_enumeration(lp(4.5))
 
     @pytest.mark.parametrize("gamma", [None, 12.0])
     def test_charging_lp_stats(self, gamma):
         sc, _ = apply_demand_policy(bench_scenario(10, seed=0), "clamp")
         lp, _ = build_nominal_lp(sc) if gamma is None else build_robust_lp(sc, gamma)
         sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
         stats = sol.stats
         assert stats.dual_iterations == sol.iterations > 0
         assert not stats.bland
@@ -398,19 +434,17 @@ class TestDualPhase:
             eff, _ = apply_demand_policy(sc, "clamp")
             solve_deliverable(eff)
             solve_deliverable(eff, gamma)
-        # each solve checks that its final basis is dual feasible before it says optimal
-        assert [sol.status for sol in solved] == [LpStatus.OPTIMAL] * 3
+        # each solve checks that its final basis is dual feasible before it returns
+        assert len(solved) == 3
 
     def test_points_keep_their_box_exactly(self):
         rng = np.random.default_rng(2)
         lps = criterion_2_lps() + [random_box_lp(rng) for _ in range(1000)]
         optimal = 0
-        for lp in lps:
-            sol = solve_lp(lp)
-            if sol.status is LpStatus.OPTIMAL:
-                optimal += 1
-                assert np.all(lp.var_bounds[:, 0] <= sol.x)
-                assert np.all(sol.x <= lp.var_bounds[:, 1])
+        for lp, sol in optimal_solves(lps):
+            optimal += 1
+            assert np.all(lp.var_bounds[:, 0] <= sol.x)
+            assert np.all(sol.x <= lp.var_bounds[:, 1])
         assert optimal >= 500
 
 
@@ -442,7 +476,8 @@ class TestCheckPoint:
         monkeypatch.setattr(LinearProgram, "validate", counting)
         rng = np.random.default_rng(5)
         for k in range(1, 21):
-            solve_lp(random_box_lp(rng))
+            with contextlib.suppress(LpInfeasibleError):
+                solve_lp(random_box_lp(rng))
             assert len(calls) == k
 
     def test_bound_violations_reported(self):
@@ -458,13 +493,13 @@ class TestAgainstEnumeration:
         optimal = 0
         for _ in range(60):
             lp = random_box_lp(rng)
-            sol = solve_lp(lp)
             status, oracle = vertex_enumeration_optimum(lp)
             if status == "infeasible":
-                assert sol.status is LpStatus.INFEASIBLE
+                with pytest.raises(LpInfeasibleError):
+                    solve_lp(lp)
             else:
                 optimal += 1
-                assert sol.status is LpStatus.OPTIMAL
+                sol = solve_lp(lp)
                 assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle))
         assert optimal >= 20  # the generator must exercise the optimal path
 
@@ -473,8 +508,9 @@ class TestAgainstEnumeration:
         checked = 0
         while checked < 10:
             lp = random_box_lp(rng)
-            sol = solve_lp(lp)
-            if sol.status is not LpStatus.OPTIMAL:
+            try:
+                sol = solve_lp(lp)
+            except LpInfeasibleError:
                 continue
             lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
             for _ in range(200):
@@ -500,7 +536,7 @@ class TestDegeneracyAndDeterminism:
 
         monkeypatch.setattr(_Tableau, "bland_factor", 10**9)
         tab = tableau()
-        assert tab.run_dual() is LpStatus.OPTIMAL
+        assert tab.run_dual() is None
         assert tab.iterations == 5
         np.testing.assert_array_equal(tab.values(5), np.ones(5))
         tab = tableau()
@@ -518,28 +554,26 @@ class TestDegeneracyAndDeterminism:
             rows_of([dup, dup, ((0, 1), (2.0, 2.0), LESS_EQUAL, 2.0)]),
         )
         sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(-1.0, abs=1e-9)
 
     def test_resolve_is_bit_identical(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
             lp = random_box_lp(rng)
-            a, b = solve_lp(lp), solve_lp(lp)
-            assert a.status == b.status
-            assert a.iterations == b.iterations
-            if a.status is LpStatus.OPTIMAL:
-                assert np.array_equal(a.x, b.x)
-                assert a.objective_value == b.objective_value
+            runs = []
+            for _ in range(2):
+                try:
+                    sol = solve_lp(lp)
+                    runs.append((sol.x.tobytes(), sol.objective_value, sol.iterations))
+                except LpInfeasibleError as exc:
+                    runs.append((str(exc), exc.stats.iterations))
+            assert runs[0] == runs[1]
 
     def test_objective_matches_dot_product(self):
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            lp = random_box_lp(rng)
-            sol = solve_lp(lp)
-            if sol.status is LpStatus.OPTIMAL:
-                direct = float(lp.objective @ sol.x)
-                assert abs(sol.objective_value - direct) <= 1e-9 * (1 + abs(direct))
+        for lp, sol in optimal_solves(random_box_lp(rng) for _ in range(20)):
+            direct = float(lp.objective @ sol.x)
+            assert abs(sol.objective_value - direct) <= 1e-9 * (1 + abs(direct))
 
 
 class TestPivot:

@@ -8,7 +8,7 @@ import pytest
 
 import chargeopt.model
 from chargeopt.fcfs import run_fcfs
-from chargeopt.lp import LpStatus, check_point, solve_lp
+from chargeopt.lp import check_point, solve_lp
 from chargeopt.model import (
     DemandInfeasibleError,
     ScheduleConsistencyError,
@@ -203,7 +203,6 @@ class TestRobust:
         sc, _ = apply_demand_policy(random_scenario(40, seed=1, num_slots=168), "clamp")
         lp, _ = build_robust_lp(sc, 12.0)
         sol = solve_lp(lp)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective_value == pytest.approx(highs_objective(lp), rel=1e-6)
         # against the unfolded model, so a wrong fold of solar or the grid cap shows;
         # the grid cap binds on the 15 kW station
@@ -224,7 +223,6 @@ class TestRobust:
         sc, _ = apply_demand_policy(random_scenario(600, seed=2, num_slots=720), "clamp")
         for lp, _ in (build_nominal_lp(sc), build_robust_lp(sc, 12.0)):
             sol = solve_lp(lp)
-            assert sol.status is LpStatus.OPTIMAL
             assert sol.objective_value == pytest.approx(highs_objective(lp), rel=1e-6)
 
     def test_net_purchase_never_negative(self):
@@ -415,14 +413,6 @@ class TestExtract:
         broken = dataclasses.replace(sol, objective_value=sol.objective_value + 1.0)
         with pytest.raises(ScheduleConsistencyError):
             extract_schedule(broken, vm, sc)
-
-    def test_rejects_non_optimal(self):
-        sc = two_slot_scenario()
-        lp, vm = build_nominal_lp(sc)
-        sol = solve_lp(lp)
-        bad = dataclasses.replace(sol, status=LpStatus.INFEASIBLE)
-        with pytest.raises(ValueError):
-            extract_schedule(bad, vm, sc)
 
     def test_robust_schedule_needs_its_budget(self):
         sc = two_slot_scenario()
