@@ -120,11 +120,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="nominal",
         help="optimized method for the headline comparison",
     )
-    sim.add_argument("--gamma", type=float, help="uncertainty budget (required for robust)")
+    sim.add_argument("--gamma", type=float, help="uncertainty budget (robust and mpc only)")
     sim.add_argument(
-        "--resolve-interval", type=int, default=1,
-        help="MPC periodic decision interval, slots; the nominal controller re-solves there "
-        "only when its plan falls short",
+        "--resolve-interval", type=int,
+        help="mpc periodic decision interval, slots (default 1); the nominal controller "
+        "re-solves there only when its plan falls short",
     )
     sim.add_argument("--dump-lp", help="write the optimized LP in plain text (bug reports)")
 
@@ -223,9 +223,14 @@ def _out_path(base: str, suffix: str) -> str:
 def cmd_simulate(args) -> int:
     if args.gamma is not None:
         _check("--gamma", args.gamma, 0)
-    _check("--resolve-interval", args.resolve_interval, 1)
+    if args.resolve_interval is not None:
+        _check("--resolve-interval", args.resolve_interval, 1)
     if args.policy == "robust" and args.gamma is None:
         raise ScenarioError("--policy robust requires --gamma")
+    if args.gamma is not None and args.policy in ("fcfs", "nominal"):
+        raise ScenarioError(f"--gamma needs --policy robust or mpc, got {args.policy}")
+    if args.resolve_interval is not None and args.policy != "mpc":
+        raise ScenarioError(f"--resolve-interval needs --policy mpc, got {args.policy}")
     if args.policy == "fcfs" and args.dump_lp:
         raise ScenarioError("--dump-lp needs an optimized policy: nominal, robust or mpc")
     sc = _load_scenario(args)
@@ -244,7 +249,6 @@ def cmd_simulate(args) -> int:
     headline = fcfs.cost
     optimized_slot_cost = fcfs_slot_cost
     if args.policy != "fcfs":
-        gamma = args.gamma if args.policy in ("robust", "mpc") else None
         eff, adjustments = apply_demand_policy(sc, args.demand_policy)
         schedule = solve_deliverable(eff)
         report.solver.append(reports.SolverRecord("nominal", schedule.stats))
@@ -257,8 +261,8 @@ def cmd_simulate(args) -> int:
         headline = schedule.nominal_cost
         optimized_slot_cost = reports.slot_costs(sc, schedule.grid_draw)
         if args.policy == "robust":
-            rsched = solve_deliverable(eff, gamma)
-            report.solver.append(reports.SolverRecord(f"robust gamma={gamma!r}", rsched.stats))
+            rsched = solve_deliverable(eff, args.gamma)
+            report.solver.append(reports.SolverRecord(f"robust gamma={args.gamma!r}", rsched.stats))
             report.costs["robust_nominal"] = rsched.nominal_cost
             report.costs["robust_objective"] = rsched.objective_value
             report.slot_series["robust_grid_kw"] = [float(v) for v in rsched.grid_draw]
@@ -267,13 +271,14 @@ def cmd_simulate(args) -> int:
             optimized_slot_cost = reports.slot_costs(sc, rsched.grid_draw)
         if args.dump_lp:
             # the offline LP as solved above: built on the demand-clamped scenario
-            lp, _ = build_robust_lp(eff, gamma) if args.policy == "robust" else build_nominal_lp(eff)
+            robust = args.policy == "robust"
+            lp, _ = build_robust_lp(eff, args.gamma) if robust else build_nominal_lp(eff)
             with open(args.dump_lp, "w") as fh:
                 fh.write(dump_lp(lp))
         if args.policy == "mpc":
             cfg = MpcConfig(
-                resolve_interval=args.resolve_interval,
-                gamma=gamma,
+                resolve_interval=args.resolve_interval or 1,
+                gamma=args.gamma,
                 demand_policy=args.demand_policy,
             )
             trace = run_online(sc, cfg)

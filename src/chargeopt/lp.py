@@ -4,8 +4,9 @@ A program keeps its rows as CSR arrays (:class:`Rows`): ``indptr``,
 ``indices``, ``coeffs`` and ``rhs``.  Every row reads ``coeffs . x <= rhs``:
 a builder negates a ``>=`` row, and no builder needs an equality.  The model
 builders emit those arrays directly, and a program is made from them only.
-Validation, the feasibility check and the plain-text dump work on them;
-indexing a :class:`Rows` gives one of its rows as a one-row :class:`Rows`.
+Making a :class:`LinearProgram` checks it, once: the solver, the feasibility
+check and the plain-text dump trust every program that exists.  Indexing a
+:class:`Rows` gives one of its rows as a one-row :class:`Rows`.
 Each row's left-hand side at a point is one sparse product,
 :meth:`Rows.dot`; the feasibility check and the tableau build both use it.
 
@@ -18,7 +19,7 @@ its row's value at the columns' starting bounds.  Every row gets one slack
 column of infinite span.  Upper bounds are handled natively with the
 bound-flip technique rather than as extra rows.
 
-A program is accepted only if each column has a finite bound that its cost
+A program is made only if each column has a finite bound that its cost
 prefers: none is free, none with a negative cost lacks an upper bound and
 none with a positive cost a lower one.  Every program the package builds is
 of this kind.  Each column starts at that bound, so the objective is bounded
@@ -143,7 +144,7 @@ class Rows:
         return Rows([0, hi - lo], self.indices[lo:hi], self.coeffs[lo:hi], self.rhs[k : k + 1])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Minimize ``objective @ x`` subject to box bounds and sparse rows.
 
@@ -151,7 +152,8 @@ class LinearProgram:
     ``math.inf`` marks an unbounded side (never a large finite stand-in).  The
     side a variable's cost prefers must be finite: the lower bound for a
     positive cost, the upper for a negative one, either for a zero cost.
-    ``constraints`` is :class:`Rows`; any other value raises :class:`LpFormatError`.
+    ``constraints`` is :class:`Rows`.  Making a program checks all of this and
+    raises :class:`LpFormatError` on any breach; nothing checks it again.
     """
 
     num_vars: int
@@ -160,14 +162,10 @@ class LinearProgram:
     constraints: Rows = dataclasses.field(default_factory=lambda: Rows([0], [], [], []))
 
     def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.var_bounds = np.asarray(self.var_bounds, dtype=float).reshape(-1, 2)
+        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
+        object.__setattr__(self, "var_bounds", np.asarray(self.var_bounds, float).reshape(-1, 2))
         if not isinstance(self.constraints, Rows):
             raise LpFormatError(f"constraints must be Rows, got {type(self.constraints).__name__}")
-
-    def validate(self):
-        """Raise :class:`LpFormatError` on any invariant violation, the class docstring's
-        finite preferred bound included."""
         if self.objective.shape != (self.num_vars,):
             raise LpFormatError(
                 f"objective has length {self.objective.shape}, expected {self.num_vars}"
@@ -270,25 +268,25 @@ class LpSolution:
 def check_point(lp: LinearProgram, x: np.ndarray, tol: float = FEASIBILITY_TOL) -> list[Violation]:
     """Report all bounds and constraints that ``x`` violates by more than ``tol``.
 
-    Returns an empty list iff ``x`` is feasible within ``tol``.
+    Returns an empty list iff ``x`` is feasible within ``tol``.  An infinite
+    entry violates the bound on its side and a NaN entry its lower bound, and a
+    NaN left-hand side (``inf - inf``) violates its row, each by ``inf``.
+    :func:`solve_lp` gates every point it returns on this check.
     """
-    lp.validate()
-    return _violations(lp, x, tol)
-
-
-def _violations(lp: LinearProgram, x: np.ndarray, tol: float) -> list[Violation]:
-    """:func:`check_point` on a program already validated."""
     x = np.asarray(x, dtype=float)
     if x.shape != (lp.num_vars,):
         raise LpFormatError(f"point has length {x.shape}, expected {lp.num_vars}")
     out: list[Violation] = []
     lo, up = lp.var_bounds[:, 0], lp.var_bounds[:, 1]
-    for j in np.nonzero(x < lo - tol)[0]:
-        out.append(Violation("lower_bound", int(j), float(lo[j] - x[j])))
-    for j in np.nonzero(x > up + tol)[0]:
-        out.append(Violation("upper_bound", int(j), float(x[j] - up[j])))
+    finite = np.isfinite(x)
+    for j in np.nonzero((x < lo - tol) | np.isnan(x) | (x == -np.inf))[0]:
+        out.append(Violation("lower_bound", int(j), float(lo[j] - x[j]) if finite[j] else np.inf))
+    for j in np.nonzero((x > up + tol) | (x == np.inf))[0]:
+        out.append(Violation("upper_bound", int(j), float(x[j] - up[j]) if finite[j] else np.inf))
     rows = lp.constraints
-    excess = rows.dot(x) - rows.rhs
+    with np.errstate(invalid="ignore"):  # an infinite entry can make a left-hand side NaN
+        excess = rows.dot(x) - rows.rhs
+    excess[np.isnan(excess)] = np.inf
     for k in np.nonzero(excess > tol)[0]:
         out.append(Violation("constraint", int(k), float(excess[k])))
     return out
@@ -462,8 +460,8 @@ class _Tableau:
 
 
 def _simplex(lp: LinearProgram):
-    """The dual simplex over the rows of a validated ``lp``, from the
-    all-slack basis.
+    """The dual simplex over the rows of ``lp``, from the all-slack basis; making
+    ``lp`` checked that each column has a finite bound its cost prefers.
 
     Returns ``(x, stats)`` for an optimal basis; the stats carry no check
     figures yet.  Raises :class:`LpInfeasibleError` naming the basic variable,
@@ -472,8 +470,8 @@ def _simplex(lp: LinearProgram):
     lo, up, c = lp.var_bounds[:, 0], lp.var_bounds[:, 1], lp.objective
 
     # affine map x = off + sgn * y with y in [0, span]: a column sits at its upper
-    # bound when its cost is negative or it has no lower bound
-    at_up = np.isfinite(up) & ((c < 0) | np.isneginf(lo))
+    # bound, finite in every program, when its cost is negative or it has no lower bound
+    at_up = (c < 0) | np.isneginf(lo)
     off = np.where(at_up, up, lo)
     sgn = np.where(at_up, -1.0, 1.0)
     span = up - lo
@@ -514,17 +512,16 @@ def _simplex(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Solve ``lp`` to proven optimality: the point returned passed the final
-    feasibility check.
+    """Solve ``lp`` to proven optimality: the point returned passed
+    :func:`check_point`, the final gate, within ``FEASIBILITY_TOL``.
 
-    Malformed programs, and programs with a variable that has no finite bound
-    its cost prefers, raise :class:`LpFormatError`; an infeasible but
-    well-formed program raises :class:`LpInfeasibleError`.
+    ``lp`` was checked when it was made, so no :class:`LpFormatError` comes
+    from here.  An infeasible program raises :class:`LpInfeasibleError`, and a
+    point that fails the gate raises :class:`LpSolverError`.
     """
-    lp.validate()
     x, stats = _simplex(lp)
     t0 = time.perf_counter()
-    residuals = _violations(lp, x, 0.0)
+    residuals = check_point(lp, x, 0.0)
     worst = max((v.amount for v in residuals), default=0.0)
     stats = dataclasses.replace(
         stats, check_seconds=time.perf_counter() - t0, worst_residual=worst

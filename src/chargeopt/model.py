@@ -382,8 +382,8 @@ def extract_schedule(
     )
 
 
-def _verify_phys134(sc: Scenario, charging, purchase, solar, tol=CONSTRAINT_TOL):
-    dt = sc.grid.slot_hours
+def _verify_phys134(sc: Scenario, charging, purchase, solar):
+    dt, tol = sc.grid.slot_hours, CONSTRAINT_TOL
     eta = sc.station.charge_efficiency
     problems = []
     delivered = eta * dt * charging.sum(axis=1)

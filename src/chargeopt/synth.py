@@ -34,10 +34,11 @@ def price_profile(rng, num_slots: int) -> np.ndarray:
     return base + peak + noise
 
 
-def irradiance_profile(rng, num_slots: int, peak_w_per_m2: float = 900.0) -> np.ndarray:
+def irradiance_profile(rng, num_slots: int) -> np.ndarray:
+    """Daily irradiance shape in W/m^2: a half-sine from 06:00 to 18:00 peaking at 900."""
     hours = np.arange(num_slots) % 24
     shape = np.clip(np.sin((hours - 6.0) * np.pi / 12.0), 0.0, None)
-    return peak_w_per_m2 * shape * rng.uniform(0.75, 1.0, num_slots)
+    return 900.0 * shape * rng.uniform(0.75, 1.0, num_slots)
 
 
 def random_scenario(
@@ -53,7 +54,6 @@ def random_scenario(
     peak_overlap: bool = False,
     all_at_start: bool = False,
     demand_fill: tuple[float, float] = (0.2, 0.9),
-    deviation_fraction: float = 0.25,
 ) -> Scenario:
     """Generate one seeded scenario.
 
@@ -102,14 +102,7 @@ def random_scenario(
 
     prices = price_profile(rng, num_slots)
     solar = pv_cap(irradiance_profile(rng, num_slots), station)
-    return build_scenario(
-        sessions,
-        prices,
-        solar,
-        grid,
-        station,
-        DeviationRule.proportional(deviation_fraction),
-    )
+    return build_scenario(sessions, prices, solar, grid, station, DeviationRule.proportional(0.25))
 
 
 def bench_scenario(num_evs: int, *, seed: int) -> Scenario:

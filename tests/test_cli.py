@@ -629,12 +629,33 @@ class TestBench:
             ["--policy", "fcfs", "--dump-lp", "lp.txt"],
             "--dump-lp needs an optimized policy: nominal, robust or mpc",
         ),
+        (
+            "simulate",
+            ["--policy", "nominal", "--gamma", "5"],
+            "--gamma needs --policy robust or mpc, got nominal",
+        ),
+        (
+            "simulate",
+            ["--policy", "fcfs", "--gamma", "5"],
+            "--gamma needs --policy robust or mpc, got fcfs",
+        ),
+        (
+            "simulate",
+            ["--policy", "robust", "--gamma", "5", "--resolve-interval", "7"],
+            "--resolve-interval needs --policy mpc, got robust",
+        ),
+        (
+            "simulate",
+            ["--policy", "nominal", "--resolve-interval", "3"],
+            "--resolve-interval needs --policy mpc, got nominal",
+        ),
     ],
     ids=[
         "gamma-abc", "gamma-empty", "workers-0", "workers-neg", "counts-abc", "counts-empty",
         "eval-gamma-neg", "resolve-interval-0", "hours-0", "seed-neg", "nominal-gamma-neg",
         "hours-abc", "policy-bogus", "start-overflow", "slot-hours-overflow", "start-garbage",
-        "price-units-garbage", "robust-no-gamma", "fcfs-dump-lp",
+        "price-units-garbage", "robust-no-gamma", "fcfs-dump-lp", "nominal-gamma", "fcfs-gamma",
+        "robust-resolve-interval", "nominal-resolve-interval",
     ],
 )
 def test_bad_flag_exits_1(toy_dir, tmp_path, capsys, monkeypatch, command, flags, message):

@@ -19,6 +19,7 @@ from chargeopt.lp import (
     dump_lp,
     solve_lp,
 )
+from chargeopt import lp as lp_module
 from chargeopt import model
 from chargeopt.model import (
     apply_demand_policy,
@@ -70,9 +71,8 @@ class TestSolveExamples:
 
     def test_unbounded(self):
         # a cost that prefers an infinite bound has no dual feasible start
-        lp = LinearProgram(1, [-1.0], [[0.0, INF]])
         with pytest.raises(LpFormatError, match="variable 0: its cost prefers an infinite bound"):
-            solve_lp(lp)
+            LinearProgram(1, [-1.0], [[0.0, INF]])
 
     def test_equality_native(self):
         lp = LinearProgram(
@@ -85,36 +85,32 @@ class TestSolveExamples:
         assert sol.objective_value == pytest.approx(3.0, abs=1e-9)
 
     def test_free_variables(self):
-        lp = LinearProgram(
-            2,
-            [1.0, -1.0],
-            [[-INF, INF], [-INF, INF]],
-            rows_of(
-                [
-                    ((0, 1), (1.0, 1.0), EQUAL, 2.0),
-                    ((0, 1), (1.0, -1.0), GREATER_EQUAL, -4.0),
-                ]
-            ),
-        )
         with pytest.raises(LpFormatError, match="variable 0: free"):
-            solve_lp(lp)
+            LinearProgram(
+                2,
+                [1.0, -1.0],
+                [[-INF, INF], [-INF, INF]],
+                rows_of(
+                    [
+                        ((0, 1), (1.0, 1.0), EQUAL, 2.0),
+                        ((0, 1), (1.0, -1.0), GREATER_EQUAL, -4.0),
+                    ]
+                ),
+            )
 
     def test_malformed_raises_not_infeasible(self):
-        lp = LinearProgram(2, [1.0], [[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(LpFormatError):
-            solve_lp(lp)
-        lp = LinearProgram(1, [1.0], [[0.0, 1.0]], rows_of([((3,), (1.0,), LESS_EQUAL, 1.0)]))
+            LinearProgram(2, [1.0], [[0.0, 1.0], [0.0, 1.0]])
         with pytest.raises(LpFormatError):
-            solve_lp(lp)
-        lp = LinearProgram(1, [1.0], [[2.0, 1.0]])
+            LinearProgram(1, [1.0], [[0.0, 1.0]], rows_of([((3,), (1.0,), LESS_EQUAL, 1.0)]))
         with pytest.raises(LpFormatError):
-            solve_lp(lp)
+            LinearProgram(1, [1.0], [[2.0, 1.0]])
         for obj in (float("nan"), INF, -INF):
             with pytest.raises(LpFormatError, match="variable 1: non-finite objective"):
-                solve_lp(LinearProgram(2, [1.0, obj], [[0.0, 1.0], [0.0, 1.0]]))
+                LinearProgram(2, [1.0, obj], [[0.0, 1.0], [0.0, 1.0]])
         for bound in ([float("nan"), 1.0], [0.0, float("nan")]):
             with pytest.raises(LpFormatError, match="variable 0: NaN bound"):
-                solve_lp(LinearProgram(2, [1.0, 1.0], [bound, [0.0, 1.0]]))
+                LinearProgram(2, [1.0, 1.0], [bound, [0.0, 1.0]])
 
 
 class TestRowsAsGiven:
@@ -295,7 +291,7 @@ class TestDualPhase:
             tab.run_dual()
         assert tab.iterations == 0
 
-    def test_dual_infeasible_start_goes_through_phase_2(self):
+    def test_program_without_a_dual_feasible_start_is_rejected(self):
         # the transform that used to give columns a start their cost does not
         # prefer: negative-cost columns lose their upper bound, every third is free
         rejected = 0
@@ -306,26 +302,23 @@ class TestDualPhase:
             bounds = lp.var_bounds.copy()
             bounds[lp.objective < 0, 1] = INF
             bounds[2::3] = [-INF, INF]
-            start = LinearProgram(lp.num_vars, lp.objective, bounds, lp.constraints)
             with pytest.raises(LpFormatError, match=f"variable {no_start.argmax()}: "):
-                solve_lp(start)
+                LinearProgram(lp.num_vars, lp.objective, bounds, lp.constraints)
             rejected += 1
         assert rejected == 193  # the other 7 have two columns, both of cost >= 0
 
-    def test_unbounded_through_phase_2(self):
-        lp = LinearProgram(
-            2,
-            [-1.0, 1.0],
-            [[0.0, INF], [0.0, 1.0]],
-            rows_of([((0, 1), (1.0, -1.0), GREATER_EQUAL, 0.5)]),
-        )
+    def test_unbounded_program_with_rows_is_rejected(self):
         with pytest.raises(LpFormatError, match="variable 0: its cost prefers an infinite bound"):
-            solve_lp(lp)
-        free = LinearProgram(
-            2, [1.0, 0.0], [[-INF, INF], [0.0, 1.0]], rows_of([((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)])
-        )
+            LinearProgram(
+                2,
+                [-1.0, 1.0],
+                [[0.0, INF], [0.0, 1.0]],
+                rows_of([((0, 1), (1.0, -1.0), GREATER_EQUAL, 0.5)]),
+            )
         with pytest.raises(LpFormatError, match="variable 0: free"):
-            solve_lp(free)
+            LinearProgram(
+                2, [1.0, 0.0], [[-INF, INF], [0.0, 1.0]], rows_of([((0, 1), (1.0, 1.0), LESS_EQUAL, 1.0)])
+            )
 
     def test_infeasible_row_without_an_eligible_column(self):
         # -x0 >= 1 with x0 >= 0: no column can raise the row's slack
@@ -465,20 +458,65 @@ class TestCheckPoint:
         with pytest.raises(LpFormatError):
             check_point(lp, np.array([1.0, 2.0]), 1e-9)
 
-    def test_solve_validates_once(self, monkeypatch):
+    def test_solve_and_check_never_validate_again(self, monkeypatch):
         calls = []
-        validate = LinearProgram.validate
+        post_init = LinearProgram.__post_init__
 
         def counting(lp):
             calls.append(lp)
-            return validate(lp)
+            post_init(lp)
 
-        monkeypatch.setattr(LinearProgram, "validate", counting)
+        monkeypatch.setattr(LinearProgram, "__post_init__", counting)
         rng = np.random.default_rng(5)
         for k in range(1, 21):
+            lp = random_box_lp(rng)
+            assert len(calls) == k
+            with contextlib.suppress(LpInfeasibleError):
+                check_point(lp, solve_lp(lp).x)
+            check_point(lp, np.zeros(lp.num_vars))
+            assert len(calls) == k
+
+    def test_solve_gates_on_check_point_once(self, monkeypatch):
+        calls = []
+        check = lp_module.check_point
+
+        def counting(lp, x, tol=lp_module.FEASIBILITY_TOL):
+            calls.append(tol)
+            return check(lp, x, tol)
+
+        monkeypatch.setattr(lp_module, "check_point", counting)
+        rng = np.random.default_rng(5)
+        solved = 0
+        for _ in range(20):
             with contextlib.suppress(LpInfeasibleError):
                 solve_lp(random_box_lp(rng))
-            assert len(calls) == k
+                solved += 1
+                assert calls == [0.0]
+            calls.clear()
+        assert solved >= 5
+
+    def test_non_finite_points_violate(self):
+        box = [[0.0, 1.0], [0.0, 1.0]]
+        lp = LinearProgram(2, [1.0, 1.0], box, rows_of([((0, 1), (1.0, 1.0), GREATER_EQUAL, 1.0)]))
+        report = check_point(lp, np.array([np.nan, np.nan]), 1e-9)
+        assert {(v.kind, v.index, v.amount) for v in report} == {
+            ("lower_bound", 0, INF), ("lower_bound", 1, INF), ("constraint", 0, INF)
+        }
+        half_line = [[0.0, INF], [0.0, INF]]
+        lp = LinearProgram(2, [1.0, 1.0], half_line, rows_of([((0, 1), (1.0, -1.0), LESS_EQUAL, 0.0)]))
+        report = check_point(lp, np.array([INF, INF]), 1e-9)
+        assert {(v.kind, v.index, v.amount) for v in report} == {
+            ("upper_bound", 0, INF), ("upper_bound", 1, INF), ("constraint", 0, INF)
+        }
+        report = check_point(lp, np.array([-INF, 0.0]), 1e-9)
+        assert {(v.kind, v.index, v.amount) for v in report} == {("lower_bound", 0, INF)}
+
+    def test_solve_rejects_a_non_finite_point(self, monkeypatch):
+        lp = lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)])
+        stats = lp_module.SolverStats(1, 1, 0, 0, 0, False, 0.0)
+        monkeypatch.setattr(lp_module, "_simplex", lambda lp: (np.array([np.nan]), stats))
+        with pytest.raises(LpSolverError, match="worst inf"):
+            solve_lp(lp)
 
     def test_bound_violations_reported(self):
         lp = LinearProgram(2, [0.0, 0.0], [[0.0, 1.0], [0.0, 1.0]])
@@ -710,7 +748,7 @@ class TestRows:
     )
     def test_malformed_rows_raise(self, rows, message):
         with pytest.raises(LpFormatError, match=message):
-            solve_lp(LinearProgram(2, [1.0, 1.0], [[0.0, 1.0]] * 2, rows))
+            LinearProgram(2, [1.0, 1.0], [[0.0, 1.0]] * 2, rows)
 
     def test_violations_match_row_by_row(self):
         rng = np.random.default_rng(11)
