@@ -175,6 +175,12 @@ def _load_scenario(args):
             f"note: dropped {report.dropped_outside_window} session(s) outside the time grid",
             file=sys.stderr,
         )
+    if report.defaulted_power:
+        print(
+            f"note: defaulted {report.defaulted_power} session(s) without a power to "
+            f"{station.default_max_power:g} kW (--default-max-power)",
+            file=sys.stderr,
+        )
     prices = read_series_csv(args.prices, grid) * args.price_scale
     if args.irradiance:
         solar = pv_cap(parse_irradiance(args.irradiance, grid), station)

@@ -93,12 +93,21 @@ class LpInfeasibleError(LpError):
         self.stats = stats
 
 
+def _read_only(a, dtype) -> np.ndarray:
+    """``a`` as an array of ``dtype`` seen through a read-only view: no edit through a program
+    can undo the check that making it runs.  A caller's own array stays writable and, if it
+    needed no conversion, shared with the program."""
+    view = np.asarray(a, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class Rows:
     """The rows of a program in CSR form.
 
     Row ``k`` is ``sum(coeffs[p] * x[indices[p]]) <= rhs[k]`` over ``p`` in
-    ``indptr[k]:indptr[k + 1]``.
+    ``indptr[k]:indptr[k + 1]``.  The arrays are read-only views.
     """
 
     indptr: np.ndarray
@@ -107,10 +116,10 @@ class Rows:
     rhs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "indptr", np.asarray(self.indptr, dtype=np.intp))
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.intp))
-        object.__setattr__(self, "coeffs", np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "rhs", np.asarray(self.rhs, dtype=float))
+        object.__setattr__(self, "indptr", _read_only(self.indptr, np.intp))
+        object.__setattr__(self, "indices", _read_only(self.indices, np.intp))
+        object.__setattr__(self, "coeffs", _read_only(self.coeffs, float))
+        object.__setattr__(self, "rhs", _read_only(self.rhs, float))
 
     @classmethod
     def stack(cls, blocks: list[Rows]) -> Rows:
@@ -153,7 +162,8 @@ class LinearProgram:
     side a variable's cost prefers must be finite: the lower bound for a
     positive cost, the upper for a negative one, either for a zero cost.
     ``constraints`` is :class:`Rows`.  Making a program checks all of this and
-    raises :class:`LpFormatError` on any breach; nothing checks it again.
+    raises :class:`LpFormatError` on any breach; nothing checks it again, and
+    its arrays are read-only views, so that no edit through it can undo the check.
     """
 
     num_vars: int
@@ -162,8 +172,8 @@ class LinearProgram:
     constraints: Rows = dataclasses.field(default_factory=lambda: Rows([0], [], [], []))
 
     def __post_init__(self):
-        object.__setattr__(self, "objective", np.asarray(self.objective, dtype=float))
-        object.__setattr__(self, "var_bounds", np.asarray(self.var_bounds, float).reshape(-1, 2))
+        object.__setattr__(self, "objective", _read_only(self.objective, float))
+        object.__setattr__(self, "var_bounds", _read_only(self.var_bounds, float).reshape(-1, 2))
         if not isinstance(self.constraints, Rows):
             raise LpFormatError(f"constraints must be Rows, got {type(self.constraints).__name__}")
         if self.objective.shape != (self.num_vars,):

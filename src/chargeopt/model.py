@@ -34,6 +34,10 @@ from .scenario import Scenario
 
 INF = float("inf")
 CONSTRAINT_TOL = 1e-6
+# a demand at most this far above its deliverable amount reaches the charging LP as asked:
+# the gap is the delivery LP's rounding, and even over the eta * dt of a one-minute slot
+# it stays far inside the charging LP's FEASIBILITY_TOL
+DELIVERY_ROUNDING_KWH = 1e-9
 COST_CROSSCHECK_RTOL = 1e-9
 DEMAND_POLICIES = ("strict", "clamp")
 
@@ -69,8 +73,9 @@ class VariableMap:
 
     Columns run one charging power per plugged-in cell (``availability >
     0``), session-major, then one net purchase per slot of ``bought``, then
-    for robust programs the scaled budget dual followed by one scaled
-    deviation dual per slot of ``protected``.  Cells where the session is not
+    for a robust program, built with a budget ``gamma`` (``None`` for a
+    nominal one), the scaled budget dual followed by one scaled deviation
+    dual per slot of ``protected``.  Cells where the session is not
     plugged in have no column.  ``cells`` holds the flat index ``i *
     num_slots + t`` of each charging column.
 
@@ -79,35 +84,48 @@ class VariableMap:
     ``bought`` lists the other slots, ``capped`` the dark slots whose socket
     caps sum above the grid capacity, and ``protected`` the slots with a
     positive deviation bound and something to buy: a purchase column, or a
-    dark slot's plugged-in cells.
+    dark slot's plugged-in cells.  ``b`` holds the scale ``bound[t] * dt`` of
+    each protected slot's deviation dual and ``s``, their largest, the budget
+    dual's; ``s`` stays a numpy scalar, so that a product past the float
+    range warns.
     """
 
     num_sessions: int
     num_slots: int
-    robust: bool
+    gamma: float | None
     cells: np.ndarray
     dark: np.ndarray  # (T,) bool
     bought: np.ndarray
     capped: np.ndarray
     protected: np.ndarray
+    b: np.ndarray
+    s: np.float64
 
     @classmethod
-    def for_scenario(cls, sc: Scenario, robust: bool, socket_caps: np.ndarray) -> "VariableMap":
+    def for_scenario(cls, sc: Scenario, gamma: float | None, socket_caps: np.ndarray) -> VariableMap:
         caps = socket_caps.sum(axis=0)
         dark = sc.solar.cap == 0
         bought = ~dark & (caps > sc.solar.cap)
         capped = dark & (caps > sc.station.grid_capacity)
-        protected = (bought | (dark & (caps > 0))) & (sc.prices.deviation_bound > 0) & robust
+        protected = (bought | (dark & (caps > 0))) & (sc.prices.deviation_bound > 0)
+        protected = (protected & (gamma is not None)).nonzero()[0]
+        b = sc.prices.deviation_bound[protected] * sc.grid.slot_hours
         return cls(
             sc.num_sessions,
             sc.num_slots,
-            robust,
+            gamma,
             np.flatnonzero(sc.availability > 0),
             dark,
             bought.nonzero()[0],
             capped.nonzero()[0],
-            protected.nonzero()[0],
+            protected,
+            b,
+            b.max(initial=0.0),
         )
+
+    @property
+    def robust(self) -> bool:
+        return self.gamma is not None
 
     @property
     def num_charge(self) -> int:
@@ -184,19 +202,11 @@ def _rows(row: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray
     return Rows(indptr, cols[order], coeffs[order], rhs)
 
 
-def _deviation_scales(sc: Scenario, vm: VariableMap) -> tuple[np.ndarray, np.float64]:
-    """``b_t = bound[t] * dt`` over the protected slots and their largest, ``s``: the robust
-    rows scale deviation dual ``t`` by ``b_t`` and the budget dual by ``s``.  ``s`` stays a
-    numpy scalar, so that a product past the float range warns."""
-    b = sc.prices.deviation_bound[vm.protected] * sc.grid.slot_hours
-    return b, b.max(initial=0.0)
-
-
 def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, VariableMap]:
     """Demand rows, one supply row per bought or capped slot, then for a budget ``gamma``
     one dual row per protected slot; socket and grid caps are column bounds."""
     caps = _socket_caps(sc)
-    vm = VariableMap.for_scenario(sc, gamma is not None, caps)
+    vm = VariableMap.for_scenario(sc, gamma, caps)
     T, dt = sc.num_slots, sc.grid.slot_hours
     nc, purchases = vm.num_charge, vm.purchases
     slot = vm.cells % T
@@ -226,7 +236,7 @@ def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, Vari
         # the dual row dev[t] + budget >= b_t * purchase[t] with dev[t] = b_t * mu[t] and
         # budget = s * scaled, over b_t: purchase[t] - mu[t] - (s / b_t) * scaled <= 0, where
         # a dark slot's load stands for its purchase
-        b, s = _deviation_scales(sc, vm)
+        b, s = vm.b, vm.s
         k = np.arange(len(b))
         mu = vm.budget_dual + 1 + k
         obj[vm.budget_dual] = gamma * s
@@ -311,38 +321,43 @@ def _charging_matrix(x: np.ndarray, vm: VariableMap) -> np.ndarray:
 def apply_demand_policy(sc: Scenario, policy: str = "clamp"):
     """Make demands jointly deliverable, or prove they already are.
 
-    ``clamp`` lowers each unreachable requirement to the deliverable amount
-    and reports the adjustments; ``strict`` raises
-    :class:`DemandInfeasibleError` instead.  Returns ``(scenario,
+    A requirement more than ``DELIVERY_ROUNDING_KWH`` above its
+    :func:`max_delivery` amount is lowered to that amount, so the charging LP
+    never asks for more than it can deliver beyond rounding.  A
+    shortfall beyond ``CONSTRAINT_TOL * (1 + required)`` kWh is reported:
+    ``clamp`` returns it as an adjustment and ``strict`` raises
+    :class:`DemandInfeasibleError` instead; a smaller one, a request just past
+    the sockets' reach, is lowered silently.  Returns ``(scenario,
     adjustments)``; the scenario is unchanged when every demand is reachable.
     """
     if policy not in DEMAND_POLICIES:
         raise ValueError(f"unknown demand policy {policy!r}")
     deliverable = max_delivery(sc)
+    need = np.array([s.required_energy for s in sc.sessions])
+    short = (deliverable < need - DELIVERY_ROUNDING_KWH).nonzero()[0]
+    if not len(short):
+        return sc, []
     adjustments = []
     new_sessions = list(sc.sessions)
-    for i, sess in enumerate(sc.sessions):
-        if deliverable[i] >= sess.required_energy - CONSTRAINT_TOL * (1 + sess.required_energy):
-            continue
-        adjustments.append(DemandAdjustment(sess.id, sess.required_energy, float(deliverable[i])))
-        new_sessions[i] = dataclasses.replace(sess, required_energy=float(deliverable[i]))
-    if not adjustments:
-        return sc, []
-    if policy == "strict":
+    for i in short:
+        sess, amount = sc.sessions[i], float(deliverable[i])
+        new_sessions[i] = dataclasses.replace(sess, required_energy=amount)
+        if amount < sess.required_energy - CONSTRAINT_TOL * (1 + sess.required_energy):
+            adjustments.append(DemandAdjustment(sess.id, sess.required_energy, amount))
+    if adjustments and policy == "strict":
         raise DemandInfeasibleError(adjustments)
     return dataclasses.replace(sc, sessions=tuple(new_sessions)), adjustments
 
 
-def extract_schedule(
-    sol: LpSolution, vm: VariableMap, sc: Scenario, gamma: float | None = None
-) -> Schedule:
+def extract_schedule(sol: LpSolution, vm: VariableMap, sc: Scenario) -> Schedule:
     """Decode an optimal solution and verify it against the scenario.
 
     Solar usage is ``min(load, S)`` per slot, and the net purchase of a slot
     without a purchase column is its load where it is dark, 0 elsewhere.  The
-    deviation duals are ``bound[t] * dt`` times their columns (0 where a slot
-    has none), and the budget dual is the largest such scale times its
-    column.  Costs are recomputed from the variable values and cross-checked
+    deviation duals are their scales ``vm.b`` times their columns (0 where a
+    slot has none), the budget dual is ``vm.s`` times its column, and the
+    protection is priced at the budget ``vm.gamma`` the program was built
+    with.  Costs are recomputed from the variable values and cross-checked
     against the solver's objective; any physical-constraint violation raises
     :class:`ScheduleConsistencyError` rather than passing silently.
     """
@@ -354,13 +369,10 @@ def extract_schedule(
     solar = np.minimum(load, sc.solar.cap)
     nominal_cost = sc.energy_cost(purchase)
     if vm.robust:
-        if gamma is None:
-            raise ValueError("a robust schedule needs its budget gamma to price its protection")
-        b, s = _deviation_scales(sc, vm)
-        budget_dual = float(s * x[vm.budget_dual])
+        budget_dual = float(vm.s * x[vm.budget_dual])
         dev_duals = np.zeros(vm.num_slots)
-        dev_duals[vm.protected] = b * x[vm.budget_dual + 1 :]
-        protection = float(gamma) * budget_dual + float(dev_duals.sum())
+        dev_duals[vm.protected] = vm.b * x[vm.budget_dual + 1 :]
+        protection = float(vm.gamma) * budget_dual + float(dev_duals.sum())
     else:
         budget_dual, dev_duals, protection = None, None, 0.0
     objective = nominal_cost + protection
@@ -413,7 +425,7 @@ def solve_deliverable(sc: Scenario, gamma: float | None = None) -> Schedule:
     budget ``gamma`` selects the robust LP, ``None`` the nominal one.
     """
     lp, vm = build_nominal_lp(sc) if gamma is None else build_robust_lp(sc, gamma)
-    return extract_schedule(solve_lp(lp), vm, sc, gamma)
+    return extract_schedule(solve_lp(lp), vm, sc)
 
 
 def solve_offline(

@@ -51,23 +51,15 @@ def _exposure_terms(net_purchase, dt, budget: UncertaintyBudget) -> np.ndarray:
 def worst_case_extra_cost(net_purchase, dt: float, budget: UncertaintyBudget) -> float:
     """Maximal adversarial extra cost for a fixed purchase profile (EUR).
 
-    Continuous knapsack: sort the per-slot exposures descending, take the
-    ``floor(gamma)`` largest in full plus the fractional remainder of the
-    next.  Supports fractional budgets.
+    Continuous knapsack: sort the per-slot exposures descending and weight
+    the ``i``-th (from 0) by ``clip(gamma - i, 0, 1)``, so the ``floor(gamma)``
+    largest count in full and the next by the fractional remainder.  A budget
+    of 0 weights nothing and one of at least ``T`` (``inf`` included) every
+    term.
     """
-    terms = _exposure_terms(net_purchase, dt, budget)
-    t = len(terms)
-    if budget.gamma == 0 or t == 0:
-        return 0.0
-    if budget.gamma >= t:
-        return float(terms.sum())
-    order = np.sort(terms)[::-1]
-    whole = int(np.floor(budget.gamma))
-    frac = budget.gamma - whole
-    total = float(order[:whole].sum())
-    if frac > 0:
-        total += frac * float(order[whole])
-    return total
+    terms = np.sort(_exposure_terms(net_purchase, dt, budget))[::-1]
+    weights = np.clip(budget.gamma - np.arange(len(terms)), 0.0, 1.0)
+    return float(terms @ weights)
 
 
 def worst_case_total_cost(schedule, prices, dt: float, budget: UncertaintyBudget) -> float:

@@ -324,6 +324,44 @@ class TestSimulate:
         assert captured.err == "note: dropped 1 session(s) outside the time grid\n"
         assert captured.out == "fcfs 0.0000 EUR\n"
 
+    def test_defaulted_powers_noted(self, toy_dir, tmp_path, capsys):
+        # the toy sessions without their power column: every car charges at the default
+        sessions = tmp_path / "s.csv"
+        lines = (toy_dir / "sessions.csv").read_text().splitlines()
+        sessions.write_text("".join(",".join(ln.split(",")[:4]) + "\n" for ln in lines))
+        flags = toy_flags(toy_dir, tmp_path / "r.json")
+        flags[flags.index("--sessions") + 1] = str(sessions)
+        assert main(["simulate", *flags, "--policy", "fcfs"]) == 0
+        assert capsys.readouterr().err == (
+            "note: defaulted 3 session(s) without a power to 86 kW (--default-max-power)\n"
+        )
+        assert main(["simulate", *flags, "--policy", "fcfs", "--default-max-power", "7.5"]) == 0
+        assert "to 7.5 kW (--default-max-power)" in capsys.readouterr().err
+        assert main(["simulate", *toy_flags(toy_dir, tmp_path / "r.json"), "--policy", "fcfs"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--demand-policy", "strict"], ["--policy", "robust", "--gamma", "6"],
+         ["--policy", "mpc"]],
+        ids=["clamp", "strict", "robust", "mpc"],
+    )
+    def test_demand_just_past_reach_solves(self, toy_dir, tmp_path, capsys, flags):
+        # 0.9 * 11 kW * 5 h = 49.5 kWh reach: 1e-5 kWh more is within the demand policy's
+        # tolerance, and the LP receives the reach, not the request
+        sessions = tmp_path / "near.csv"
+        sessions.write_text(
+            "session_id,connection_time,disconnect_time,kwh_delivered,max_power_kw\n"
+            "ev-a,2019-06-03T02:00:00Z,2019-06-03T07:00:00Z,49.50001,11\n"
+        )
+        out = tmp_path / "r.json"
+        code = main(
+            ["simulate", "--sessions", str(sessions), "--prices", str(toy_dir / "prices.csv"),
+             "--start", "2019-06-03T00:00:00Z", "--hours", "24", "--out", str(out), *flags]
+        )
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert out.exists()
+
     @pytest.mark.parametrize(
         "policy", [["nominal"], ["robust", "--gamma", "6"], ["mpc"]], ids=["nominal", "robust", "mpc"]
     )

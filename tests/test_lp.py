@@ -718,6 +718,20 @@ class TestRows:
         assert len(dataclasses.replace(lp, constraints=rows_of([])).constraints) == 0
         assert len(LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3).constraints) == 0
 
+    def test_a_program_cannot_be_edited_in_place(self):
+        bounds, rhs = np.array([[0.0, 1.0]]), np.array([1.0])
+        lp = LinearProgram(1, [1.0], bounds, Rows([0, 1], [0], [1.0], rhs))
+        # these two writes used to solve to objective_value=nan past the check made at creation
+        with pytest.raises(ValueError, match="read-only"):
+            lp.objective[0] = np.nan
+        with pytest.raises(ValueError, match="read-only"):
+            lp.var_bounds[0, 0] = -np.inf
+        for name in ("indptr", "indices", "coeffs", "rhs"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(lp.constraints, name)[0] = 0
+        assert bounds.flags.writeable and rhs.flags.writeable  # the caller's arrays are theirs
+        assert solve_lp(lp).objective_value == 0.0
+
     def test_list_and_arrays_dump_identically(self):
         listed = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
         arrays = LinearProgram(3, [1.0, 0.0, 2.0], [[0.0, 1.0]] * 3, self.ROWS)

@@ -318,6 +318,42 @@ class TestDemandPolicy:
             apply_demand_policy(self.unreachable_scenario(), "strict")
         assert err.value.shortfalls[0].deliverable == pytest.approx(9.0, abs=1e-9)
 
+    @staticmethod
+    def near_reach_scenario(excess, grid_capacity=100.0):
+        """One session asking ``excess`` kWh past its reach: 0.9 * 11 kW * 5 h = 49.5 kWh at its
+        socket, or the grid's share of that on a grid below 11 kW (an LP then finds it)."""
+        grid = TimeGrid(DAY, 24, 1.0)
+        station = StationConfig(grid_capacity=grid_capacity, charge_efficiency=0.9)
+        arrival = DAY + timedelta(hours=2)
+        need = 0.9 * 5 * min(11.0, grid_capacity) + excess
+        sess = ChargingSession("a", arrival, arrival + timedelta(hours=5), need, 11.0)
+        return build_scenario([sess], [0.1] * 24, SolarSeries(np.zeros(24)), grid, station)
+
+    @pytest.mark.parametrize("gamma", [None, 6.0], ids=["nominal", "robust"])
+    @pytest.mark.parametrize("policy", ["clamp", "strict"])
+    @pytest.mark.parametrize("grid_capacity", [100.0, 9.9], ids=["sockets", "grid"])
+    @pytest.mark.parametrize("excess", [1e-5, 9.5e-7])
+    def test_demand_just_past_reach_is_lowered_silently(self, policy, gamma, grid_capacity, excess):
+        # within the policy's tolerance the shortfall is not reported, but the LP, whose rows
+        # allow only FEASIBILITY_TOL per variable, must not receive it: it used to end
+        # infeasible here, and 9.5e-7 kWh over 0.9 kWh per kW is past that tolerance too
+        sc = self.near_reach_scenario(excess, grid_capacity)
+        reach = max_delivery(sc)[0]
+        assert reach == pytest.approx(0.9 * 5 * min(11.0, grid_capacity), rel=1e-12)
+        eff, adjustments = apply_demand_policy(sc, policy)
+        assert adjustments == []
+        assert eff.sessions[0].required_energy == reach
+        sched, adjustments = solve_offline(sc, gamma, policy)
+        assert adjustments == []
+        assert 0.9 * sched.charging_power.sum() == pytest.approx(reach, rel=1e-9)
+
+    def test_shortfall_past_the_tolerance_is_reported(self):
+        sc = self.near_reach_scenario(1e-4)
+        clamped, adjustments = apply_demand_policy(sc, "clamp")
+        assert [a.deliverable for a in adjustments] == [clamped.sessions[0].required_energy]
+        with pytest.raises(DemandInfeasibleError):
+            apply_demand_policy(sc, "strict")
+
     def test_max_delivery_respects_grid_cap(self):
         grid = TimeGrid(DAY, 1, 1.0)
         station = StationConfig(grid_capacity=10.0, charge_efficiency=1.0, default_max_power=8.0)
@@ -414,14 +450,28 @@ class TestExtract:
         with pytest.raises(ScheduleConsistencyError):
             extract_schedule(broken, vm, sc)
 
-    def test_robust_schedule_needs_its_budget(self):
-        sc = two_slot_scenario()
-        lp, vm = build_robust_lp(sc, 1.0)
+    @pytest.mark.parametrize("gamma", [0.0, 1.5, 12.0])
+    def test_robust_map_carries_its_budget_and_scales(self, gamma):
+        sc = random_scenario(4, seed=3)
+        lp, vm = build_robust_lp(sc, gamma)
+        assert vm.gamma == gamma and vm.robust and len(vm.protected)
+        b = sc.prices.deviation_bound[vm.protected] * sc.grid.slot_hours
+        np.testing.assert_array_equal(vm.b, b)
+        assert vm.s == b.max()
         sol = solve_lp(lp)
-        assert vm.robust
-        with pytest.raises(ValueError, match="robust schedule needs its budget"):
-            extract_schedule(sol, vm, sc)
-        assert extract_schedule(sol, vm, sc, 1.0).objective_value == sol.objective_value
+        assert extract_schedule(sol, vm, sc).objective_value == pytest.approx(
+            sol.objective_value, rel=1e-12
+        )
+
+    def test_nominal_map_has_no_budget_and_no_scales(self):
+        sc = random_scenario(4, seed=3)
+        lp, vm = build_nominal_lp(sc)
+        assert vm.gamma is None and not vm.robust
+        assert len(vm.protected) == len(vm.b) == 0 and vm.s == 0.0
+        sol = solve_lp(lp)
+        sched = extract_schedule(sol, vm, sc)
+        assert sched.objective_value == pytest.approx(sol.objective_value, rel=1e-12)
+        assert sched.budget_dual is None and sched.protection_cost == 0.0
 
     def test_delivered_energy_property(self):
         for seed in range(5):

@@ -23,11 +23,17 @@ class TestWorstCaseExtraCost:
     def test_zero_budget(self):
         assert worst_case_extra_cost(np.array([5.0, 2.0]), 1.0, budget(0.0, [1, 1])) == 0.0
 
+    def test_empty_profile(self):
+        for gamma in (0.0, 1.5, float("inf")):
+            assert worst_case_extra_cost(np.zeros(0), 1.0, budget(gamma, [])) == 0.0
+
     def test_budget_beyond_horizon_takes_everything(self):
         purchase = np.array([3.0, 1.0, 2.0])
         b = budget(3.0, [1, 1, 1])
         assert worst_case_extra_cost(purchase, 1.0, b) == pytest.approx(6.0)
         assert worst_case_extra_cost(purchase, 1.0, budget(99.0, [1, 1, 1])) == pytest.approx(6.0)
+        inf = budget(float("inf"), [0.5, 1.0, 2.0])  # every term counts
+        assert worst_case_extra_cost(purchase, 0.5, inf) == pytest.approx(0.5 * (1.5 + 1.0 + 4.0))
 
     def test_fractional_budget_reference_case(self):
         # exposures [3, 1, 2], budget 1.5: top term plus half the next = 4
