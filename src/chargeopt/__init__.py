@@ -42,7 +42,6 @@ from .scenario import (
     parse_prices,
     parse_sessions,
     pv_cap,
-    without_solar,
 )
 from .synth import bench_scenario, random_scenario
 from .uncertainty import (

@@ -50,7 +50,6 @@ from .scenario import (
     price_scale,
     pv_cap,
     read_series_csv,
-    without_solar,
 )
 from .synth import bench_scenario
 from .uncertainty import UncertaintyBudget, worst_case_total_cost
@@ -105,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
             default=0.25,
             help="price deviation bound as a fraction of the nominal price",
         )
-        p.add_argument("--no-solar", action="store_true", help="zero the PV ceiling everywhere")
         p.add_argument(
             "--demand-policy", choices=DEMAND_POLICIES, default="clamp",
             help="unreachable demands: fail (strict) or lower them loudly (clamp)",
@@ -186,28 +184,15 @@ def _load_scenario(args):
         solar = pv_cap(parse_irradiance(args.irradiance, grid), station)
     else:
         solar = SolarSeries(np.zeros(grid.num_slots))
-    sc = build_scenario(
-        sessions,
-        prices,
-        solar,
-        grid,
-        station,
-        deviation,
-    )
-    if args.no_solar:
-        sc = without_solar(sc)
-    return sc
+    return build_scenario(sessions, prices, solar, grid, station, deviation)
 
 
-def _check(flag: str, value, least, most=math.inf):
-    """The value of a numeric flag; nan, infinite, below ``least`` or above ``most`` is an
-    input error."""
+def _check(flag: str, value, least):
+    """The value of a numeric flag; nan, infinite or below ``least`` is an input error."""
     if not math.isfinite(value):
         raise ScenarioError(f"{flag} must be finite, got {value!r}")
     if value < least:
         raise ScenarioError(f"{flag} must be at least {least}, got {value!r}")
-    if value > most:
-        raise ScenarioError(f"{flag} must be at most {most:g}, got {value!r}")
     return value
 
 
@@ -220,6 +205,11 @@ def _number_list(flag: str, text: str, kind) -> list:
     if not values:
         raise ScenarioError(f"{flag} lists no values, got {text!r}")
     return values
+
+
+def _unmet(adjustments) -> float:
+    """kWh the demand policy's adjustments leave undelivered."""
+    return float(sum(a.required - a.deliverable for a in adjustments))
 
 
 def _out_path(base: str, suffix: str) -> str:
@@ -259,9 +249,7 @@ def cmd_simulate(args) -> int:
         schedule = solve_deliverable(eff)
         report.solver.append(reports.SolverRecord("nominal", schedule.stats))
         report.costs["nominal"] = schedule.nominal_cost
-        report.unmet_energy_kwh["nominal"] = float(
-            sum(a.required - a.deliverable for a in adjustments)
-        )
+        report.unmet_energy_kwh["nominal"] = _unmet(adjustments)
         report.slot_series["nominal_grid_kw"] = [float(v) for v in schedule.grid_draw]
         report.slot_series["nominal_solar_kw"] = [float(v) for v in schedule.solar_used]
         headline = schedule.nominal_cost
@@ -331,7 +319,7 @@ def cmd_sensitivity(args) -> int:
     sc = _load_scenario(args)
     eval_gamma = args.eval_gamma if args.eval_gamma is not None else max(gammas)
     # one demand pass: every budget solves the same deliverable scenario
-    eff, _ = apply_demand_policy(sc, args.demand_policy)
+    eff, adjustments = apply_demand_policy(sc, args.demand_policy)
     work = [(eff, g, eval_gamma) for g in gammas]
     if 0.0 not in gammas:
         work.insert(0, (eff, 0.0, eval_gamma))
@@ -346,6 +334,7 @@ def cmd_sensitivity(args) -> int:
     base_nominal = by_gamma[0.0][0]
 
     report = reports.RunReport(command="sensitivity")
+    report.unmet_energy_kwh["robust"] = _unmet(adjustments)
     for g, _, _, stats in results:
         report.solver.append(reports.SolverRecord(f"robust gamma={g!r}", stats))
     report.notes.append(f"worst cases scored at budget {eval_gamma}")

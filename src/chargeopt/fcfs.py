@@ -25,12 +25,11 @@ class FcfsResult:
 
 def run_fcfs(sc: Scenario) -> FcfsResult:
     n, T = sc.num_sessions, sc.num_slots
-    dt = sc.grid.slot_hours
-    eta = sc.station.charge_efficiency
+    caps, kwh_per_kw = sc.socket_caps, sc.kwh_per_kw
     order = np.array(
         sorted(range(n), key=lambda i: (sc.sessions[i].arrival, sc.sessions[i].id)), dtype=int
     )
-    residual = np.array([s.required_energy for s in sc.sessions], dtype=float)
+    residual = sc.required_energy
     allocation = np.zeros((n, T))
     draw = np.zeros(T)
     for t in range(T):
@@ -38,13 +37,9 @@ def run_fcfs(sc: Scenario) -> FcfsResult:
         for i in order[sc.availability[order, t] > 0].tolist():
             if residual[i] <= 1e-12 or headroom <= 1e-12:
                 continue
-            power = min(
-                sc.sessions[i].max_power * sc.availability[i, t],
-                residual[i] / (eta * dt),
-                headroom,
-            )
+            power = min(caps[i, t], residual[i] / kwh_per_kw, headroom)
             allocation[i, t] = power
-            residual[i] -= eta * power * dt
+            residual[i] -= kwh_per_kw * power
             headroom -= power
         draw[t] = max(allocation[:, t].sum() - sc.solar.cap[t], 0.0)
     return FcfsResult(allocation, np.maximum(residual, 0.0), sc.energy_cost(draw), draw)

@@ -102,8 +102,8 @@ class VariableMap:
     s: np.float64
 
     @classmethod
-    def for_scenario(cls, sc: Scenario, gamma: float | None, socket_caps: np.ndarray) -> VariableMap:
-        caps = socket_caps.sum(axis=0)
+    def for_scenario(cls, sc: Scenario, gamma: float | None) -> VariableMap:
+        caps = sc.socket_caps.sum(axis=0)
         dark = sc.solar.cap == 0
         bought = ~dark & (caps > sc.solar.cap)
         capped = dark & (caps > sc.station.grid_capacity)
@@ -177,20 +177,13 @@ class Schedule:
 def _demand_rows(sc: Scenario, cells: np.ndarray, sign: float) -> Rows:
     """One row per session, ``sign * delivered <= sign * required``: ``sign`` -1 asks for at
     least the requirement over the session's plugged-in ``cells``, +1 for at most it."""
-    coeff = sc.station.charge_efficiency * sc.grid.slot_hours
     first = np.searchsorted(cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
     return Rows(
         first,
         np.arange(len(cells)),
-        np.full(len(cells), sign * coeff),
-        sign * np.array([sess.required_energy for sess in sc.sessions]),
+        np.full(len(cells), sign * sc.kwh_per_kw),
+        sign * sc.required_energy,
     )
-
-
-def _socket_caps(sc: Scenario) -> np.ndarray:
-    """Per-cell power ceilings ``max_power * availability``, shape ``(N, T)``."""
-    max_power = np.array([s.max_power for s in sc.sessions])
-    return max_power[:, None] * sc.availability
 
 
 def _rows(row: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray) -> Rows:
@@ -205,8 +198,7 @@ def _rows(row: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray
 def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, VariableMap]:
     """Demand rows, one supply row per bought or capped slot, then for a budget ``gamma``
     one dual row per protected slot; socket and grid caps are column bounds."""
-    caps = _socket_caps(sc)
-    vm = VariableMap.for_scenario(sc, gamma, caps)
+    vm = VariableMap.for_scenario(sc, gamma)
     T, dt = sc.num_slots, sc.grid.slot_hours
     nc, purchases = vm.num_charge, vm.purchases
     slot = vm.cells % T
@@ -216,7 +208,7 @@ def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, Vari
     obj[purchases] = price[vm.bought]
     bounds = np.zeros((vm.num_vars, 2))
     bounds[:, 1] = INF
-    bounds[:nc, 1] = caps.reshape(-1)[vm.cells]
+    bounds[:nc, 1] = sc.socket_caps.reshape(-1)[vm.cells]
     bounds[purchases, 1] = sc.station.grid_capacity
     # load[t] - purchase[t] <= S_t at a bought slot, load[t] <= G at a capped one
     supplied = np.sort(np.concatenate([vm.bought, vm.capped]))  # bought slots are not dark
@@ -284,22 +276,21 @@ def max_delivery(sc: Scenario) -> np.ndarray:
     can bind, the LP splits by session, and each session gets ``min(required,
     eta * dt * sum of its caps)`` without an LP solve.
     """
-    caps = _socket_caps(sc)
+    caps = sc.socket_caps
     if np.all(caps.sum(axis=0) <= sc.station.grid_capacity + sc.solar.cap):
-        reachable = sc.station.charge_efficiency * sc.grid.slot_hours * caps.sum(axis=1)
-        return np.minimum([s.required_energy for s in sc.sessions], reachable)
-    return _max_delivery_lp(sc, caps)
+        return np.minimum(sc.required_energy, sc.kwh_per_kw * caps.sum(axis=1))
+    return _max_delivery_lp(sc)
 
 
-def _max_delivery_lp(sc: Scenario, caps: np.ndarray | None = None) -> np.ndarray:
+def _max_delivery_lp(sc: Scenario) -> np.ndarray:
     """:func:`max_delivery` by its auxiliary LP; each cell's cap is at most its slot's supply and
     its session's requirement over ``eta * dt``, which its demand row implies anyway."""
-    caps = _socket_caps(sc) if caps is None else caps
+    caps = sc.socket_caps
     cells = np.flatnonzero(sc.availability > 0)
     slot = cells % sc.num_slots
-    coeff = sc.station.charge_efficiency * sc.grid.slot_hours
+    coeff = sc.kwh_per_kw
     supply = sc.station.grid_capacity + sc.solar.cap
-    need = (np.array([s.required_energy for s in sc.sessions]) / coeff)[cells // sc.num_slots]
+    need = (sc.required_energy / coeff)[cells // sc.num_slots]
     upper = np.minimum(np.minimum(caps.reshape(-1)[cells], supply[slot]), need)
     bounds = np.column_stack([np.zeros(len(cells)), upper])
     obj = np.full(len(cells), -coeff)  # maximize delivered energy
@@ -333,7 +324,7 @@ def apply_demand_policy(sc: Scenario, policy: str = "clamp"):
     if policy not in DEMAND_POLICIES:
         raise ValueError(f"unknown demand policy {policy!r}")
     deliverable = max_delivery(sc)
-    need = np.array([s.required_energy for s in sc.sessions])
+    need = sc.required_energy
     short = (deliverable < need - DELIVERY_ROUNDING_KWH).nonzero()[0]
     if not len(short):
         return sc, []
@@ -395,14 +386,12 @@ def extract_schedule(sol: LpSolution, vm: VariableMap, sc: Scenario) -> Schedule
 
 
 def _verify_phys134(sc: Scenario, charging, purchase, solar):
-    dt, tol = sc.grid.slot_hours, CONSTRAINT_TOL
-    eta = sc.station.charge_efficiency
+    tol = CONSTRAINT_TOL
     problems = []
-    delivered = eta * dt * charging.sum(axis=1)
-    for i, sess in enumerate(sc.sessions):
-        if delivered[i] < sess.required_energy - tol:
-            problems.append(f"session {sess.id} short by {sess.required_energy - delivered[i]:.2e} kWh")
-    over = charging - _socket_caps(sc)
+    need, delivered = sc.required_energy, sc.kwh_per_kw * charging.sum(axis=1)
+    for i in (delivered < need - tol).nonzero()[0]:
+        problems.append(f"session {sc.sessions[i].id} short by {need[i] - delivered[i]:.2e} kWh")
+    over = charging - sc.socket_caps
     if float(over.max(initial=-np.inf)) > tol:
         problems.append("socket cap exceeded")
     if float(charging.min(initial=np.inf)) < -tol:

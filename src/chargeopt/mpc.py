@@ -121,13 +121,12 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     solve's input only and is recorded, so the final unmet energy is honest.
     """
     n, T = sc.num_sessions, sc.num_slots
-    dt = sc.grid.slot_hours
-    eta = sc.station.charge_efficiency
+    kwh_per_kw = sc.kwh_per_kw
 
     first_slot = (sc.availability > 0).argmax(axis=1)
     last_slot = T - 1 - (sc.availability[:, ::-1] > 0).argmax(axis=1)
 
-    demand = np.array([s.required_energy for s in sc.sessions], dtype=float)
+    demand = sc.required_energy
     residual = np.zeros(n)
     applied = np.zeros((n, T))
     history = np.zeros((T, n))
@@ -153,7 +152,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
             if (
                 cfg.gamma is None
                 and trigger != TRIGGER_ARRIVAL
-                and _tail_serves(planned, power[:, k - start :], members, residual, eta * dt)
+                and _tail_serves(planned, power[:, k - start :], members, residual, kwh_per_kw)
             ):
                 kept.append((k, trigger))
             else:
@@ -173,7 +172,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
         if k - start < power.shape[1]:
             on = active[planned]
             applied[planned[on], k] = power[on, k - start]
-        residual = np.maximum(residual - eta * applied[:, k] * dt, 0.0)
+        residual = np.maximum(residual - kwh_per_kw * applied[:, k], 0.0)
         history[k] = residual
 
     load = applied.sum(axis=0)

@@ -196,8 +196,7 @@ class Scenario:
     """Immutable bundle of everything one optimization or simulation run needs.
 
     ``availability[i, t]`` is the fraction of slot ``t`` during which session
-    ``i`` is plugged in; its session's usable power in that slot is
-    ``max_power * availability[i, t]``.
+    ``i`` is plugged in.  The derived arrays are computed on each read.
     """
 
     grid: TimeGrid
@@ -214,6 +213,22 @@ class Scenario:
     @property
     def num_slots(self) -> int:
         return self.grid.num_slots
+
+    @property
+    def required_energy(self) -> np.ndarray:
+        """Each session's requirement, kWh, shape ``(N,)``."""
+        return np.array([s.required_energy for s in self.sessions], dtype=float)
+
+    @property
+    def socket_caps(self) -> np.ndarray:
+        """Each cell's power ceiling ``max_power * availability``, kW, shape ``(N, T)``."""
+        max_power = np.array([s.max_power for s in self.sessions], dtype=float)
+        return max_power[:, None] * self.availability
+
+    @property
+    def kwh_per_kw(self) -> float:
+        """Energy one kW stores over one slot: ``charge_efficiency * slot_hours``."""
+        return self.station.charge_efficiency * self.grid.slot_hours
 
     def energy_cost(self, draw) -> float:
         """Cost (EUR) of a per-slot grid draw (kW) at the nominal prices."""
@@ -275,11 +290,6 @@ def build_scenario(
         if avail[i].sum() <= 0.0:
             raise ScenarioError(f"session {sess.id} does not overlap the time grid")
     return Scenario(grid, prices, solar, station, sessions, avail)
-
-
-def without_solar(sc: Scenario) -> Scenario:
-    """Copy of ``sc`` with the PV ceiling zeroed (grid-only comparison)."""
-    return dataclasses.replace(sc, solar=SolarSeries(np.zeros(sc.num_slots)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +377,17 @@ class SessionParseReport:
     defaulted_power: int = 0
 
 
-def _pick_column(header, key):
-    lowered = {name.strip().lower(): col for col, name in enumerate(header)}
-    return next((lowered[alias] for alias in _SESSION_FIELDS[key][0] if alias in lowered), None)
+def _pick_column(path, header, key):
+    """The column of ``header`` that names field ``key``, or ``None``; two such columns are an
+    input error."""
+    cols = [c for c, name in enumerate(header) if name.strip().lower() in _SESSION_FIELDS[key][0]]
+    if len(cols) > 1:
+        a, b = cols[:2]
+        raise ScenarioError(
+            f"{path}: header names field {key!r} twice: {header[a].strip()!r} (column {a + 1}) "
+            f"and {header[b].strip()!r} (column {b + 1})"
+        )
+    return cols[0] if cols else None
 
 
 def parse_sessions(path, grid: TimeGrid, station: StationConfig):
@@ -423,7 +441,7 @@ def _read_session_csv(path: Path):
     rows = _csv_rows(path)
     if not rows:
         raise ScenarioError(f"{path}: empty session file")
-    cols = {key: _pick_column(rows[0][1], key) for key in _SESSION_FIELDS}
+    cols = {key: _pick_column(path, rows[0][1], key) for key in _SESSION_FIELDS}
     for key in _REQUIRED:
         if cols[key] is None:
             raise ScenarioError(f"{path}: missing required column for {key!r}")
@@ -473,9 +491,11 @@ _PRICE_UNITS = {"eur/kwh": 1.0, "eur/mwh": 1e-3}
 def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
     """Read a two-column (timestamp, value) CSV aligned to the grid.
 
-    Source rows are hourly; each slot takes the value whose timestamp equals
-    the slot start truncated to the hour.  Values are finite and nonnegative.
-    Any uncovered slot, and any timestamp given twice, is an error.
+    Source rows are hourly, each timestamp on the hour; each slot takes the
+    value whose timestamp equals the slot start truncated to the hour.  Values
+    are finite and nonnegative.  A first row whose timestamp does not parse is
+    a header.  Any uncovered slot, and any timestamp given twice or off the
+    hour, is an error.
     """
     values: dict[datetime, tuple[int, float]] = {}  # row number and value by timestamp
     rows = _csv_rows(path)
@@ -488,6 +508,8 @@ def read_series_csv(path, grid: TimeGrid) -> np.ndarray:
             if num == rows[0][0]:
                 continue  # header line
             raise
+        if ts.minute or ts.second or ts.microsecond:
+            raise ScenarioError(f"{where}, field 'timestamp': {_iso(ts)} is not on the hour")
         if ts in values:
             raise ScenarioError(
                 f"{where}, field 'timestamp': duplicate {_iso(ts)} (first on row {values[ts][0]})"

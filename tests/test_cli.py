@@ -66,14 +66,14 @@ class TestSimulate:
 
     def test_no_solar_zeroes_solar_series(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
-        assert main(["simulate", *toy_flags(toy_dir, out), "--no-solar"]) == 0
+        assert main(["simulate", *toy_flags(toy_dir, out, solar=False)]) == 0
         report = load(out)
         assert all(v == 0.0 for v in report["slot_series"]["nominal_solar_kw"])
 
     def test_flat_prices_no_solar_costs_equal(self, toy_dir, tmp_path):
         out = tmp_path / "r.json"
         assert main(
-            ["simulate", *toy_flags(toy_dir, out, prices="prices_flat.csv", solar=False), "--no-solar"]
+            ["simulate", *toy_flags(toy_dir, out, prices="prices_flat.csv", solar=False)]
         ) == 0
         report = load(out)
         assert report["costs"]["nominal"] == pytest.approx(report["costs"]["fcfs"], rel=1e-9)
@@ -537,6 +537,17 @@ class TestSensitivity:
         assert main(["sensitivity", *flags]) == 0
         assert made == pools
         assert [r["gamma"] for r in load(out)["sensitivity"]] == [0.0, 6.0]
+
+    def test_demand_adjustments_reported(self, toy_dir, tmp_path):
+        # a 3 kW grid cannot deliver every toy demand: the single demand pass clamps, and the
+        # report gives the energy it left undelivered, as simulate's report does
+        sens, sim = tmp_path / "s.json", tmp_path / "r.json"
+        congested = ["--grid-capacity", "3"]
+        assert main(["sensitivity", *toy_flags(toy_dir, sens), *congested, "--gamma", "0,6"]) == 0
+        assert main(["simulate", *toy_flags(toy_dir, sim), *congested]) == 0
+        unmet = load(sens)["unmet_energy_kwh"]
+        assert unmet == {"robust": load(sim)["unmet_energy_kwh"]["nominal"]}
+        assert unmet["robust"] > 0
 
     def test_rows_sorted_and_zero_row_baseline(self, toy_dir, tmp_path):
         out = tmp_path / "s.json"

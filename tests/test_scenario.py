@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from chargeopt.model import solve_offline
+from chargeopt.synth import random_scenario
 from chargeopt.scenario import (
     ChargingSession,
     DeviationRule,
@@ -22,7 +23,6 @@ from chargeopt.scenario import (
     parse_prices,
     parse_sessions,
     pv_cap,
-    without_solar,
     write_series_csv,
     write_sessions_csv,
 )
@@ -184,6 +184,44 @@ class TestParseSessions:
             assert sessions[0].arrival == datetime(2019, 6, 3, 8, 15, tzinfo=UTC)
             assert sessions[0].required_energy == pytest.approx(12.5)
 
+    @pytest.mark.parametrize(
+        "header, row, field, names",
+        [
+            pytest.param(
+                "connection_time,arrival,disconnect_time,kwh",
+                "2019-06-03T08:00:00Z,2019-06-03T02:00:00Z,2019-06-03T12:00:00Z,5",
+                "arrival", "'connection_time' (column 1) and 'arrival' (column 2)", id="two-aliases",
+            ),
+            pytest.param(
+                "id,session_id,connection_time,disconnect_time,kwh",
+                "a,b,2019-06-03T08:00:00Z,2019-06-03T12:00:00Z,5",
+                "session_id", "'id' (column 1) and 'session_id' (column 2)", id="id-and-session_id",
+            ),
+            pytest.param(
+                "connection_time,disconnect_time,kwh,kwh",
+                "2019-06-03T08:00:00Z,2019-06-03T12:00:00Z,5,7",
+                "energy", "'kwh' (column 3) and 'kwh' (column 4)", id="repeated-name",
+            ),
+        ],
+    )
+    def test_field_named_twice_names_file_field_and_headers(self, tmp_path, header, row, field, names):
+        # either column could be meant: reading one and ignoring the other would be a guess
+        path = write(tmp_path / "s.csv", f"{header}\n{row}\n")
+        message = f"{tmp_path}/s.csv: header names field {field!r} twice: {names}"
+        with pytest.raises(ScenarioError, match=re.escape(message) + "$"):
+            parse_sessions(path, day_grid(), StationConfig())
+
+    def test_acn_style_csv_header(self, tmp_path):
+        path = write(
+            tmp_path / "s.csv",
+            "sessionID,connectionTime,disconnectTime,kWhDelivered\n"
+            "x,2019-06-03T08:00:00Z,2019-06-03T10:00:00Z,5\n",
+        )
+        sessions, _ = parse_sessions(path, day_grid(), StationConfig())
+        assert [(s.id, s.arrival, s.required_energy) for s in sessions] == [
+            ("x", DAY + timedelta(hours=8), 5.0)
+        ]
+
     def test_roundtrip_lossless_for_in_window_sessions(self, tmp_path):
         sessions = [
             ChargingSession("a", DAY + timedelta(hours=1, minutes=7), DAY + timedelta(hours=5), 12.345678901234, 11.0),
@@ -247,6 +285,25 @@ class TestSeries:
         grid = TimeGrid(DAY, 2, 1.0)
         path = write(tmp_path / "p.csv", f"timestamp,value\n2019-06-03T00:00:00Z,0.1\n{row}\n")
         with pytest.raises(ScenarioError, match=re.escape(f"{tmp_path}/p.csv row 3, field '{problem}") + "$"):
+            parse_prices(path, grid)
+
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.5], ids=["hourly", "half-hourly"])
+    @pytest.mark.parametrize("read", [parse_prices, parse_irradiance], ids=["prices", "irradiance"])
+    def test_off_hour_row_names_row_and_field(self, tmp_path, read, slot_hours):
+        # a slot reads the row of its hour, so a row off the hour would be read and then ignored
+        grid = TimeGrid(DAY, round(1 / slot_hours), slot_hours)
+        path = write(
+            tmp_path / "p.csv", "timestamp,value\n2019-06-03T00:00:00Z,0.1\n2019-06-03T00:30:00Z,99\n"
+        )
+        message = f"{tmp_path}/p.csv row 3, field 'timestamp': 2019-06-03T00:30:00Z is not on the hour"
+        with pytest.raises(ScenarioError, match=re.escape(message) + "$"):
+            read(path, grid)
+
+    def test_off_hour_first_row_is_not_a_header(self, tmp_path):
+        # only a first row whose timestamp does not parse is a header
+        grid = TimeGrid(DAY, 1, 1.0)
+        path = write(tmp_path / "p.csv", "2019-06-03T00:30:00Z,99\n2019-06-03T00:00:00Z,0.1\n")
+        with pytest.raises(ScenarioError, match="p.csv row 1, field 'timestamp': .* not on the hour"):
             parse_prices(path, grid)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -387,11 +444,6 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError, match="length"):
             build_scenario([sess], np.full(23, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
 
-    def test_without_solar(self):
-        sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), 1.0, 10.0)
-        sc = build_scenario([sess], np.full(24, 0.1), SolarSeries(np.full(24, 5.0)), day_grid(), StationConfig())
-        assert np.array_equal(without_solar(sc).solar.cap, np.zeros(24))
-
     def test_invariant_guards(self):
         with pytest.raises(ScenarioError):
             TimeGrid(DAY, 0, 1.0)
@@ -434,3 +486,41 @@ class TestBuildScenario:
                 ScenarioError, match="default_max_power must be finite and positive, got inf"
             ):
                 StationConfig(default_max_power=float("inf"))
+
+
+class TestDerivedArrays:
+    @pytest.mark.parametrize("slot_hours", [1.0, 0.5, 1 / 3, 0.75])
+    def test_equal_their_formulas(self, slot_hours):
+        for seed in range(4):
+            sc = random_scenario(
+                6, seed=seed, num_slots=round(24 / slot_hours), slot_hours=slot_hours,
+                max_power=[7.4, 11.0, 22.0][seed % 3],
+            )
+            required = np.array([s.required_energy for s in sc.sessions])
+            max_power = np.array([s.max_power for s in sc.sessions])
+            assert sc.required_energy.shape == (6,)
+            assert np.array_equal(sc.required_energy, required)
+            assert np.array_equal(sc.socket_caps, max_power[:, None] * sc.availability)
+            assert sc.kwh_per_kw == sc.station.charge_efficiency * slot_hours
+
+    def test_sockets_of_different_power(self):
+        sessions = [
+            ChargingSession("a", DAY + timedelta(minutes=30), DAY + timedelta(hours=2), 5.0, 11.0),
+            ChargingSession("b", DAY, DAY + timedelta(hours=1), 3.0, 22.0),
+        ]
+        sc = build_scenario(sessions, np.full(3, 0.1), SolarSeries(np.zeros(3)), day_grid(3), StationConfig())
+        assert sc.socket_caps.tolist() == [[5.5, 11.0, 0.0], [22.0, 0.0, 0.0]]
+        assert sc.required_energy.tolist() == [5.0, 3.0]
+
+    def test_no_sessions(self):
+        sc = build_scenario([], np.full(24, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+        assert sc.required_energy.shape == (0,)
+        assert sc.socket_caps.shape == (0, 24)
+
+    def test_each_read_is_a_new_array(self):
+        # callers may write into what they read, as the FCFS baseline does into its residuals
+        sc = random_scenario(3, seed=0)
+        sc.required_energy[:] = 0.0
+        sc.socket_caps[:] = 0.0
+        assert np.all(sc.required_energy > 0)
+        assert np.array_equal(sc.socket_caps, 11.0 * sc.availability)
