@@ -4,15 +4,41 @@ Run from the repo root: ``python data/make_fixtures.py``.  Output is
 deterministic; the committed CSVs were produced by this script.
 """
 
+import csv
 from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from chargeopt.scenario import TimeGrid, write_series_csv, write_sessions_csv
+from chargeopt.scenario import TimeGrid
 from chargeopt.synth import random_scenario
 
 HERE = Path(__file__).parent
+
+
+def _iso(ts: datetime) -> str:
+    return ts.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def write_sessions_csv(sessions, path):
+    """Serialize sessions in the CSV layout ``chargeopt.scenario.parse_sessions`` reads."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(
+            ["session_id", "connection_time", "disconnect_time", "kwh_delivered", "max_power_kw"]
+        )
+        for s in sessions:
+            arrival, departure = _iso(s.arrival), _iso(s.departure)
+            writer.writerow([s.id, arrival, departure, repr(s.required_energy), repr(s.max_power)])
+
+
+def write_series_csv(path, grid: TimeGrid, values):
+    """One ``timestamp,value`` row per slot of ``grid``, under a header row."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["timestamp", "value"])
+        for t, v in enumerate(values):
+            writer.writerow([_iso(grid.slot_start(t)), repr(float(v))])
 
 
 def make_week():

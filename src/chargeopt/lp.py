@@ -121,17 +121,6 @@ class Rows:
         object.__setattr__(self, "coeffs", _read_only(self.coeffs, float))
         object.__setattr__(self, "rhs", _read_only(self.rhs, float))
 
-    @classmethod
-    def stack(cls, blocks: list[Rows]) -> Rows:
-        """The rows of every block, in order."""
-        nnz = np.cumsum([0] + [len(b.indices) for b in blocks])
-        return cls(
-            np.concatenate([[0]] + [b.indptr[1:] + s for b, s in zip(blocks, nnz)]),
-            np.concatenate([b.indices for b in blocks]),
-            np.concatenate([b.coeffs for b in blocks]),
-            np.concatenate([b.rhs for b in blocks]),
-        )
-
     @functools.cached_property
     def row_of(self) -> np.ndarray:
         """The row of each nonzero."""

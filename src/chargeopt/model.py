@@ -174,21 +174,23 @@ class Schedule:
         return np.maximum(self.charging_power.sum(axis=0) - self.solar_used, 0.0)
 
 
-def _demand_rows(sc: Scenario, cells: np.ndarray, sign: float) -> Rows:
-    """One row per session, ``sign * delivered <= sign * required``: ``sign`` -1 asks for at
-    least the requirement over the session's plugged-in ``cells``, +1 for at most it."""
-    first = np.searchsorted(cells, np.arange(sc.num_sessions + 1) * sc.num_slots)
-    return Rows(
-        first,
+def _demand_entries(sc: Scenario, cells: np.ndarray, sign: float, first: int):
+    """Rows ``first`` on, one per session, ``sign * delivered <= sign * required``, as
+    :func:`_rows` entries: ``sign`` -1 asks for at least the requirement over the session's
+    plugged-in ``cells``, +1 for at most it."""
+    return (
+        first + cells // sc.num_slots,
         np.arange(len(cells)),
         np.full(len(cells), sign * sc.kwh_per_kw),
         sign * sc.required_energy,
     )
 
 
-def _rows(row: np.ndarray, cols: np.ndarray, coeffs: np.ndarray, rhs: np.ndarray) -> Rows:
-    """Rows from one ``(row, column, weight)`` entry each; a row keeps its entries in the
-    order given."""
+def _rows(*blocks) -> Rows:
+    """Rows from blocks of ``(row, column, weight, rhs)`` arrays.  Each ``(row, column,
+    weight)`` triple is one entry, its row numbered over all blocks, and the right-hand sides
+    run block by block.  A row keeps its entries in the order given."""
+    row, cols, coeffs, rhs = (np.concatenate(part) for part in zip(*blocks))
     indptr = np.zeros(len(rhs) + 1, dtype=np.intp)
     np.cumsum(np.bincount(row, minlength=len(rhs)), out=indptr[1:])
     order = np.argsort(row, kind="stable")
@@ -212,12 +214,13 @@ def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, Vari
     bounds[purchases, 1] = sc.station.grid_capacity
     # load[t] - purchase[t] <= S_t at a bought slot, load[t] <= G at a capped one
     supplied = np.sort(np.concatenate([vm.bought, vm.capped]))  # bought slots are not dark
+    n, m = sc.num_sessions, len(supplied)
     row_of = np.full(T, -1)
-    row_of[supplied] = np.arange(len(supplied))
+    row_of[supplied] = n + np.arange(m)
     live = (row_of[slot] >= 0).nonzero()[0]
-    rows = [
-        _demand_rows(sc, vm.cells, -1.0),
-        _rows(
+    blocks = [
+        _demand_entries(sc, vm.cells, -1.0, 0),
+        (
             np.concatenate([row_of[slot[live]], row_of[vm.bought]]),
             np.concatenate([live, purchases]),
             np.concatenate([np.ones(len(live)), -np.ones(len(purchases))]),
@@ -233,19 +236,20 @@ def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, Vari
         mu = vm.budget_dual + 1 + k
         obj[vm.budget_dual] = gamma * s
         obj[mu] = b
+        own = n + m + k  # each protected slot's dual row
         dual_row = np.full(T, -1)
-        dual_row[vm.protected] = k
+        dual_row[vm.protected] = own
         loads = (vm.dark[slot] & (dual_row[slot] >= 0)).nonzero()[0]
         buys = (dual_row[vm.bought] >= 0).nonzero()[0]
-        rows.append(
-            _rows(
-                np.concatenate([dual_row[slot[loads]], dual_row[vm.bought[buys]], k, k]),
+        blocks.append(
+            (
+                np.concatenate([dual_row[slot[loads]], dual_row[vm.bought[buys]], own, own]),
                 np.concatenate([loads, purchases[buys], mu, np.full(len(k), vm.budget_dual)]),
                 np.concatenate([np.ones(len(loads) + len(buys)), -np.ones(len(k)), -s / b]),
                 np.zeros(len(k)),
             )
         )
-    return LinearProgram(vm.num_vars, obj, bounds, Rows.stack(rows)), vm
+    return LinearProgram(vm.num_vars, obj, bounds, _rows(*blocks)), vm
 
 
 def build_nominal_lp(sc: Scenario) -> tuple[LinearProgram, VariableMap]:
@@ -294,8 +298,10 @@ def _max_delivery_lp(sc: Scenario) -> np.ndarray:
     upper = np.minimum(np.minimum(caps.reshape(-1)[cells], supply[slot]), need)
     bounds = np.column_stack([np.zeros(len(cells)), upper])
     obj = np.full(len(cells), -coeff)  # maximize delivered energy
-    supply_rows = _rows(slot, np.arange(len(cells)), np.ones(len(cells)), supply)
-    rows = Rows.stack([supply_rows, _demand_rows(sc, cells, 1.0)])
+    rows = _rows(
+        (slot, np.arange(len(cells)), np.ones(len(cells)), supply),
+        _demand_entries(sc, cells, 1.0, sc.num_slots),
+    )
     sol = solve_lp(LinearProgram(len(cells), obj, bounds, rows))
     power = np.zeros(caps.size)
     power[cells] = sol.x

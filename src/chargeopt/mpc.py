@@ -6,6 +6,14 @@ applies only the current slot of the latest plan, and rolls residual demands
 forward.  Prices and solar over the prediction horizon are their true future
 values (no forecaster), which isolates the scheduling behavior itself.
 
+A decision's window is a slice of the run's scenario: the rows of the
+sessions present (plugged in, demand outstanding) in its availability matrix,
+from the current slot to the last one's departure, the prices, deviation
+bounds and solar of those slots, and each session's residual demand as its
+requirement.  It goes through :func:`solve_offline` like any scenario.  Each
+stay is contiguous, so the loop reads arrivals, departures and the sessions
+plugged in from each session's first and last plugged-in slot.
+
 A decision re-optimizes over the remaining presence window, except that the
 nominal controller keeps its latest plan at a departure or periodic trigger
 when every current session is in that plan and the plan's tail still
@@ -26,7 +34,8 @@ import numpy as np
 
 from .model import CONSTRAINT_TOL, DEMAND_POLICIES, DemandAdjustment, solve_offline
 from .reports import write_records_csv
-from .scenario import DeviationRule, Scenario, SolarSeries, TimeGrid, build_scenario
+from .scenario import PriceSeries, Scenario, SolarSeries, TimeGrid
+from .scenario import build_scenario  # noqa: F401  perfbench/tracing.py wraps it by this name
 
 RESIDUAL_TOL = 1e-9
 
@@ -89,27 +98,31 @@ def detect_trigger(k: int, last_solve: float, events_at_k, cfg: MpcConfig) -> st
 
 
 def _window_scenario(sc: Scenario, members, k: int, end: int, residual) -> Scenario:
-    # build_scenario clips each stay to the window; only the demands change
-    sessions = [
+    """The parent's slice over slots ``k:end``: the members' rows of its availability, its
+    prices, deviation bounds and solar there, and the members' sessions with their residual
+    demands.  ``build_scenario`` is not called: every member is plugged in at ``k``."""
+    sessions = tuple(
         dataclasses.replace(sc.sessions[i], required_energy=float(residual[i])) for i in members
-    ]
-    return build_scenario(
-        sessions,
-        sc.prices.nominal[k:end],
-        SolarSeries(sc.solar.cap[k:end]),
+    )
+    return Scenario(
         TimeGrid(sc.grid.slot_start(k), end - k, sc.grid.slot_hours),
+        PriceSeries(sc.prices.nominal[k:end], sc.prices.deviation_bound[k:end]),
+        SolarSeries(sc.solar.cap[k:end]),
         sc.station,
-        DeviationRule.fixed(sc.prices.deviation_bound[k:end]),
+        sessions,
+        sc.availability[members, k:end],
     )
 
 
 def _tail_serves(planned, tail, members, residual, kwh_per_kw) -> bool:
-    """Whether every member is in the plan and the plan's tail (kW, one row per planned
-    session) delivers its residual demand within :func:`apply_demand_policy`'s tolerance."""
-    if not np.isin(members, planned).all():
+    """Whether every member is in the plan (``planned`` ascending) and the plan's tail (kW,
+    one row per planned session) delivers its residual demand within
+    :func:`apply_demand_policy`'s tolerance."""
+    rows = np.searchsorted(planned, members)
+    if np.any(rows == len(planned)) or np.any(planned[rows] != members):
         return False
     need = residual[members]
-    delivered = kwh_per_kw * tail[np.searchsorted(planned, members)].sum(axis=1)
+    delivered = kwh_per_kw * tail[rows].sum(axis=1)
     return bool(np.all(delivered >= need - CONSTRAINT_TOL * (1 + need)))
 
 
@@ -119,12 +132,18 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     Residual demands always track true delivered energy; when the demand
     policy clamps an unreachable requirement, the clamp applies to that
     solve's input only and is recorded, so the final unmet energy is honest.
+    Each session is plugged in for at least one slot, as :func:`build_scenario`
+    ensures.
     """
     n, T = sc.num_sessions, sc.num_slots
     kwh_per_kw = sc.kwh_per_kw
 
+    # a stay is contiguous: session i is plugged in at slot k exactly when first <= k <= last
     first_slot = (sc.availability > 0).argmax(axis=1)
     last_slot = T - 1 - (sc.availability[:, ::-1] > 0).argmax(axis=1)
+    by_arrival = np.argsort(first_slot, kind="stable")
+    arriving = np.searchsorted(first_slot[by_arrival], np.arange(T + 1))
+    leaving = np.bincount(last_slot, minlength=T)  # sessions whose last slot is t
 
     demand = sc.required_energy
     residual = np.zeros(n)
@@ -134,18 +153,21 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
     kept: list[tuple[int, str]] = []
     adjustments: list[tuple[int, DemandAdjustment]] = []
     # the latest plan only: its first slot, its sessions, their powers from that slot on
-    start, planned, power = 0, np.zeros(0, dtype=int), np.zeros((0, 0))
+    start, planned, power = 0, np.zeros(0, dtype=np.intp), np.zeros((0, 0))
+    plugged = np.zeros(0, dtype=np.intp)  # the sessions plugged in at slot k, ascending
     last_solve = -np.inf
 
     for k in range(T):
-        arrivals = first_slot == k
+        arrivals = by_arrival[arriving[k] : arriving[k + 1]]
+        departed = k > 0 and leaving[k - 1] > 0
+        if len(arrivals) or departed:
+            plugged = np.sort(np.concatenate([plugged[last_slot[plugged] >= k], arrivals]))
         residual[arrivals] = demand[arrivals]
-        active = (sc.availability[:, k] > 0) & (residual > RESIDUAL_TOL)
-        members = np.flatnonzero(active)
+        members = plugged[residual[plugged] > RESIDUAL_TOL]
         labels = set()
-        if arrivals.any():
+        if len(arrivals):
             labels.add(TRIGGER_ARRIVAL)
-        if (last_slot == k - 1).any():
+        if departed:
             labels.add(TRIGGER_DEPARTURE)
         trigger = detect_trigger(k, last_solve, labels, cfg)
         if trigger is not None and len(members):
@@ -170,9 +192,11 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
             last_solve = k  # a kept plan restarts the periodic interval as a solve does
 
         if k - start < power.shape[1]:
-            on = active[planned]
-            applied[planned[on], k] = power[on, k - start]
-        residual = np.maximum(residual - kwh_per_kw * applied[:, k], 0.0)
+            # a planned session arrived by the plan's first slot; only a departure ends it
+            on = (last_slot[planned] >= k) & (residual[planned] > RESIDUAL_TOL)
+            charging, step = planned[on], power[on, k - start]
+            applied[charging, k] = step
+            residual[charging] = np.maximum(residual[charging] - kwh_per_kw * step, 0.0)
         history[k] = residual
 
     load = applied.sum(axis=0)

@@ -469,19 +469,6 @@ def _read_acn_json(path: Path):
     return out
 
 
-def write_sessions_csv(sessions, path):
-    """Serialize sessions in the CSV layout :func:`parse_sessions` reads."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["session_id", "connection_time", "disconnect_time", "kwh_delivered", "max_power_kw"]
-        )
-        for s in sessions:
-            writer.writerow(
-                [s.id, _iso(s.arrival), _iso(s.departure), repr(s.required_energy), repr(s.max_power)]
-            )
-
-
 # ---------------------------------------------------------------------------
 # price and irradiance files
 
@@ -540,14 +527,6 @@ def parse_prices(path, grid: TimeGrid, source_units: str = "EUR/kWh") -> np.ndar
 def parse_irradiance(path, grid: TimeGrid) -> np.ndarray:
     """Per-slot solar irradiance in W/m^2."""
     return read_series_csv(path, grid)
-
-
-def write_series_csv(path, grid: TimeGrid, values):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["timestamp", "value"])
-        for t, v in enumerate(values):
-            writer.writerow([_iso(grid.slot_start(t)), repr(float(v))])
 
 
 def pv_cap(irradiance, station: StationConfig) -> SolarSeries:

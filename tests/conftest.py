@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 DATA = Path(__file__).parent.parent / "data"
+sys.path.insert(0, str(DATA))  # make_fixtures, whose CSV writers the tests read back
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,17 @@ def rows_of(rows) -> Rows:
     )
 
 
+def stack_rows(blocks) -> Rows:
+    """The rows of every :class:`Rows` block, in order."""
+    nnz = np.cumsum([0] + [len(b.indices) for b in blocks])
+    return Rows(
+        np.concatenate([[0]] + [b.indptr[1:] + s for b, s in zip(blocks, nnz)]),
+        np.concatenate([b.indices for b in blocks]),
+        np.concatenate([b.coeffs for b in blocks]),
+        np.concatenate([b.rhs for b in blocks]),
+    )
+
+
 def random_box_lp(rng) -> LinearProgram:
     """Random box-bounded LP with 2-6 variables and 2-8 mixed-relation rows (an ``=`` row
     reaches the program as two ``<=`` rows)."""

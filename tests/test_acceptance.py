@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from chargeopt.fcfs import run_fcfs
-from chargeopt.lp import LpInfeasibleError, Rows, check_point, solve_lp
+from chargeopt.lp import LpInfeasibleError, check_point, solve_lp
 from chargeopt.model import (
     apply_demand_policy,
     build_nominal_lp,
@@ -45,6 +45,7 @@ from oracles import (
     allocation_to_point,
     random_box_lp,
     schedule_violations,
+    stack_rows,
     vertex_enumeration_optimum,
 )
 
@@ -107,7 +108,7 @@ def test_criterion_2_lp_oracle_equivalence():
             assert abs(sol.objective_value - oracle) <= 1e-6 * (1 + abs(oracle)), f"trial {trial}"
     # degenerate fixtures terminate: this one, every row twice, proves itself infeasible
     dup = random_box_lp(np.random.default_rng(77))
-    degenerate = dataclasses.replace(dup, constraints=Rows.stack([dup.constraints] * 2))
+    degenerate = dataclasses.replace(dup, constraints=stack_rows([dup.constraints] * 2))
     with pytest.raises(LpInfeasibleError):
         solve_lp(degenerate)
     elapsed = time.perf_counter() - t0

@@ -35,6 +35,7 @@ from oracles import (
     LESS_EQUAL,
     random_box_lp,
     rows_of,
+    stack_rows,
     vertex_enumeration_optimum,
 )
 
@@ -225,7 +226,7 @@ def bounds_as_rows(lp):
             bounds[j, 1] = INF
             moved.append(((j,), (1.0,), LESS_EQUAL, up))
     return LinearProgram(
-        lp.num_vars, lp.objective, bounds, Rows.stack([lp.constraints, rows_of(moved)])
+        lp.num_vars, lp.objective, bounds, stack_rows([lp.constraints, rows_of(moved)])
     )
 
 
@@ -713,7 +714,7 @@ class TestRows:
 
     def test_replace_and_concatenate(self):
         lp = LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3, rows_of(self.CONS))
-        doubled = dataclasses.replace(lp, constraints=Rows.stack([lp.constraints] * 2))
+        doubled = dataclasses.replace(lp, constraints=stack_rows([lp.constraints] * 2))
         assert self.read(doubled.constraints) == self.READ * 2
         assert len(dataclasses.replace(lp, constraints=rows_of([])).constraints) == 0
         assert len(LinearProgram(3, [1.0, 1.0, 1.0], [[0.0, 1.0]] * 3).constraints) == 0

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from chargeopt import mpc
-from chargeopt.model import DemandInfeasibleError, solve_offline
+from chargeopt.model import CONSTRAINT_TOL, DemandInfeasibleError, solve_offline
 from chargeopt.mpc import (
     MpcConfig,
+    _tail_serves,
     detect_trigger,
     run_online,
     trace_to_json_dict,
@@ -207,6 +208,90 @@ class TestOnlineRun:
     def test_bad_config_rejected_when_built(self, kwargs, message):
         with pytest.raises(ValueError, match=message):
             MpcConfig(**kwargs)
+
+
+class TestWindows:
+    """A window is the parent's slice over its slots, with the members' residual demands."""
+
+    @pytest.mark.parametrize(
+        "slot_hours",
+        [1.0, 0.5, 0.25, 1 / 3, 0.3333333333],
+        ids=["1", "1/2", "1/4", "1/3", "0.3333333333"],
+    )
+    @pytest.mark.parametrize("gamma", [None, 4.0], ids=["nominal", "robust"])
+    def test_window_is_the_parents_slice(self, monkeypatch, gamma, slot_hours):
+        windows = []
+
+        def recording_solve(window, *args):
+            windows.append(window)
+            return solve_offline(window, *args)
+
+        monkeypatch.setattr(mpc, "solve_offline", recording_solve)
+        for seed in range(5):
+            sc = random_scenario(
+                8, seed=seed, num_slots=round(24 / slot_hours), slot_hours=slot_hours
+            )
+            slot_of = {sc.grid.slot_start(k): k for k in range(sc.num_slots)}
+            row_of = {s.id: i for i, s in enumerate(sc.sessions)}
+            first_slot = (sc.availability > 0).argmax(axis=1)
+            trace = run_online(sc, MpcConfig(resolve_interval=3, gamma=gamma))
+            assert len(windows) == len(trace.solve_events) > 0
+            for window in windows:
+                k = slot_of[window.grid.start]
+                end = k + window.num_slots
+                members = [row_of[s.id] for s in window.sessions]
+                assert window.grid.slot_hours == sc.grid.slot_hours
+                assert np.array_equal(window.availability, sc.availability[members, k:end])
+                assert np.array_equal(window.prices.nominal, sc.prices.nominal[k:end])
+                bound = sc.prices.deviation_bound[k:end]
+                assert np.array_equal(window.prices.deviation_bound, bound)
+                assert np.array_equal(window.solar.cap, sc.solar.cap[k:end])
+                before = trace.residual_demand_history[k - 1] if k else np.zeros(sc.num_sessions)
+                residual = np.where(first_slot == k, sc.required_energy, before)
+                assert np.array_equal(window.required_energy, residual[members])
+            windows.clear()
+
+
+class TestTailServes:
+    """The nominal controller keeps a plan only if it plans every member and its tail
+    delivers each member's residual demand."""
+
+    PLANNED = np.array([1, 3, 4])
+    TAIL = np.array([[2.0, 2.0], [1.0, 0.0], [0.0, 3.0]])  # kW, one row per planned session
+    KWH_PER_KW = 0.9
+
+    def residual(self, **need):
+        """Residual demands of six sessions: each planned one's exactly what its tail delivers,
+        unless given by keyword ``s<i>``."""
+        residual = np.full(6, 50.0)
+        residual[self.PLANNED] = self.KWH_PER_KW * self.TAIL.sum(axis=1)
+        for name, kwh in need.items():
+            residual[int(name[1:])] = kwh
+        return residual
+
+    def serves(self, members, residual, planned=PLANNED, tail=TAIL):
+        return _tail_serves(planned, tail, np.array(members), residual, self.KWH_PER_KW)
+
+    def test_tail_that_serves_every_member(self):
+        assert self.serves([1, 3, 4], self.residual()) is True
+        assert self.serves([1, 4], self.residual()) is True
+        assert self.serves([3], self.residual(s3=0.0)) is True
+
+    def test_member_missing_from_the_plan(self):
+        assert self.serves([1, 2, 4], self.residual()) is False  # between planned sessions
+        assert self.serves([0, 1], self.residual()) is False  # before the first
+        empty = np.zeros(0, dtype=np.intp)
+        assert self.serves([1], self.residual(), empty, np.zeros((0, 0))) is False
+
+    def test_member_past_the_plans_last_session(self):
+        assert self.serves([4, 5], self.residual()) is False
+        assert self.serves([5], self.residual()) is False
+
+    def test_tail_short_beyond_tolerance(self):
+        delivered = self.KWH_PER_KW * 3.0  # session 4's tail
+        slack = CONSTRAINT_TOL * (1 + delivered)
+        assert self.serves([1, 4], self.residual(s4=delivered + 0.5 * slack)) is True
+        assert self.serves([1, 4], self.residual(s4=delivered + 2.0 * slack)) is False
 
 
 class TestKeptPlans:

@@ -23,9 +23,8 @@ from chargeopt.scenario import (
     parse_prices,
     parse_sessions,
     pv_cap,
-    write_series_csv,
-    write_sessions_csv,
 )
+from make_fixtures import write_series_csv, write_sessions_csv
 from oracles import availability_reference
 
 UTC = timezone.utc
