@@ -44,12 +44,6 @@ from .scenario import (
     pv_cap,
 )
 from .synth import bench_scenario, random_scenario
-from .uncertainty import (
-    DualityGapError,
-    UncertaintyBudget,
-    verify_dual_equivalence,
-    worst_case_extra_cost,
-    worst_case_total_cost,
-)
+from .uncertainty import UncertaintyBudget, worst_case_extra_cost, worst_case_total_cost
 
 __version__ = "0.1.0"

@@ -155,7 +155,7 @@ class Schedule:
     ``protection_cost`` is the worst-case premium priced into the robust
     objective (zero for nominal runs); ``objective_value`` is always
     ``nominal_cost + protection_cost``.  ``stats`` is what the simplex did
-    on the solve, ``None`` for a schedule made without one.
+    on the solve.
     """
 
     charging_power: np.ndarray  # (N, T) kW
@@ -166,7 +166,7 @@ class Schedule:
     nominal_cost: float
     protection_cost: float
     objective_value: float
-    stats: SolverStats | None = None
+    stats: SolverStats
 
     @property
     def grid_draw(self) -> np.ndarray:

@@ -86,11 +86,13 @@ class MpcTrace:
     demand_adjustments: tuple[tuple[int, DemandAdjustment], ...]  # (slot, adjustment)
 
 
-def detect_trigger(k: int, last_solve: float, events_at_k, cfg: MpcConfig) -> str | None:
+def detect_trigger(
+    k: int, last_solve: float, arrived: bool, departed: bool, cfg: MpcConfig
+) -> str | None:
     """Why slot ``k`` re-solves, or ``None``; events dominate the periodic label."""
-    if TRIGGER_ARRIVAL in events_at_k:
+    if arrived:
         return TRIGGER_ARRIVAL
-    if TRIGGER_DEPARTURE in events_at_k:
+    if departed:
         return TRIGGER_DEPARTURE
     if k - last_solve >= cfg.resolve_interval:
         return TRIGGER_PERIODIC
@@ -159,17 +161,12 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
 
     for k in range(T):
         arrivals = by_arrival[arriving[k] : arriving[k + 1]]
-        departed = k > 0 and leaving[k - 1] > 0
-        if len(arrivals) or departed:
+        arrived, departed = len(arrivals) > 0, k > 0 and leaving[k - 1] > 0
+        if arrived or departed:
             plugged = np.sort(np.concatenate([plugged[last_slot[plugged] >= k], arrivals]))
         residual[arrivals] = demand[arrivals]
         members = plugged[residual[plugged] > RESIDUAL_TOL]
-        labels = set()
-        if len(arrivals):
-            labels.add(TRIGGER_ARRIVAL)
-        if departed:
-            labels.add(TRIGGER_DEPARTURE)
-        trigger = detect_trigger(k, last_solve, labels, cfg)
+        trigger = detect_trigger(k, last_solve, arrived, departed, cfg)
         if trigger is not None and len(members):
             if (
                 cfg.gamma is None

@@ -166,10 +166,9 @@ class StationConfig:
 
 @dataclass(frozen=True)
 class DeviationRule:
-    """How to derive per-slot price deviation bounds from nominal prices."""
+    """Per-slot price deviation bounds as a fraction of the nominal prices."""
 
-    fraction: float | None = 0.25
-    absolute: np.ndarray | float | None = None
+    fraction: float = 0.25
 
     @classmethod
     def proportional(cls, fraction: float) -> "DeviationRule":
@@ -177,18 +176,7 @@ class DeviationRule:
             raise ScenarioError(
                 f"deviation_fraction must be finite and nonnegative, got {fraction!r}"
             )
-        return cls(fraction=fraction, absolute=None)
-
-    @classmethod
-    def fixed(cls, bound) -> "DeviationRule":
-        return cls(fraction=None, absolute=bound)
-
-    def bounds_for(self, nominal: np.ndarray) -> np.ndarray:
-        if self.absolute is not None:
-            return np.broadcast_to(
-                np.asarray(self.absolute, dtype=float), nominal.shape
-            ).copy()
-        return self.fraction * nominal
+        return cls(fraction=fraction)
 
 
 @dataclass(frozen=True)
@@ -283,7 +271,7 @@ def build_scenario(
             f"solar series has length {solar.cap.shape}, grid has {grid.num_slots} slots"
         )
     rule = deviation_rule if deviation_rule is not None else DeviationRule()
-    prices = PriceSeries(nominal, rule.bounds_for(nominal))
+    prices = PriceSeries(nominal, rule.fraction * nominal)
     sessions = tuple(sessions)
     avail = availability_matrix(sessions, grid)
     for i, sess in enumerate(sessions):

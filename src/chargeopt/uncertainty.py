@@ -3,8 +3,7 @@
 For a fixed purchase profile the adversary raises prices where it hurts most:
 the worst case is a continuous knapsack over the per-slot exposure terms.
 This module evaluates it directly (sort, take the largest terms up to the
-budget) so schedules can be scored without trusting the dual reformulation,
-and provides the cross-check that both routes agree.
+budget) so schedules can be scored without trusting the dual reformulation.
 """
 
 from __future__ import annotations
@@ -13,11 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LinearProgram, LpSolverError, Rows, solve_lp
-
-
-class DualityGapError(LpSolverError):
-    """Knapsack oracle and dual LP disagree beyond tolerance."""
+from .lp import solve_lp  # noqa: F401  perfbench/tracing.py wraps it by this name
 
 
 @dataclass(frozen=True)
@@ -67,32 +62,3 @@ def worst_case_total_cost(schedule, prices, dt: float, budget: UncertaintyBudget
     purchase = np.asarray(schedule.net_purchase, dtype=float)
     nominal = float(np.asarray(prices.nominal) @ purchase) * dt
     return nominal + worst_case_extra_cost(purchase, dt, budget)
-
-
-def verify_dual_equivalence(
-    net_purchase, dt: float, budget: UncertaintyBudget, rtol: float = 1e-6
-) -> float:
-    """Check the dual route against the knapsack oracle; return the residual.
-
-    Solves ``min gamma*lam + sum(mu)`` with ``-mu[t] - lam <= -exposure[t]``
-    through the LP engine and compares with :func:`worst_case_extra_cost`.
-    ``gamma`` is priced at ``min(gamma, T)`` for ``T`` terms, finite for an infinite
-    budget: any ``gamma >= T`` gives the sum of the terms, at ``lam = 0``.
-    Raises :class:`DualityGapError` if the residual exceeds
-    ``rtol * (1 + oracle)``.
-    """
-    terms = _exposure_terms(net_purchase, dt, budget)
-    oracle = worst_case_extra_cost(net_purchase, dt, budget)
-    t = len(terms)
-    obj = np.concatenate([[min(budget.gamma, t)], np.ones(t)])
-    bounds = np.zeros((t + 1, 2))
-    bounds[:, 1] = np.inf
-    pairs = np.stack([np.zeros(t, dtype=np.intp), np.arange(1, t + 1)], axis=1)
-    rows = Rows(2 * np.arange(t + 1), pairs.ravel(), -np.ones(2 * t), -terms)
-    sol = solve_lp(LinearProgram(t + 1, obj, bounds, rows))
-    residual = abs(sol.objective_value - oracle)
-    if residual > rtol * (1 + oracle):
-        raise DualityGapError(
-            f"dual optimum {sol.objective_value!r} vs oracle {oracle!r} (residual {residual:.3e})"
-        )
-    return residual

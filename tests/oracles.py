@@ -3,14 +3,17 @@
 These deliberately avoid the production code paths they check: the vertex
 enumerator knows nothing about simplex tableaus, the deviation-budget brute
 force knows nothing about sorting tricks, and the schedule checker evaluates
-the physical constraints straight from the scenario arrays.
+the physical constraints straight from the scenario arrays.  The dual-route
+check solves through chargeopt's LP engine: it checks the Bertsimas-Sim
+reformulation against the knapsack evaluator, not the engine.
 """
 
 from itertools import combinations
 
 import numpy as np
 
-from chargeopt.lp import LinearProgram, Rows
+from chargeopt.lp import LinearProgram, LpSolverError, Rows, solve_lp
+from chargeopt.uncertainty import UncertaintyBudget, _exposure_terms, worst_case_extra_cost
 
 LESS_EQUAL, GREATER_EQUAL, EQUAL = RELATIONS = ("<=", ">=", "=")
 
@@ -152,6 +155,39 @@ def budget_worst_case_bruteforce(terms, gamma):
                     if j not in ones:
                         best = max(best, base + frac * terms[j])
     return best
+
+
+class DualityGapError(LpSolverError):
+    """Knapsack oracle and dual LP disagree beyond tolerance."""
+
+
+def verify_dual_equivalence(
+    net_purchase, dt: float, budget: UncertaintyBudget, rtol: float = 1e-6
+) -> float:
+    """Check the dual route against the knapsack oracle; return the residual.
+
+    Solves ``min gamma*lam + sum(mu)`` with ``-mu[t] - lam <= -exposure[t]``
+    through the LP engine and compares with :func:`worst_case_extra_cost`.
+    ``gamma`` is priced at ``min(gamma, T)`` for ``T`` terms, finite for an infinite
+    budget: any ``gamma >= T`` gives the sum of the terms, at ``lam = 0``.
+    Raises :class:`DualityGapError` if the residual exceeds
+    ``rtol * (1 + oracle)``.
+    """
+    terms = _exposure_terms(net_purchase, dt, budget)
+    oracle = worst_case_extra_cost(net_purchase, dt, budget)
+    t = len(terms)
+    obj = np.concatenate([[min(budget.gamma, t)], np.ones(t)])
+    bounds = np.zeros((t + 1, 2))
+    bounds[:, 1] = np.inf
+    pairs = np.stack([np.zeros(t, dtype=np.intp), np.arange(1, t + 1)], axis=1)
+    rows = Rows(2 * np.arange(t + 1), pairs.ravel(), -np.ones(2 * t), -terms)
+    sol = solve_lp(LinearProgram(t + 1, obj, bounds, rows))
+    residual = abs(sol.objective_value - oracle)
+    if residual > rtol * (1 + oracle):
+        raise DualityGapError(
+            f"dual optimum {sol.objective_value!r} vs oracle {oracle!r} (residual {residual:.3e})"
+        )
+    return residual
 
 
 def availability_reference(sessions, grid) -> np.ndarray:

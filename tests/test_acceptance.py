@@ -36,16 +36,13 @@ from chargeopt.scenario import (
     pv_cap,
 )
 from chargeopt.synth import bench_scenario, random_scenario
-from chargeopt.uncertainty import (
-    UncertaintyBudget,
-    verify_dual_equivalence,
-    worst_case_total_cost,
-)
+from chargeopt.uncertainty import UncertaintyBudget, worst_case_total_cost
 from oracles import (
     allocation_to_point,
     random_box_lp,
     schedule_violations,
     stack_rows,
+    verify_dual_equivalence,
     vertex_enumeration_optimum,
 )
 

@@ -23,7 +23,6 @@ from chargeopt.model import (
 )
 from chargeopt.scenario import (
     ChargingSession,
-    DeviationRule,
     PriceSeries,
     SolarSeries,
     StationConfig,
@@ -240,7 +239,7 @@ class TestRobust:
 
 def folding_case(seed):
     """A generated day with dark, sunny and partly sunny slots, some zero prices and some
-    zero deviation bounds, the bounds given as a fixed series as the MPC windows give them."""
+    zero deviation bounds, the bounds given as a per-slot series as the MPC windows give them."""
     rng = np.random.default_rng(seed)
     grid = float(rng.choice([12.0, 30.0, 1e4]))
     sc = random_scenario(
@@ -253,9 +252,8 @@ def folding_case(seed):
                       rng.uniform(0.0, 1.0, sc.num_slots) * caps)
     prices = np.where(rng.random(sc.num_slots) < 0.2, 0.0, sc.prices.nominal)
     bounds = np.where(rng.random(sc.num_slots) < 0.3, 0.0, rng.uniform(0.0, 0.05, sc.num_slots))
-    return build_scenario(
-        sc.sessions, prices, SolarSeries(solar), sc.grid, sc.station, DeviationRule.fixed(bounds)
-    )
+    sc = build_scenario(sc.sessions, prices, SolarSeries(solar), sc.grid, sc.station)
+    return dataclasses.replace(sc, prices=PriceSeries(prices, bounds))
 
 
 class TestFoldedProgram:

@@ -25,20 +25,20 @@ class TestDetectTrigger:
     CFG = MpcConfig(resolve_interval=4)
 
     def test_periodic_when_interval_elapsed(self):
-        assert detect_trigger(8, 4, set(), self.CFG) == "periodic"
+        assert detect_trigger(8, 4, False, False, self.CFG) == "periodic"
 
     def test_arrival_dominates(self):
-        assert detect_trigger(2, 0, {"arrival"}, self.CFG) == "arrival"
-        assert detect_trigger(2, 0, {"arrival", "departure"}, self.CFG) == "arrival"
+        assert detect_trigger(2, 0, True, False, self.CFG) == "arrival"
+        assert detect_trigger(2, 0, True, True, self.CFG) == "arrival"
 
     def test_departure_between_intervals(self):
-        assert detect_trigger(2, 0, {"departure"}, self.CFG) == "departure"
+        assert detect_trigger(2, 0, False, True, self.CFG) == "departure"
 
     def test_none_when_quiet(self):
-        assert detect_trigger(2, 0, set(), self.CFG) is None
+        assert detect_trigger(2, 0, False, False, self.CFG) is None
 
     def test_first_slot_fires_periodic(self):
-        assert detect_trigger(0, -np.inf, set(), self.CFG) == "periodic"
+        assert detect_trigger(0, -np.inf, False, False, self.CFG) == "periodic"
 
 
 class TestOnlineRun:

@@ -385,13 +385,15 @@ class TestBuildScenario:
         with pytest.raises(ScenarioError, match="must be finite and nonnegative, got -1.0"):
             DeviationRule.proportional(-1.0)
 
-    def test_absolute_deviation_rule(self):
+    def test_default_deviation_rule(self):
+        # without a rule, the bounds are a quarter of each nominal price, bit for bit
+        grid = day_grid()
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), 1.0, 10.0)
-        sc = build_scenario(
-            [sess], np.full(24, 0.08), SolarSeries(np.zeros(24)), day_grid(), StationConfig(),
-            DeviationRule.fixed(0.01),
-        )
-        assert np.allclose(sc.prices.deviation_bound, 0.01)
+        nominal = np.random.default_rng(5).uniform(0.0, 0.3, grid.num_slots)
+        args = ([sess], nominal, SolarSeries(np.zeros(grid.num_slots)), grid, StationConfig())
+        default = build_scenario(*args).prices.deviation_bound
+        stated = build_scenario(*args, DeviationRule.proportional(0.25)).prices.deviation_bound
+        assert default.tobytes() == (0.25 * nominal).tobytes() == stated.tobytes()
 
     def test_availability_sums_to_presence_hours(self):
         rng = np.random.default_rng(11)

@@ -1,18 +1,14 @@
 """Worst-case oracle tests and the dual-equivalence theorem check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from chargeopt.model import solve_offline
 from chargeopt.synth import random_scenario
-from chargeopt.uncertainty import (
-    DualityGapError,
-    UncertaintyBudget,
-    verify_dual_equivalence,
-    worst_case_extra_cost,
-    worst_case_total_cost,
-)
-from oracles import budget_worst_case_bruteforce
+from chargeopt.uncertainty import UncertaintyBudget, worst_case_extra_cost, worst_case_total_cost
+from oracles import DualityGapError, budget_worst_case_bruteforce, verify_dual_equivalence
 
 
 def budget(gamma, bounds):
@@ -104,12 +100,11 @@ class TestWorstCaseTotalCost:
     def test_all_solar_schedule_costs_nothing(self):
         sc = random_scenario(2, seed=6)
         sched, _ = solve_offline(sc)
-        free = type(sched)(
+        # a copy of the solved schedule, with its stats, that buys nothing
+        free = dataclasses.replace(
+            sched,
             charging_power=sched.charging_power * 0,
             net_purchase=sched.net_purchase * 0,
-            solar_used=sched.solar_used,
-            budget_dual=None,
-            deviation_duals=None,
             nominal_cost=0.0,
             protection_cost=0.0,
             objective_value=0.0,
