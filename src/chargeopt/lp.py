@@ -38,6 +38,23 @@ column with a reduced cost below ``-REDUCED_COST_TOL`` raises
 iterations the phase switches to Bland's rule so that degenerate instances
 are guaranteed to terminate.  A fixed column never enters the basis.
 
+Before the loop, one vectorized pass makes the opening pivots of a whole
+set of rows, a crash start in the sense of Bixby (ORSA J. Computing 4(3),
+1992).  A row qualifies if it is violated at the all-slack start and shares
+no column with another violated row: a column that two violated rows hold,
+or that one row holds twice, leaves every row that holds it to the loop, and
+so does a row that the loop would find infeasible.  Each qualifying row gets
+the loop's own ratio test.  Their supports are disjoint, so no pivot or flip
+of one changes a cell that another reads, and the pass is the same as making
+their pivots one after another, in any order: a dual simplex path.  Only the
+basic values, which all the pivot rows update, are summed per row and may
+round differently.  The pass makes at least ``_Tableau.batch_floor`` (16)
+pivots or none: its fixed cost is that of several loop iterations, and with
+the floor at 1 the MPC windows, which batch a few rows each, solved more
+slowly.  Its pivots count as iterations, also toward Bland's rule, which disables the
+pass when it is due from the start, and ``SolverStats.batched_pivots``
+counts them apart; its flips and cells count like the loop's.
+
 A pivot is one rank-1 update of the whole tableau, matrix, basic values and
 reduced costs together.  It touches only the rows where the pivot column is
 nonzero, and in them only the columns where the pivot row is nonzero.  A
@@ -230,9 +247,10 @@ class SolverStats:
     """What the simplex did on one solve.
 
     ``rows`` and ``cols`` give the size of the program solved.
-    ``bound_flips`` counts the columns the ratio tests moved to their other
-    bound instead of pivoting them in, and ``pivot_cells`` the tableau cells
-    the pivots' rank-1 updates rewrote.  ``check_seconds`` and
+    ``batched_pivots`` counts the pivots of the opening pass, which
+    ``dual_iterations`` includes.  ``bound_flips`` counts the columns the
+    ratio tests moved to their other bound instead of pivoting them in, and
+    ``pivot_cells`` the tableau cells the pivots' rank-1 updates rewrote.  ``check_seconds`` and
     ``worst_residual`` (the largest bound or row violation of the returned
     point, 0 when it violates none) describe the final feasibility check and
     stay 0 and ``None`` in the stats of an :class:`LpInfeasibleError`.
@@ -241,6 +259,7 @@ class SolverStats:
     rows: int
     cols: int
     dual_iterations: int
+    batched_pivots: int
     bound_flips: int
     pivot_cells: int
     bland: bool  # whether Bland's rule chose any iteration
@@ -327,6 +346,7 @@ class _Tableau:
     """
 
     bland_factor = 10  # Bland's rule after this many iterations per row and column
+    batch_floor = 16  # the opening pass makes at least this many pivots or none
 
     def __init__(self, tab, spans, basis):
         m, n = tab.shape[0] - 1, tab.shape[1] - 1
@@ -345,6 +365,7 @@ class _Tableau:
         self.bland_after = self.bland_factor * (m + n)
         self.max_iter = 50_000 + 200 * (m + n)
         self.iterations = 0
+        self.batched = 0  # pivots made by the opening pass, counted in iterations too
         self.flips = 0  # columns moved to their other bound by a ratio test
         self.pivot_cells = 0  # cells rewritten by the pivots' rank-1 updates
         self.bland = False  # whether Bland's rule chose any iteration
@@ -354,6 +375,123 @@ class _Tableau:
         if self.iterations > self.max_iter:
             raise LpSolverError("simplex iteration limit exceeded")
         return self.iterations >= self.bland_after
+
+    def open_batch(self, rows: Rows, sgn: np.ndarray) -> None:
+        """Make at once the opening pivot of every row violated at the all-slack start that
+        shares no column with another violated row.  ``rows`` and ``sgn`` are the program's
+        rows and column signs, and the tableau is still the one they built.
+
+        A column that two violated rows hold, or that one row holds twice, leaves every row
+        that holds it to the loop, and so does a row the loop would find infeasible.  Each
+        other row gets the loop's bound-flipping ratio test.  Their supports are disjoint, so
+        no pivot or flip of one changes a cell another reads: the pass is their pivots made
+        one after another, in any order.  Every main column is still the program's own, so
+        values come from the CSR entries, and the only cells gathered are those the pivots
+        rewrite.  The basic values, which every pivot row shares, sum their updates per row
+        and apply the cancellation rule once per cell.
+        """
+        m, n = self.mat.shape
+        n_main = n - m
+        viol = -self.rhs  # each basic slack has an infinite span: only its lower bound binds
+        violated = viol > FEASIBILITY_TOL
+        # each batched pivot is an iteration: the pass stops short of Bland's rule
+        if not self.batch_floor <= violated.sum() <= self.bland_after:
+            return
+        row_of, col = rows.row_of, rows.indices
+        shared = np.bincount(col[violated[row_of]], minlength=n_main) > 1
+        key = np.sort(row_of * n_main + col)
+        shared[key[1:][key[1:] == key[:-1]] % n_main] = True
+        chosen = violated.copy()
+        chosen[row_of[shared[col]]] = False
+        own = chosen[row_of].nonzero()[0]  # the chosen rows' entries, row by row
+        r, j = row_of[own], col[own]
+        a = rows.coeffs[own] * sgn[j]  # each entry's tableau cell
+
+        # the loop's ratio test in every chosen row: candidates by ratio, ties by column
+        cand = ((a < -PIVOT_TOL) & self.enterable[j]).nonzero()[0]
+        if not len(cand):
+            return
+        ratios = np.maximum(self.red[j[cand]], 0.0) / -a[cand]
+        cand = cand[np.lexsort((j[cand], ratios, r[cand]))]
+        first = np.flatnonzero(np.diff(r[cand], prepend=-1))
+        count = np.diff(first, append=len(cand))
+        pos = np.arange(len(cand)) - np.repeat(first, count)
+        # one zero-padded row of breakpoints per row, so each row's cumsum is the loop's own
+        reach = np.zeros((len(first), count.max()))
+        reach[np.repeat(np.arange(len(first)), count), pos] = -a[cand] * self.spans[j[cand]]
+        reach = reach.cumsum(axis=1)
+        need = viol[r[cand[first]]]
+        k = np.minimum((reach < need[:, None]).sum(axis=1), count)
+        repaired = (k < count) | (need - reach[np.arange(len(first)), count - 1] <= FEASIBILITY_TOL)
+        k = np.where(repaired, np.minimum(k, count - 1), 0)
+        piv = cand[(first + k)[repaired]]
+        if len(piv) < self.batch_floor:
+            return
+        rb, q, aq = r[piv], j[piv], a[piv]
+        b_of = np.full(m, -1)
+        b_of[rb] = np.arange(len(rb))
+
+        # flips: every entry of a flipped column, in any row, and its reduced cost
+        flipped = j[cand[pos < np.repeat(k, count)]]
+        hit = np.zeros(n_main, dtype=bool)
+        hit[flipped] = True
+        fp = hit[col].nonzero()[0]
+        drop = np.bincount(row_of[fp], rows.coeffs[fp] * sgn[col[fp]] * self.spans[col[fp]], m + 1)
+        flat = self.tab.reshape(-1)
+        cells = np.concatenate([row_of[fp] * (n + 1) + col[fp], m * (n + 1) + flipped])
+        flat[cells] = -flat[cells]
+        self.flipped[flipped] = True
+
+        # pivot rows: support, slack and basic value, divided by the pivot
+        mine = (b_of[r] >= 0).nonzero()[0]
+        eb = b_of[r[mine]]
+        prow = np.where(hit[j[mine]], -a[mine], a[mine]) / aq[eb]
+        prhs = (self.rhs[rb] - drop[rb]) / aq
+        live = prow != 0
+        cb = np.concatenate([eb[live], np.arange(len(rb))])
+        by_row = np.argsort(cb, kind="stable")
+        cj = np.concatenate([j[mine][live], n_main + rb])[by_row]
+        cv = np.concatenate([prow[live], 1.0 / aq])[by_row]
+        ccount = np.bincount(cb, minlength=len(rb))
+        cstart = np.cumsum(ccount) - ccount
+
+        # pivot columns: the other rows that hold each entering column, and its reduced cost
+        b_in = np.full(n_main, -1)
+        b_in[q] = np.arange(len(rb))
+        qp = (b_in[col] >= 0).nonzero()[0]
+        qp = qp[row_of[qp] != rb[b_in[col[qp]]]]
+        ri = np.concatenate([row_of[qp], np.full(len(rb), m)])
+        ci = np.concatenate([rows.coeffs[qp] * sgn[col[qp]], self.red[q]])
+        bi = np.concatenate([b_in[col[qp]], np.arange(len(rb))])
+        live = ci != 0
+        ri, ci, bi = ri[live], ci[live], bi[live]
+
+        # one rank-1 update per pivot, all in one scatter: rows ri, columns of its pivot row
+        per = ccount[bi]
+        rep = np.repeat(np.arange(len(ri)), per)
+        ce = np.repeat(cstart[bi] - np.cumsum(per) + per, per) + np.arange(per.sum())
+        cells = ri[rep] * (n + 1) + cj[ce]
+        new = flat[cells]
+        cancels = np.abs(new) * CANCELLATION_TOL
+        new -= ci[rep] * cv[ce]
+        new[np.abs(new) <= cancels] = 0.0
+        flat[cells] = new
+        prow_cells = np.concatenate([r[mine] * (n + 1) + j[mine], rb * (n + 1) + n_main + rb])
+        flat[prow_cells] = np.concatenate([prow, 1.0 / aq])
+        values = self.tab[:, n]
+        new = values - (drop + np.bincount(ri, ci * prhs[bi], m + 1))
+        new[np.abs(new) <= np.abs(values) * CANCELLATION_TOL] = 0.0
+        values[:] = new
+        self.rhs[rb] = prhs
+
+        self.pivot_cells += int((per + (prhs[bi] != 0)).sum())
+        self.flips += len(flipped)
+        self.iterations += len(rb)
+        self.batched = len(rb)
+        self.basis[rb] = q
+        self.basic_span[rb] = self.spans[q]
+        self.enterable[q] = False
+        self.enterable[n_main + rb] = True
 
     def run_dual(self) -> int | None:
         """Dual simplex from a dual feasible basis (``red >= 0``) until every
@@ -459,8 +597,9 @@ class _Tableau:
 
 
 def _simplex(lp: LinearProgram):
-    """The dual simplex over the rows of ``lp``, from the all-slack basis; making
-    ``lp`` checked that each column has a finite bound its cost prefers.
+    """The dual simplex over the rows of ``lp``, from the all-slack basis and its
+    batched opening pivots; making ``lp`` checked that each column has a finite
+    bound its cost prefers.
 
     Returns ``(x, stats)`` for an optimal basis; the stats carry no check
     figures yet.  Raises :class:`LpInfeasibleError` naming the basic variable,
@@ -480,7 +619,7 @@ def _simplex(lp: LinearProgram):
     m = len(rows)
     if m == 0:
         # pure box problem: each variable sits at the bound its cost prefers
-        return off, SolverStats(m, n_main, 0, 0, 0, False, 0.0)
+        return off, SolverStats(m, n_main, 0, 0, 0, 0, False, 0.0)
 
     # every row gets one slack column of span inf, basic at the start
     n = n_main + m
@@ -495,9 +634,17 @@ def _simplex(lp: LinearProgram):
     tab = _Tableau(dense, np.concatenate([span, np.full(m, np.inf)]), basis)
 
     t0 = time.perf_counter()
+    tab.open_batch(rows, sgn)
     stuck = tab.run_dual()
     stats = SolverStats(
-        m, n_main, tab.iterations, tab.flips, tab.pivot_cells, tab.bland, time.perf_counter() - t0
+        m,
+        n_main,
+        tab.iterations,
+        tab.batched,
+        tab.flips,
+        tab.pivot_cells,
+        tab.bland,
+        time.perf_counter() - t0,
     )
     if stuck is not None:
         j = int(tab.basis[stuck])

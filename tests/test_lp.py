@@ -442,6 +442,168 @@ class TestDualPhase:
         assert optimal >= 500
 
 
+def opening(lp, floor):
+    """The tableau of ``lp`` as the loop receives it, after the opening pass with its floor at
+    ``floor``; a floor above the row count gives the all-slack start."""
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Tableau, "batch_floor", floor)
+        mp.setattr(_Tableau, "run_dual", lambda tab: seen.append(tab))
+        lp_module._simplex(lp)
+    return seen[0]
+
+
+def loop_opening(tab, r):
+    """Row ``r``'s pivot as the loop makes it from a start where no basic variable has a finite
+    span: its bound-flipping ratio test, then ``_flip`` and ``_pivot``."""
+    slope = -tab.mat[r]
+    cand = ((slope > lp_module.PIVOT_TOL) & tab.enterable).nonzero()[0]
+    cand = cand[(np.maximum(tab.red[cand], 0.0) / slope[cand]).argsort(kind="stable")]
+    k = int((slope[cand] * tab.spans[cand]).cumsum().searchsorted(-tab.rhs[r]))
+    k = min(k, len(cand) - 1)
+    if k:
+        tab._flip(cand[:k])
+        tab.flips += k
+    tab.iterations += 1
+    tab._pivot(r, int(cand[k]), leaves_at_upper=False)
+
+
+def disjoint_rows(k):
+    """``x_i >= 1`` for ``k`` columns of cost 1 in ``[0, 2]``: ``k`` violated rows, no column
+    shared."""
+    rows = [((i,), (1.0,), GREATER_EQUAL, 1.0) for i in range(k)]
+    return LinearProgram(k, np.ones(k), [[0.0, 2.0]] * k, rows_of(rows))
+
+
+class TestBatchedPivots:
+    """The opening pass pivots every column-disjoint violated row of the all-slack start at once."""
+
+    @pytest.mark.parametrize("gamma", [None, 12.0], ids=["nominal", "robust"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_same_as_the_loop_pivots_in_order(self, seed, gamma):
+        sc = random_scenario(60, seed=seed, max_power=22.0, station=StationConfig(grid_capacity=40.0))
+        eff, _ = apply_demand_policy(sc, "clamp")
+        lp, _ = build_nominal_lp(eff) if gamma is None else build_robust_lp(eff, gamma)
+        batched = opening(lp, _Tableau.batch_floor)
+        loop = opening(lp, len(lp.constraints) + 1)
+        rows = (batched.basis != loop.basis).nonzero()[0]
+        assert batched.batched == len(rows) >= _Tableau.batch_floor
+        for r in rows:
+            loop_opening(loop, r)
+        np.testing.assert_array_equal(batched.basis, loop.basis)
+        np.testing.assert_array_equal(batched.flipped, loop.flipped)
+        np.testing.assert_array_equal(batched.enterable, loop.enterable)
+        assert batched.flips == loop.flips > 0
+        assert (batched.iterations, batched.pivot_cells) == (loop.iterations, loop.pivot_cells)
+        # every cell but the basic values is written once, by the same arithmetic
+        np.testing.assert_array_equal(batched.mat, loop.mat)
+        np.testing.assert_array_equal(batched.red, loop.red)
+        assert np.abs(batched.rhs - loop.rhs).max() <= 1e-12 * np.abs(loop.rhs).max()
+
+    def test_shared_and_repeated_columns_leave_their_rows_to_the_loop(self):
+        rows = rows_of(
+            [
+                ((0, 1), (1.0, 1.0), GREATER_EQUAL, 1.0),  # shares x0 with the next row
+                ((0, 2), (1.0, 1.0), GREATER_EQUAL, 1.0),
+                ((3, 3), (1.0, 1.0), GREATER_EQUAL, 1.0),  # holds x3 twice
+                ((4,), (1.0,), GREATER_EQUAL, 1.0),
+                ((5, 6), (1.0, 1.0), GREATER_EQUAL, 1.0),
+                ((6, 6), (1.0, 1.0), LESS_EQUAL, 10.0),  # satisfied, but holds x6 twice
+                ((7,), (1.0,), GREATER_EQUAL, 1.0),
+            ]
+        )
+        lp = LinearProgram(8, np.arange(1.0, 9.0), [[0.0, 2.0]] * 8, rows)
+        tab = opening(lp, 2)
+        assert tab.batched == 2
+        assert tab.basis.tolist() == [8, 9, 10, 4, 12, 13, 7]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Tableau, "batch_floor", 2)
+            assert assert_matches_enumeration(lp).batched_pivots == 2
+
+    def test_infeasible_row_is_left_to_the_loop(self):
+        # x0 + x1 >= 5 over [0, 1]^2: both breakpoints pass and the row is still violated
+        rows = [((0, 1), (1.0, 1.0), GREATER_EQUAL, 5.0)]
+        rows += [((i,), (1.0,), GREATER_EQUAL, 1.0) for i in range(2, 6)]
+        lp = LinearProgram(6, np.ones(6), [[0.0, 1.0]] * 2 + [[0.0, 2.0]] * 4, rows_of(rows))
+        with pytest.raises(LpInfeasibleError) as parent:
+            solve_lp(lp)
+        assert parent.value.stats.batched_pivots == 0  # below the floor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_Tableau, "batch_floor", 2)
+            with pytest.raises(LpInfeasibleError) as exc:
+                solve_lp(lp)
+        assert str(exc.value) == str(parent.value)
+        assert "the slack of row 0" in str(exc.value)
+        stats = exc.value.stats
+        assert (stats.batched_pivots, stats.bound_flips) == (4, 0)
+        assert stats.iterations == 4 + parent.value.stats.iterations
+
+    def test_no_pivot_below_the_floor(self):
+        floor = _Tableau.batch_floor
+        below = solve_lp(disjoint_rows(floor - 1)).stats
+        assert below.batched_pivots == 0
+        assert below.iterations == floor - 1
+        at = solve_lp(disjoint_rows(floor))
+        assert at.stats.batched_pivots == at.iterations == floor
+        np.testing.assert_array_equal(at.x, np.ones(floor))
+
+    def test_no_pivot_when_bland_is_due_from_the_start(self, monkeypatch):
+        monkeypatch.setattr(_Tableau, "bland_factor", 0)
+        stats = solve_lp(disjoint_rows(2 * _Tableau.batch_floor)).stats
+        assert stats.batched_pivots == 0
+        assert stats.bland and stats.iterations == 2 * _Tableau.batch_floor
+
+    def test_flips_and_cells_count_like_the_loop(self, monkeypatch):
+        # x_i + y_i >= 1.5 over [0, 1]^2 with y_i dearer: each row passes x_i and pivots y_i in,
+        # and the loop, which takes the rows in index order, makes the same pivots
+        k = _Tableau.batch_floor
+        rows = [((i, k + i), (1.0, 1.0), GREATER_EQUAL, 1.5) for i in range(k)]
+        lp = LinearProgram(2 * k, [1.0] * k + [2.0] * k, [[0.0, 1.0]] * (2 * k), rows_of(rows))
+        batched = solve_lp(lp)
+        monkeypatch.setattr(_Tableau, "batch_floor", k + 1)
+        loop = solve_lp(lp)
+        assert (batched.stats.batched_pivots, loop.stats.batched_pivots) == (k, 0)
+        assert batched.stats.iterations == loop.stats.iterations == k
+        assert batched.stats.bound_flips == loop.stats.bound_flips == k
+        assert batched.stats.pivot_cells == loop.stats.pivot_cells > 0
+        np.testing.assert_array_equal(batched.x, loop.x)
+
+    def test_criterion_2_lps_match_enumeration_with_the_floor_at_2(self, monkeypatch):
+        monkeypatch.setattr(_Tableau, "batch_floor", 2)
+        batched = sum(assert_matches_enumeration(lp).batched_pivots for lp in criterion_2_lps())
+        assert batched > 0
+
+    def test_block_lps_match_enumeration_with_the_floor_at_2(self, monkeypatch):
+        # >= rows over their own blocks of columns, coupled by random <= rows: the criterion 2
+        # LPs share most columns, these let most rows qualify
+        monkeypatch.setattr(_Tableau, "batch_floor", 2)
+        rng = np.random.default_rng(33)
+        batched = optimal = 0
+        for _ in range(200):
+            sizes = rng.integers(1, 3, int(rng.integers(2, 5)))
+            n = int(sizes.sum())
+            lo = rng.uniform(-1, 0, n)
+            up = lo + rng.uniform(0.5, 3, n)
+            ends = np.cumsum(sizes)
+            rows = []
+            for s, e in zip(sizes.tolist(), ends.tolist()):
+                cf = rng.uniform(0.2, 2, s)
+                # above the row's value at the lower bounds, below its value at the upper
+                rhs = cf @ (lo + rng.uniform(0.1, 0.9) * (up - lo))[e - s : e]
+                rows.append((tuple(range(e - s, e)), tuple(cf), GREATER_EQUAL, rhs))
+            for _ in range(int(rng.integers(1, 4))):
+                idx = tuple(np.flatnonzero(rng.random(n) < 0.6).tolist()) or (0,)
+                cf = rng.uniform(-2, 2, len(idx))
+                # at most the row's range above its value at the lower bounds
+                rhs = cf @ lo[list(idx)] + rng.uniform(0, 1) * (abs(cf) @ (up - lo)[list(idx)])
+                rows.append((idx, tuple(cf), LESS_EQUAL, rhs))
+            lp = LinearProgram(n, rng.uniform(-0.5, 2, n), np.stack([lo, up], axis=1), rows_of(rows))
+            stats = assert_matches_enumeration(lp)
+            batched += stats.batched_pivots
+            optimal += stats.worst_residual is not None
+        assert batched >= 300 and optimal >= 100
+
+
 class TestCheckPoint:
     def test_feasible_point_empty_report(self):
         lp = lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)])
@@ -514,7 +676,7 @@ class TestCheckPoint:
 
     def test_solve_rejects_a_non_finite_point(self, monkeypatch):
         lp = lp_1d([((0,), (1.0,), GREATER_EQUAL, 1.0)])
-        stats = lp_module.SolverStats(1, 1, 0, 0, 0, False, 0.0)
+        stats = lp_module.SolverStats(1, 1, 0, 0, 0, 0, False, 0.0)
         monkeypatch.setattr(lp_module, "_simplex", lambda lp: (np.array([np.nan]), stats))
         with pytest.raises(LpSolverError, match="worst inf"):
             solve_lp(lp)
@@ -796,22 +958,23 @@ class TestRows:
 # (budget 12) LPs of two congested synthetic days; a change of the kernel's
 # arithmetic or of its pivot choices shows here, and so does rounding residue
 # that fills the tableau again.  The second day puts more than 32 sessions in
-# some slot rows.
+# some slot rows.  The charging LPs open with batched pivots (48 on the first
+# day, 16 on the second); the delivery LPs stay below the pass's floor.
 PINNED = [
     (
         dict(seed=1, num_slots=48),
         [
             (105, 3222, "-1875.2901459269854"),
-            (209, 37573, "171.05853327497317"),
-            (332, 584306, "186.53005903232003"),
+            (198, 31475, "171.05853327497317"),
+            (301, 454482, "186.53005903232005"),
         ],
     ),
     (
         dict(seed=2, num_slots=24, peak_overlap=True),
         [
             (14, 1494, "-446.41016378711856"),
-            (67, 40971, "39.87578332112572"),
-            (74, 48439, "49.84472915140715"),
+            (54, 25226, "39.87578332112573"),
+            (73, 39736, "49.84472915140717"),
         ],
     ),
 ]
