@@ -29,7 +29,7 @@ def run_fcfs(sc: Scenario) -> FcfsResult:
     order = np.array(
         sorted(range(n), key=lambda i: (sc.sessions[i].arrival, sc.sessions[i].id)), dtype=int
     )
-    residual = sc.required_energy
+    residual = sc.required_energy.copy()
     allocation = np.zeros((n, T))
     draw = np.zeros(T)
     for t in range(T):

@@ -325,25 +325,24 @@ def apply_demand_policy(sc: Scenario, policy: str = "clamp"):
     ``clamp`` returns it as an adjustment and ``strict`` raises
     :class:`DemandInfeasibleError` instead; a smaller one, a request just past
     the sockets' reach, is lowered silently.  Returns ``(scenario,
-    adjustments)``; the scenario is unchanged when every demand is reachable.
+    adjustments)``: the scenario keeps the same session records with a lowered
+    ``required_energy``, and is ``sc`` itself when every demand is reachable.
     """
     if policy not in DEMAND_POLICIES:
         raise ValueError(f"unknown demand policy {policy!r}")
     deliverable = max_delivery(sc)
     need = sc.required_energy
-    short = (deliverable < need - DELIVERY_ROUNDING_KWH).nonzero()[0]
-    if not len(short):
+    short = deliverable < need - DELIVERY_ROUNDING_KWH
+    if not short.any():
         return sc, []
-    adjustments = []
-    new_sessions = list(sc.sessions)
-    for i in short:
-        sess, amount = sc.sessions[i], float(deliverable[i])
-        new_sessions[i] = dataclasses.replace(sess, required_energy=amount)
-        if amount < sess.required_energy - CONSTRAINT_TOL * (1 + sess.required_energy):
-            adjustments.append(DemandAdjustment(sess.id, sess.required_energy, amount))
+    adjustments = [
+        DemandAdjustment(sc.sessions[i].id, float(need[i]), float(deliverable[i]))
+        for i in short.nonzero()[0]
+        if deliverable[i] < need[i] - CONSTRAINT_TOL * (1 + need[i])
+    ]
     if adjustments and policy == "strict":
         raise DemandInfeasibleError(adjustments)
-    return dataclasses.replace(sc, sessions=tuple(new_sessions)), adjustments
+    return dataclasses.replace(sc, required_energy=np.where(short, deliverable, need)), adjustments
 
 
 def extract_schedule(sol: LpSolution, vm: VariableMap, sc: Scenario) -> Schedule:

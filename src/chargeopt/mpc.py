@@ -6,13 +6,14 @@ applies only the current slot of the latest plan, and rolls residual demands
 forward.  Prices and solar over the prediction horizon are their true future
 values (no forecaster), which isolates the scheduling behavior itself.
 
-A decision's window is a slice of the run's scenario: the rows of the
-sessions present (plugged in, demand outstanding) in its availability matrix,
-from the current slot to the last one's departure, the prices, deviation
-bounds and solar of those slots, and each session's residual demand as its
-requirement.  It goes through :func:`solve_offline` like any scenario.  Each
-stay is contiguous, so the loop reads arrivals, departures and the sessions
-plugged in from each session's first and last plugged-in slot.
+A decision's window is a slice of the run's scenario: the records of the
+sessions present (plugged in, demand outstanding), their socket powers and
+availability rows from the current slot to the last one's departure, the
+prices, deviation bounds and solar of those slots, and each session's
+residual demand as its ``required_energy``.  It goes through
+:func:`solve_offline` like any scenario.  Each stay is contiguous, so the loop
+reads arrivals, departures and the sessions plugged in from each session's
+first and last plugged-in slot.
 
 A decision re-optimizes over the remaining presence window, except that the
 nominal controller keeps its latest plan at a departure or periodic trigger
@@ -100,19 +101,18 @@ def detect_trigger(
 
 
 def _window_scenario(sc: Scenario, members, k: int, end: int, residual) -> Scenario:
-    """The parent's slice over slots ``k:end``: the members' rows of its availability, its
-    prices, deviation bounds and solar there, and the members' sessions with their residual
-    demands.  ``build_scenario`` is not called: every member is plugged in at ``k``."""
-    sessions = tuple(
-        dataclasses.replace(sc.sessions[i], required_energy=float(residual[i])) for i in members
-    )
+    """The parent's slice over slots ``k:end``, with the members' own records, socket powers and
+    availability rows, and their residual demands as ``required_energy``.  ``build_scenario``
+    is not called: every member is plugged in at ``k``."""
     return Scenario(
         TimeGrid(sc.grid.slot_start(k), end - k, sc.grid.slot_hours),
         PriceSeries(sc.prices.nominal[k:end], sc.prices.deviation_bound[k:end]),
         SolarSeries(sc.solar.cap[k:end]),
         sc.station,
-        sessions,
+        tuple(sc.sessions[i] for i in members),
         sc.availability[members, k:end],
+        residual[members],
+        sc.max_power[members],
     )
 
 

@@ -183,8 +183,10 @@ class DeviationRule:
 class Scenario:
     """Immutable bundle of everything one optimization or simulation run needs.
 
+    ``sessions`` are the records as parsed; the solve reads the arrays.
     ``availability[i, t]`` is the fraction of slot ``t`` during which session
-    ``i`` is plugged in.  The derived arrays are computed on each read.
+    ``i`` is plugged in.  A demand clamp or an MPC window replaces
+    ``required_energy``, never a record.
     """
 
     grid: TimeGrid
@@ -192,7 +194,9 @@ class Scenario:
     solar: SolarSeries
     station: StationConfig
     sessions: tuple[ChargingSession, ...]
-    availability: np.ndarray
+    availability: np.ndarray  # (N, T)
+    required_energy: np.ndarray  # (N,) kWh
+    max_power: np.ndarray  # (N,) kW
 
     @property
     def num_sessions(self) -> int:
@@ -203,15 +207,9 @@ class Scenario:
         return self.grid.num_slots
 
     @property
-    def required_energy(self) -> np.ndarray:
-        """Each session's requirement, kWh, shape ``(N,)``."""
-        return np.array([s.required_energy for s in self.sessions], dtype=float)
-
-    @property
     def socket_caps(self) -> np.ndarray:
         """Each cell's power ceiling ``max_power * availability``, kW, shape ``(N, T)``."""
-        max_power = np.array([s.max_power for s in self.sessions], dtype=float)
-        return max_power[:, None] * self.availability
+        return self.max_power[:, None] * self.availability
 
     @property
     def kwh_per_kw(self) -> float:
@@ -277,7 +275,9 @@ def build_scenario(
     for i, sess in enumerate(sessions):
         if avail[i].sum() <= 0.0:
             raise ScenarioError(f"session {sess.id} does not overlap the time grid")
-    return Scenario(grid, prices, solar, station, sessions, avail)
+    required = np.array([s.required_energy for s in sessions], dtype=float)
+    max_power = np.array([s.max_power for s in sessions], dtype=float)
+    return Scenario(grid, prices, solar, station, sessions, avail, required, max_power)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def highs_physical_objective(sc, gamma=None) -> float:
         [per_slot, -eye, -eye],
     ]
     rhs = [
-        -np.array([s.required_energy for s in sc.sessions]),
+        -sc.required_energy,
         np.full(T, sc.station.grid_capacity),
         np.zeros(T),
     ]
@@ -285,8 +285,8 @@ def schedule_violations(sc, charging_power, net_purchase, solar_used, tol=1e-6):
     out = []
     for i, sess in enumerate(sc.sessions):
         delivered = eta * float(charging_power[i] @ np.full(grid.num_slots, dt))
-        if delivered < sess.required_energy - tol:
-            out.append(f"session {sess.id}: delivered {delivered} < {sess.required_energy}")
+        if delivered < sc.required_energy[i] - tol:
+            out.append(f"session {sess.id}: delivered {delivered} < {sc.required_energy[i]}")
         cap = sess.max_power * sc.availability[i]
         worst = float(np.max(charging_power[i] - cap))
         if worst > tol:

@@ -88,8 +88,7 @@ class TestNominal:
 
     def test_zero_demand_zero_cost(self):
         sc = two_slot_scenario()
-        sessions = tuple(dataclasses.replace(s, required_energy=0.0) for s in sc.sessions)
-        sc = dataclasses.replace(sc, sessions=sessions)
+        sc = dataclasses.replace(sc, required_energy=np.zeros(sc.num_sessions))
         sched, _ = solve_offline(sc)
         assert sched.objective_value == pytest.approx(0.0, abs=1e-12)
         assert np.allclose(sched.charging_power, 0.0, atol=1e-9)
@@ -299,9 +298,11 @@ class TestDemandPolicy:
     def test_clamp_to_max_deliverable(self):
         sc = self.unreachable_scenario()
         clamped, adjustments = apply_demand_policy(sc, "clamp")
-        assert clamped.sessions[0].required_energy == pytest.approx(9.0, abs=1e-9)
+        assert clamped.required_energy[0] == pytest.approx(9.0, abs=1e-9)
+        assert clamped.sessions is sc.sessions
         assert len(adjustments) == 1
         assert adjustments[0].session_id == "b"
+        assert adjustments[0].required == sc.required_energy[0]
         assert adjustments[0].deliverable == pytest.approx(9.0, abs=1e-9)
 
     def test_reachable_demands_unchanged(self):
@@ -340,7 +341,7 @@ class TestDemandPolicy:
         assert reach == pytest.approx(0.9 * 5 * min(11.0, grid_capacity), rel=1e-12)
         eff, adjustments = apply_demand_policy(sc, policy)
         assert adjustments == []
-        assert eff.sessions[0].required_energy == reach
+        assert eff.required_energy[0] == reach
         sched, adjustments = solve_offline(sc, gamma, policy)
         assert adjustments == []
         assert 0.9 * sched.charging_power.sum() == pytest.approx(reach, rel=1e-9)
@@ -348,7 +349,7 @@ class TestDemandPolicy:
     def test_shortfall_past_the_tolerance_is_reported(self):
         sc = self.near_reach_scenario(1e-4)
         clamped, adjustments = apply_demand_policy(sc, "clamp")
-        assert [a.deliverable for a in adjustments] == [clamped.sessions[0].required_energy]
+        assert [a.deliverable for a in adjustments] == [clamped.required_energy[0]]
         with pytest.raises(DemandInfeasibleError):
             apply_demand_policy(sc, "strict")
 

@@ -242,6 +242,8 @@ class TestWindows:
                 members = [row_of[s.id] for s in window.sessions]
                 assert window.grid.slot_hours == sc.grid.slot_hours
                 assert np.array_equal(window.availability, sc.availability[members, k:end])
+                assert window.max_power.tobytes() == sc.max_power[members].tobytes()
+                assert all(w is sc.sessions[i] for w, i in zip(window.sessions, members))
                 assert np.array_equal(window.prices.nominal, sc.prices.nominal[k:end])
                 bound = sc.prices.deviation_bound[k:end]
                 assert np.array_equal(window.prices.deviation_bound, bound)

@@ -7,6 +7,7 @@ from datetime import datetime, timedelta, timezone
 import numpy as np
 import pytest
 
+from chargeopt.fcfs import run_fcfs
 from chargeopt.model import solve_offline
 from chargeopt.synth import random_scenario
 from chargeopt.scenario import (
@@ -518,10 +519,12 @@ class TestDerivedArrays:
         assert sc.required_energy.shape == (0,)
         assert sc.socket_caps.shape == (0, 24)
 
-    def test_each_read_is_a_new_array(self):
-        # callers may write into what they read, as the FCFS baseline does into its residuals
-        sc = random_scenario(3, seed=0)
-        sc.required_energy[:] = 0.0
-        sc.socket_caps[:] = 0.0
-        assert np.all(sc.required_energy > 0)
-        assert np.array_equal(sc.socket_caps, 11.0 * sc.availability)
+    @pytest.mark.parametrize("ample_grid", [False, True], ids=["congested", "ample"])
+    def test_fcfs_leaves_the_demands_alone(self, ample_grid):
+        # the arrays are plain and shared: the FCFS baseline counts its residuals down in a copy
+        station = None if ample_grid else StationConfig(grid_capacity=5.0)
+        sc = random_scenario(6, seed=2, station=station, ample_grid=ample_grid, peak_overlap=True)
+        before = sc.required_energy.tobytes()
+        result = run_fcfs(sc)
+        assert result.allocation.sum() > 0
+        assert sc.required_energy.tobytes() == before
