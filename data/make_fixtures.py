@@ -54,7 +54,7 @@ def make_week():
     )
     write_sessions_csv(sc.sessions, out / "sessions.csv")
     write_series_csv(out / "prices.csv", sc.grid, sc.prices.nominal)
-    irr = sc.solar.cap * 1000.0 / (sc.station.pv_area * sc.station.pv_efficiency)
+    irr = sc.solar_cap * 1000.0 / (sc.station.pv_area * sc.station.pv_efficiency)
     write_series_csv(out / "irradiance.csv", sc.grid, irr)
 
 

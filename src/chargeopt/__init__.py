@@ -34,7 +34,6 @@ from .scenario import (
     PriceSeries,
     Scenario,
     ScenarioError,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     build_scenario,

@@ -40,7 +40,6 @@ from .mpc import MpcConfig, run_online, trace_to_json_dict, write_events_csv
 from .scenario import (
     DeviationRule,
     ScenarioError,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     build_scenario,
@@ -183,7 +182,7 @@ def _load_scenario(args):
     if args.irradiance:
         solar = pv_cap(parse_irradiance(args.irradiance, grid), station)
     else:
-        solar = SolarSeries(np.zeros(grid.num_slots))
+        solar = np.zeros(grid.num_slots)
     return build_scenario(sessions, prices, solar, grid, station, deviation)
 
 

@@ -33,7 +33,7 @@ def run_fcfs(sc: Scenario) -> FcfsResult:
     allocation = np.zeros((n, T))
     draw = np.zeros(T)
     for t in range(T):
-        headroom = sc.station.grid_capacity + sc.solar.cap[t]
+        headroom = sc.station.grid_capacity + sc.solar_cap[t]
         for i in order[sc.availability[order, t] > 0].tolist():
             if residual[i] <= 1e-12 or headroom <= 1e-12:
                 continue
@@ -41,5 +41,5 @@ def run_fcfs(sc: Scenario) -> FcfsResult:
             allocation[i, t] = power
             residual[i] -= kwh_per_kw * power
             headroom -= power
-        draw[t] = max(allocation[:, t].sum() - sc.solar.cap[t], 0.0)
+        draw[t] = max(allocation[:, t].sum() - sc.solar_cap[t], 0.0)
     return FcfsResult(allocation, np.maximum(residual, 0.0), sc.energy_cost(draw), draw)

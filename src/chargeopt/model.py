@@ -104,8 +104,8 @@ class VariableMap:
     @classmethod
     def for_scenario(cls, sc: Scenario, gamma: float | None) -> VariableMap:
         caps = sc.socket_caps.sum(axis=0)
-        dark = sc.solar.cap == 0
-        bought = ~dark & (caps > sc.solar.cap)
+        dark = sc.solar_cap == 0
+        bought = ~dark & (caps > sc.solar_cap)
         capped = dark & (caps > sc.station.grid_capacity)
         protected = (bought | (dark & (caps > 0))) & (sc.prices.deviation_bound > 0)
         protected = (protected & (gamma is not None)).nonzero()[0]
@@ -224,7 +224,7 @@ def _charging_lp(sc: Scenario, gamma: float | None) -> tuple[LinearProgram, Vari
             np.concatenate([row_of[slot[live]], row_of[vm.bought]]),
             np.concatenate([live, purchases]),
             np.concatenate([np.ones(len(live)), -np.ones(len(purchases))]),
-            np.where(vm.dark[supplied], sc.station.grid_capacity, sc.solar.cap[supplied]),
+            np.where(vm.dark[supplied], sc.station.grid_capacity, sc.solar_cap[supplied]),
         ),
     ]
     if vm.robust:
@@ -281,7 +281,7 @@ def max_delivery(sc: Scenario) -> np.ndarray:
     eta * dt * sum of its caps)`` without an LP solve.
     """
     caps = sc.socket_caps
-    if np.all(caps.sum(axis=0) <= sc.station.grid_capacity + sc.solar.cap):
+    if np.all(caps.sum(axis=0) <= sc.station.grid_capacity + sc.solar_cap):
         return np.minimum(sc.required_energy, sc.kwh_per_kw * caps.sum(axis=1))
     return _max_delivery_lp(sc)
 
@@ -293,7 +293,7 @@ def _max_delivery_lp(sc: Scenario) -> np.ndarray:
     cells = np.flatnonzero(sc.availability > 0)
     slot = cells % sc.num_slots
     coeff = sc.kwh_per_kw
-    supply = sc.station.grid_capacity + sc.solar.cap
+    supply = sc.station.grid_capacity + sc.solar_cap
     need = (sc.required_energy / coeff)[cells // sc.num_slots]
     upper = np.minimum(np.minimum(caps.reshape(-1)[cells], supply[slot]), need)
     bounds = np.column_stack([np.zeros(len(cells)), upper])
@@ -362,7 +362,7 @@ def extract_schedule(sol: LpSolution, vm: VariableMap, sc: Scenario) -> Schedule
     load = charging.sum(axis=0)
     purchase = np.where(vm.dark, load, 0.0)
     purchase[vm.bought] = x[vm.purchases]
-    solar = np.minimum(load, sc.solar.cap)
+    solar = np.minimum(load, sc.solar_cap)
     nominal_cost = sc.energy_cost(purchase)
     if vm.robust:
         budget_dual = float(vm.s * x[vm.budget_dual])
@@ -406,7 +406,7 @@ def _verify_phys134(sc: Scenario, charging, purchase, solar):
         problems.append("grid capacity exceeded")
     if float(np.min(purchase)) < -tol or float(np.min(purchase - net)) < -tol:
         problems.append("net purchase below net load or negative")
-    if float(np.min(solar)) < -tol or float(np.max(solar - sc.solar.cap)) > tol:
+    if float(np.min(solar)) < -tol or float(np.max(solar - sc.solar_cap)) > tol:
         problems.append("solar usage outside its ceiling")
     if problems:
         raise ScheduleConsistencyError("; ".join(problems))

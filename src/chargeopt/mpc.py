@@ -10,10 +10,10 @@ A decision's window is a slice of the run's scenario: the records of the
 sessions present (plugged in, demand outstanding), their socket powers and
 availability rows from the current slot to the last one's departure, the
 prices, deviation bounds and solar of those slots, and each session's
-residual demand as its ``required_energy``.  It goes through
-:func:`solve_offline` like any scenario.  Each stay is contiguous, so the loop
-reads arrivals, departures and the sessions plugged in from each session's
-first and last plugged-in slot.
+residual demand as its ``required_energy``.  It is not checked again, and it
+goes through :func:`solve_offline` like any scenario.  Each stay is
+contiguous, so the loop reads arrivals, departures and the sessions plugged
+in from each session's first and last plugged-in slot.
 
 A decision re-optimizes over the remaining presence window, except that the
 nominal controller keeps its latest plan at a departure or periodic trigger
@@ -35,7 +35,7 @@ import numpy as np
 
 from .model import CONSTRAINT_TOL, DEMAND_POLICIES, DemandAdjustment, solve_offline
 from .reports import write_records_csv
-from .scenario import PriceSeries, Scenario, SolarSeries, TimeGrid
+from .scenario import PriceSeries, Scenario, TimeGrid
 from .scenario import build_scenario  # noqa: F401  perfbench/tracing.py wraps it by this name
 
 RESIDUAL_TOL = 1e-9
@@ -103,11 +103,13 @@ def detect_trigger(
 def _window_scenario(sc: Scenario, members, k: int, end: int, residual) -> Scenario:
     """The parent's slice over slots ``k:end``, with the members' own records, socket powers and
     availability rows, and their residual demands as ``required_energy``.  ``build_scenario``
-    is not called: every member is plugged in at ``k``."""
+    is not called and no input is checked again: every array is a slice of one it checked, every
+    member is plugged in at ``k``, and a residual lies between 0 and the member's demand.  The
+    window's LP is still checked when it is made, and its point and schedule when solved."""
     return Scenario(
         TimeGrid(sc.grid.slot_start(k), end - k, sc.grid.slot_hours),
         PriceSeries(sc.prices.nominal[k:end], sc.prices.deviation_bound[k:end]),
-        SolarSeries(sc.solar.cap[k:end]),
+        sc.solar_cap[k:end],
         sc.station,
         tuple(sc.sessions[i] for i in members),
         sc.availability[members, k:end],
@@ -197,7 +199,7 @@ def run_online(sc: Scenario, cfg: MpcConfig) -> MpcTrace:
         history[k] = residual
 
     load = applied.sum(axis=0)
-    applied_solar = np.minimum(load, sc.solar.cap)
+    applied_solar = np.minimum(load, sc.solar_cap)
     return MpcTrace(
         applied_power=applied,
         applied_solar=applied_solar,

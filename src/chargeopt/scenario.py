@@ -4,7 +4,9 @@ Reads charging sessions (CSV or the ACN JSON export layout), hourly price and
 irradiance series (two-column CSV: ISO-8601 UTC timestamp, value), aligns
 everything on a common time grid, and assembles a :class:`Scenario` with the
 per-session availability matrix.  All timestamps are UTC; naive inputs are
-taken as UTC.
+taken as UTC.  The parsers check each file, row and field;
+:func:`build_scenario` checks every array a solve reads, once, so the records
+it bundles check nothing themselves.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ def parse_timestamp(text: str) -> datetime:
             ts = parsedate_to_datetime(text)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"unparsable timestamp {text!r}") from exc
+    return _utc(ts)
+
+
+def _utc(ts: datetime) -> datetime:
+    """``ts`` in UTC; a naive value is taken as UTC."""
     if ts.tzinfo is None:
         return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
@@ -59,8 +66,7 @@ class TimeGrid:
             raise ScenarioError("time grid needs at least one slot")
         if not 0 < self.slot_hours < math.inf:
             raise ScenarioError(f"slot_hours must be finite and positive, got {self.slot_hours!r}")
-        if self.start.tzinfo is None:
-            object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
+        object.__setattr__(self, "start", _utc(self.start))
         try:
             self.end
         except OverflowError:
@@ -87,56 +93,13 @@ class ChargingSession:
     required_energy: float  # kWh
     max_power: float  # kW
 
-    def __post_init__(self):
-        if self.departure <= self.arrival:
-            raise ScenarioError(f"session {self.id}: departure not after arrival")
-        if not (math.isfinite(self.required_energy) and math.isfinite(self.max_power)):
-            raise ScenarioError(
-                f"session {self.id}: non-finite required energy or max power "
-                f"({self.required_energy!r} kWh, {self.max_power!r} kW)"
-            )
-        if self.required_energy < 0:
-            raise ScenarioError(f"session {self.id}: negative required energy")
-        if self.max_power <= 0:
-            raise ScenarioError(f"session {self.id}: non-positive max power")
-
 
 @dataclass(frozen=True)
 class PriceSeries:
-    """Per-slot nominal price and its deviation bound, both EUR/kWh."""
+    """Per-slot nominal price and its deviation bound, both EUR/kWh, shape ``(T,)``."""
 
     nominal: np.ndarray
     deviation_bound: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "nominal", np.asarray(self.nominal, dtype=float))
-        object.__setattr__(
-            self, "deviation_bound", np.asarray(self.deviation_bound, dtype=float)
-        )
-        if self.nominal.shape != self.deviation_bound.shape:
-            raise ScenarioError("price series length mismatch")
-        for name, values in (("price", self.nominal), ("deviation bound", self.deviation_bound)):
-            bad = np.flatnonzero(~np.isfinite(values))
-            if len(bad):
-                raise ScenarioError(f"slot {bad[0]}: non-finite {name} {float(values[bad[0]])!r}")
-        if np.any(self.nominal < 0) or np.any(self.deviation_bound < 0):
-            raise ScenarioError("prices and deviation bounds must be nonnegative")
-
-
-@dataclass(frozen=True)
-class SolarSeries:
-    """Per-slot usable PV output ceiling, kW."""
-
-    cap: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "cap", np.asarray(self.cap, dtype=float))
-        bad = np.flatnonzero(~((self.cap >= 0) & (self.cap < math.inf)))
-        if len(bad):
-            raise ScenarioError(
-                f"slot {bad[0]}: solar cap must be finite and nonnegative, "
-                f"got {float(self.cap[bad[0]])!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -183,15 +146,17 @@ class DeviationRule:
 class Scenario:
     """Immutable bundle of everything one optimization or simulation run needs.
 
-    ``sessions`` are the records as parsed; the solve reads the arrays.
-    ``availability[i, t]`` is the fraction of slot ``t`` during which session
-    ``i`` is plugged in.  A demand clamp or an MPC window replaces
-    ``required_energy``, never a record.
+    ``sessions`` are the records as parsed; the solve reads the arrays:
+    ``prices``, ``solar_cap`` (kW per slot), ``availability``,
+    ``required_energy`` and ``max_power``.  ``availability[i, t]`` is the
+    fraction of slot ``t`` during which session ``i`` is plugged in.
+    :func:`build_scenario` checks them all; a demand clamp or an MPC window
+    replaces ``required_energy``, never a record, and checks nothing again.
     """
 
     grid: TimeGrid
     prices: PriceSeries
-    solar: SolarSeries
+    solar_cap: np.ndarray  # (T,) kW
     station: StationConfig
     sessions: tuple[ChargingSession, ...]
     availability: np.ndarray  # (N, T)
@@ -227,15 +192,16 @@ def availability_matrix(sessions, grid: TimeGrid) -> np.ndarray:
     Works on integer microsecond offsets from ``grid.start``: slot edges come
     from :meth:`TimeGrid.slot_start`, so fractional slot lengths round as
     ``timedelta`` does, and ``us / 1e6 / 3600 / slot_hours`` rounds as
-    ``timedelta.total_seconds()`` followed by the same divisions.
+    ``timedelta.total_seconds()`` followed by the same divisions.  Naive session
+    times are taken as UTC.
     """
     us = timedelta(microseconds=1)
     edges = np.array(
         [(grid.slot_start(t) - grid.start) // us for t in range(grid.num_slots + 1)],
         dtype=np.int64,
     )
-    arrive = np.array([(s.arrival - grid.start) // us for s in sessions], dtype=np.int64)
-    depart = np.array([(s.departure - grid.start) // us for s in sessions], dtype=np.int64)
+    arrive = np.array([(_utc(s.arrival) - grid.start) // us for s in sessions], dtype=np.int64)
+    depart = np.array([(_utc(s.departure) - grid.start) // us for s in sessions], dtype=np.int64)
     overlap = np.minimum(depart[:, None], edges[None, 1:])
     overlap -= np.maximum(arrive[:, None], edges[None, :-1])
     np.maximum(overlap, 0, out=overlap)
@@ -248,36 +214,59 @@ def availability_matrix(sessions, grid: TimeGrid) -> np.ndarray:
 def build_scenario(
     sessions,
     nominal_prices,
-    solar: SolarSeries,
+    solar_cap,
     grid: TimeGrid,
     station: StationConfig,
     deviation_rule: DeviationRule | None = None,
 ) -> Scenario:
-    """Assemble and validate a :class:`Scenario`.
+    """Assemble a :class:`Scenario`, checking every array a solve reads, once.
 
-    Every session must overlap the grid window (use :func:`parse_sessions`
-    to clip raw data first).  Deviation bounds come from ``deviation_rule``
-    (default: proportional at 0.25).
+    The nominal prices, their deviation bounds (from ``deviation_rule``,
+    default proportional at 0.25) and the solar cap (kW, as :func:`pv_cap`
+    gives it) have one value per slot, each finite and nonnegative; an error
+    names the first bad slot.  Each session's required energy is finite and
+    nonnegative, its max power finite and positive, its departure after its
+    arrival, and it overlaps the grid (use :func:`parse_sessions` to clip raw
+    data first); an error names the session.  Naive session times are taken
+    as UTC.
     """
     nominal = np.asarray(nominal_prices, dtype=float)
-    if nominal.shape != (grid.num_slots,):
-        raise ScenarioError(
-            f"price series has length {nominal.shape}, grid has {grid.num_slots} slots"
-        )
-    if solar.cap.shape != (grid.num_slots,):
-        raise ScenarioError(
-            f"solar series has length {solar.cap.shape}, grid has {grid.num_slots} slots"
-        )
+    solar_cap = np.asarray(solar_cap, dtype=float)
+    for name, values in (("price", nominal), ("solar cap", solar_cap)):
+        if values.shape != (grid.num_slots,):
+            raise ScenarioError(
+                f"{name} series has length {values.shape}, grid has {grid.num_slots} slots"
+            )
     rule = deviation_rule if deviation_rule is not None else DeviationRule()
     prices = PriceSeries(nominal, rule.fraction * nominal)
+    for name, values in (
+        ("price", nominal), ("deviation bound", prices.deviation_bound), ("solar cap", solar_cap)
+    ):
+        ok = (values >= 0) & (values < math.inf)
+        if not ok.all():
+            t = ok.argmin()
+            raise ScenarioError(
+                f"slot {t}: {name} must be finite and nonnegative, got {float(values[t])!r}"
+            )
+
     sessions = tuple(sessions)
-    avail = availability_matrix(sessions, grid)
-    for i, sess in enumerate(sessions):
-        if avail[i].sum() <= 0.0:
-            raise ScenarioError(f"session {sess.id} does not overlap the time grid")
     required = np.array([s.required_energy for s in sessions], dtype=float)
     max_power = np.array([s.max_power for s in sessions], dtype=float)
-    return Scenario(grid, prices, solar, station, sessions, avail, required, max_power)
+    avail = availability_matrix(sessions, grid)
+    forwards = np.array([_utc(s.arrival) < _utc(s.departure) for s in sessions], dtype=bool)
+    energy_ok = (required >= 0) & (required < math.inf)
+    power_ok = (max_power > 0) & (max_power < math.inf)
+    for ok, problem, values in (
+        (forwards, "departure not after arrival", None),
+        (energy_ok, "required energy must be finite and nonnegative", required),
+        (power_ok, "max power must be finite and positive", max_power),
+        (avail.sum(axis=1) > 0, "does not overlap the time grid", None),
+    ):
+        if not ok.all():
+            i = ok.argmin()
+            got = "" if values is None else f", got {float(values[i])!r}"
+            raise ScenarioError(f"session {sessions[i].id}: {problem}{got}")
+    return Scenario(grid, prices, solar_cap, station, sessions, avail, required, max_power)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +506,8 @@ def parse_irradiance(path, grid: TimeGrid) -> np.ndarray:
     return read_series_csv(path, grid)
 
 
-def pv_cap(irradiance, station: StationConfig) -> SolarSeries:
-    """Usable PV power ceiling: ``area * irradiance/1000 * panel_efficiency`` (kW)."""
+def pv_cap(irradiance, station: StationConfig) -> np.ndarray:
+    """Usable PV power ceiling per slot, ``area * irradiance/1000 * panel_efficiency`` (kW):
+    the solar cap :func:`build_scenario` takes and checks."""
     irr = np.asarray(irradiance, dtype=float)
-    if np.any(irr < 0):
-        raise ValueError("irradiance must be nonnegative")
-    return SolarSeries(station.pv_area * irr / 1000.0 * station.pv_efficiency)
+    return station.pv_area * irr / 1000.0 * station.pv_efficiency

@@ -15,7 +15,6 @@ from .scenario import (
     ChargingSession,
     DeviationRule,
     Scenario,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     build_scenario,

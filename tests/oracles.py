@@ -250,7 +250,7 @@ def highs_physical_objective(sc, gamma=None) -> float:
     ]
     cost = [np.zeros(n * T), np.zeros(T), sc.prices.nominal * dt]
     caps = np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability
-    upper = [caps.reshape(-1), sc.solar.cap, np.full(T, np.inf)]
+    upper = [caps.reshape(-1), sc.solar_cap, np.full(T, np.inf)]
     if gamma is not None:
         for row in blocks:
             row += [None, None]
@@ -301,7 +301,7 @@ def schedule_violations(sc, charging_power, net_purchase, solar_used, tol=1e-6):
             out.append(f"slot {t}: negative net purchase")
         if net_purchase[t] < total[t] - solar_used[t] - tol:
             out.append(f"slot {t}: net purchase below net load")
-        if solar_used[t] < -tol or solar_used[t] > sc.solar.cap[t] + tol:
+        if solar_used[t] < -tol or solar_used[t] > sc.solar_cap[t] + tol:
             out.append(f"slot {t}: solar outside [0, cap]")
     return out
 
@@ -348,6 +348,6 @@ def allocation_to_point(allocation: np.ndarray, sc, vm) -> np.ndarray:
         raise ValueError("allocation charges a session in a slot where it is not plugged in")
     x = np.zeros(vm.num_vars)
     x[: vm.num_charge] = flat[vm.cells]
-    draw = allocation.sum(axis=0) - sc.solar.cap
+    draw = allocation.sum(axis=0) - sc.solar_cap
     x[vm.purchases] = np.maximum(draw[vm.bought], 0.0)
     return x

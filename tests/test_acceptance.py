@@ -25,7 +25,6 @@ from chargeopt.mpc import MpcConfig, run_online
 from chargeopt.scenario import (
     DeviationRule,
     PriceSeries,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     build_scenario,

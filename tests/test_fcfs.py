@@ -10,7 +10,6 @@ from chargeopt.fcfs import run_fcfs
 from chargeopt.model import solve_offline
 from chargeopt.scenario import (
     ChargingSession,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     build_scenario,
@@ -24,7 +23,7 @@ def scenario(sessions, prices, solar=None, grid_capacity=100.0, eta=1.0):
     t = len(prices)
     grid = TimeGrid(DAY, t, 1.0)
     station = StationConfig(grid_capacity=grid_capacity, charge_efficiency=eta, default_max_power=10.0)
-    cap = SolarSeries(np.zeros(t)) if solar is None else SolarSeries(np.asarray(solar, dtype=float))
+    cap = np.zeros(t) if solar is None else np.asarray(solar, dtype=float)
     return build_scenario(sessions, prices, cap, grid, station)
 
 
@@ -91,7 +90,7 @@ class TestProperties:
             eta, dt = sc.station.charge_efficiency, sc.grid.slot_hours
             delivered = eta * dt * result.allocation.sum(axis=1)
             for t in range(sc.num_slots):
-                headroom = sc.station.grid_capacity + sc.solar.cap[t] - result.allocation[:, t].sum()
+                headroom = sc.station.grid_capacity + sc.solar_cap[t] - result.allocation[:, t].sum()
                 if headroom <= 1e-9:
                     continue
                 for i, sess in enumerate(sc.sessions):
@@ -114,7 +113,7 @@ class TestProperties:
             result = run_fcfs(sc)
             caps = np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability
             assert np.all(result.allocation <= caps + 1e-9)
-            net = result.allocation.sum(axis=0) - sc.solar.cap
+            net = result.allocation.sum(axis=0) - sc.solar_cap
             assert np.all(net <= sc.station.grid_capacity + 1e-9)
             expected_unmet = np.maximum(
                 [s.required_energy for s in sc.sessions]

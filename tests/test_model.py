@@ -24,7 +24,6 @@ from chargeopt.model import (
 from chargeopt.scenario import (
     ChargingSession,
     PriceSeries,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     build_scenario,
@@ -47,13 +46,13 @@ def two_slot_scenario():
     grid = TimeGrid(DAY, 2, 1.0)
     station = StationConfig(grid_capacity=100.0, charge_efficiency=1.0, default_max_power=10.0)
     sess = ChargingSession("a", DAY, DAY + timedelta(hours=2), 10.0, 10.0)
-    return build_scenario([sess], [0.2, 0.1], SolarSeries(np.zeros(2)), grid, station)
+    return build_scenario([sess], [0.2, 0.1], np.zeros(2), grid, station)
 
 
 def folded_slots(sc):
     """The bought, capped and (robust) protected slots of a scenario, from its arrays."""
     caps = (np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability).sum(axis=0)
-    solar = sc.solar.cap
+    solar = sc.solar_cap
     bought = (solar > 0) & (caps > solar)
     capped = (solar == 0) & (caps > sc.station.grid_capacity)
     exposed = bought | ((solar == 0) & (caps > 0))
@@ -82,7 +81,7 @@ class TestNominal:
         grid = TimeGrid(DAY, 2, 1.0)
         station = StationConfig(grid_capacity=100.0, charge_efficiency=1.0, default_max_power=10.0)
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=2), 10.0, 10.0)
-        sc = build_scenario([sess], [0.2, 0.1], SolarSeries(np.full(2, 50.0)), grid, station)
+        sc = build_scenario([sess], [0.2, 0.1], np.full(2, 50.0), grid, station)
         sched, _ = solve_offline(sc)
         assert sched.objective_value == pytest.approx(0.0, abs=1e-9)
 
@@ -136,7 +135,7 @@ class TestNominal:
             plugged = [charge_column(vm, i, k) for i in np.flatnonzero(sc.availability[:, k] > 0)]
             if k in purchase:
                 assert columns(r) == plugged + [purchase[k]]
-                assert rows.rhs[r] == sc.solar.cap[k]
+                assert rows.rhs[r] == sc.solar_cap[k]
             else:  # a dark slot whose caps exceed the grid
                 assert columns(r) == plugged
                 assert rows.rhs[r] == sc.station.grid_capacity
@@ -209,7 +208,7 @@ class TestRobust:
         )
         for raw in (sc, congested):
             eff, _ = apply_demand_policy(raw, "clamp")
-            assert np.any(eff.solar.cap > 0)
+            assert np.any(eff.solar_cap > 0)
             for gamma in (None, 12.0):
                 sched, _ = solve_offline(raw, gamma)
                 expected = highs_physical_objective(eff, gamma)
@@ -251,7 +250,7 @@ def folding_case(seed):
                       rng.uniform(0.0, 1.0, sc.num_slots) * caps)
     prices = np.where(rng.random(sc.num_slots) < 0.2, 0.0, sc.prices.nominal)
     bounds = np.where(rng.random(sc.num_slots) < 0.3, 0.0, rng.uniform(0.0, 0.05, sc.num_slots))
-    sc = build_scenario(sc.sessions, prices, SolarSeries(solar), sc.grid, sc.station)
+    sc = build_scenario(sc.sessions, prices, solar, sc.grid, sc.station)
     return dataclasses.replace(sc, prices=PriceSeries(prices, bounds))
 
 
@@ -264,7 +263,7 @@ class TestFoldedProgram:
         for seed in range(40):
             sc, _ = apply_demand_policy(folding_case(seed), "clamp")
             bought, capped, protected = folded_slots(sc)
-            dark = sc.solar.cap == 0
+            dark = sc.solar_cap == 0
             folded = np.setdiff1d(np.arange(sc.num_slots), bought)
             seen.update(
                 name for name, hit in [
@@ -280,7 +279,7 @@ class TestFoldedProgram:
                 assert sched.objective_value == pytest.approx(expected, rel=1e-7, abs=1e-9), seed
                 load = sched.charging_power.sum(axis=0)
                 np.testing.assert_array_equal(
-                    sched.net_purchase[folded], np.maximum(load - sc.solar.cap, 0.0)[folded]
+                    sched.net_purchase[folded], np.maximum(load - sc.solar_cap, 0.0)[folded]
                 )
                 assert schedule_violations(
                     sc, sched.charging_power, sched.net_purchase, sched.solar_used
@@ -293,7 +292,7 @@ class TestDemandPolicy:
         grid = TimeGrid(DAY, 2, 1.0)
         station = StationConfig(grid_capacity=100.0, charge_efficiency=0.9, default_max_power=10.0)
         sess = ChargingSession("b", DAY, DAY + timedelta(hours=1), 20.0, 10.0)
-        return build_scenario([sess], [0.1, 0.1], SolarSeries(np.zeros(2)), grid, station)
+        return build_scenario([sess], [0.1, 0.1], np.zeros(2), grid, station)
 
     def test_clamp_to_max_deliverable(self):
         sc = self.unreachable_scenario()
@@ -326,7 +325,7 @@ class TestDemandPolicy:
         arrival = DAY + timedelta(hours=2)
         need = 0.9 * 5 * min(11.0, grid_capacity) + excess
         sess = ChargingSession("a", arrival, arrival + timedelta(hours=5), need, 11.0)
-        return build_scenario([sess], [0.1] * 24, SolarSeries(np.zeros(24)), grid, station)
+        return build_scenario([sess], [0.1] * 24, np.zeros(24), grid, station)
 
     @pytest.mark.parametrize("gamma", [None, 6.0], ids=["nominal", "robust"])
     @pytest.mark.parametrize("policy", ["clamp", "strict"])
@@ -360,7 +359,7 @@ class TestDemandPolicy:
             ChargingSession("a", DAY, DAY + timedelta(hours=1), 8.0, 8.0),
             ChargingSession("b", DAY, DAY + timedelta(hours=1), 8.0, 8.0),
         ]
-        sc = build_scenario(sessions, [0.1], SolarSeries(np.zeros(1)), grid, station)
+        sc = build_scenario(sessions, [0.1], np.zeros(1), grid, station)
         total = max_delivery(sc).sum()
         assert total == pytest.approx(10.0, abs=1e-6)
 
@@ -417,14 +416,14 @@ class TestMaxDeliveryClosedForm:
         load = (np.array([s.max_power for s in sc.sessions])[:, None] * sc.availability).sum(axis=0)
         grid = 0.5 * load.max()
         station = dataclasses.replace(sc.station, grid_capacity=grid)
-        sc = dataclasses.replace(sc, station=station, solar=SolarSeries(np.maximum(load - grid, 0.0)))
-        assert np.any(load > grid) and np.all(load <= grid + sc.solar.cap)
+        sc = dataclasses.replace(sc, station=station, solar_cap=np.maximum(load - grid, 0.0))
+        assert np.any(load > grid) and np.all(load <= grid + sc.solar_cap)
         calls = count_lp_calls(monkeypatch)
         closed = max_delivery(sc)
         assert calls == []
         np.testing.assert_allclose(closed, _max_delivery_lp(sc), rtol=1e-9, atol=0)
         calls.clear()
-        max_delivery(dataclasses.replace(sc, solar=SolarSeries(0.5 * sc.solar.cap)))
+        max_delivery(dataclasses.replace(sc, solar_cap=0.5 * sc.solar_cap))
         assert len(calls) == 1  # some slot's caps now exceed grid plus solar
 
     def test_strict_on_slack_grid_lists_lp_deliverable(self):
@@ -486,7 +485,7 @@ class TestExtract:
         grid = TimeGrid(DAY, 2, 1.0)
         station = StationConfig(grid_capacity=100.0, charge_efficiency=1.0, default_max_power=10.0)
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=2), 5.0, 10.0)
-        sc = build_scenario([sess], [0.0, 0.5], SolarSeries(np.zeros(2)), grid, station)
+        sc = build_scenario([sess], [0.0, 0.5], np.zeros(2), grid, station)
         sched, _ = solve_offline(sc)
         assert np.allclose(sched.grid_draw, np.maximum(sched.charging_power.sum(axis=0) - sched.solar_used, 0))
         assert sched.grid_draw[1] == pytest.approx(0.0, abs=1e-9)

@@ -15,7 +15,7 @@ from chargeopt.mpc import (
     run_online,
     trace_to_json_dict,
 )
-from chargeopt.scenario import SolarSeries, StationConfig, TimeGrid, build_scenario
+from chargeopt.scenario import StationConfig, TimeGrid, build_scenario
 from chargeopt.synth import random_scenario
 
 UTC = timezone.utc
@@ -52,7 +52,7 @@ class TestOnlineRun:
 
     def test_empty_scenario(self):
         grid = TimeGrid(datetime(2019, 6, 3, tzinfo=UTC), 6, 1.0)
-        sc = build_scenario([], np.full(6, 0.1), SolarSeries(np.zeros(6)), grid, StationConfig())
+        sc = build_scenario([], np.full(6, 0.1), np.zeros(6), grid, StationConfig())
         trace = run_online(sc, MpcConfig())
         assert trace.total_cost == 0.0
         assert trace.solve_events == ()
@@ -147,7 +147,7 @@ class TestOnlineRun:
             sc = random_scenario(5, seed=seed)
             trace = run_online(sc, MpcConfig(resolve_interval=2))
             load = trace.applied_power.sum(axis=0)
-            assert np.array_equal(trace.applied_solar, np.minimum(load, sc.solar.cap))
+            assert np.array_equal(trace.applied_solar, np.minimum(load, sc.solar_cap))
             draw = np.maximum(load - trace.applied_solar, 0.0)
             assert trace.total_cost == sc.energy_cost(draw)
 
@@ -247,7 +247,7 @@ class TestWindows:
                 assert np.array_equal(window.prices.nominal, sc.prices.nominal[k:end])
                 bound = sc.prices.deviation_bound[k:end]
                 assert np.array_equal(window.prices.deviation_bound, bound)
-                assert np.array_equal(window.solar.cap, sc.solar.cap[k:end])
+                assert np.array_equal(window.solar_cap, sc.solar_cap[k:end])
                 before = trace.residual_demand_history[k - 1] if k else np.zeros(sc.num_sessions)
                 residual = np.where(first_slot == k, sc.required_energy, before)
                 assert np.array_equal(window.required_energy, residual[members])
@@ -346,7 +346,7 @@ class TestKeptPlans:
                 window = mpc._window_scenario(sc, members, k, end, residual)
                 fresh, adjs = solve_offline(window)
                 assert adjs == []
-                tail_cost = window.energy_cost(np.maximum(tail.sum(axis=0) - window.solar.cap, 0.0))
+                tail_cost = window.energy_cost(np.maximum(tail.sum(axis=0) - window.solar_cap, 0.0))
                 assert tail_cost == pytest.approx(fresh.nominal_cost, rel=1e-9)
             plans.clear()
         assert kept > 0

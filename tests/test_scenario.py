@@ -1,6 +1,8 @@
 """Ingestion tests: windowing, units, the PV formula, availability invariants."""
 
+import dataclasses
 import json
+import math
 import re
 from datetime import datetime, timedelta, timezone
 
@@ -9,13 +11,12 @@ import pytest
 
 from chargeopt.fcfs import run_fcfs
 from chargeopt.model import solve_offline
+from chargeopt.reports import monthly_rows
 from chargeopt.synth import random_scenario
 from chargeopt.scenario import (
     ChargingSession,
     DeviationRule,
-    PriceSeries,
     ScenarioError,
-    SolarSeries,
     StationConfig,
     TimeGrid,
     availability_matrix,
@@ -50,7 +51,7 @@ class TestParseSessions:
         )
         sessions, report = parse_sessions(path, day_grid(), StationConfig())
         assert len(sessions) == 1
-        sc = build_scenario(sessions, np.full(24, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+        sc = build_scenario(sessions, np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
         present = np.nonzero(sc.availability[0] > 0)[0]
         assert present.tolist() == [8, 9, 10, 11]
         assert sc.availability[0, 8] == pytest.approx(0.5)
@@ -308,10 +309,14 @@ class TestSeries:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_price_series_rejects_non_finite(self, bad):
-        with pytest.raises(ScenarioError, match="slot 1: non-finite price"):
-            PriceSeries(np.array([0.1, bad]), np.zeros(2))
-        with pytest.raises(ScenarioError, match="slot 0: non-finite deviation bound"):
-            PriceSeries(np.array([0.1, 0.1]), np.array([bad, 0.0]))
+        grid = TimeGrid(DAY, 2, 1.0)
+        with pytest.raises(ScenarioError, match=f"slot 1: price must be finite .*, got {bad!r}"):
+            build_scenario([], np.array([0.1, bad]), np.zeros(2), grid, StationConfig())
+        # a rule made directly skips proportional()'s check on the fraction
+        with pytest.raises(
+            ScenarioError, match=f"slot 0: deviation bound must be finite .*, got {bad!r}"
+        ):
+            build_scenario([], np.array([0.1, 0.1]), np.zeros(2), grid, StationConfig(), DeviationRule(bad))
 
     def test_negative_irradiance_rejected(self, tmp_path):
         grid = TimeGrid(DAY, 1, 1.0)
@@ -322,37 +327,38 @@ class TestSeries:
 
 class TestPvCap:
     def test_zero_irradiance(self):
-        assert pv_cap(np.zeros(3), StationConfig()).cap.tolist() == [0.0, 0.0, 0.0]
+        assert pv_cap(np.zeros(3), StationConfig()).tolist() == [0.0, 0.0, 0.0]
 
     def test_reference_constants(self):
         # 80 m^2 * 1000/1000 * 0.2 = 16 kW; half irradiance halves it
         station = StationConfig(pv_area=80.0, pv_efficiency=0.2)
-        assert pv_cap(np.array([1000.0]), station).cap[0] == pytest.approx(16.0)
-        assert pv_cap(np.array([500.0]), station).cap[0] == pytest.approx(8.0)
+        assert pv_cap(np.array([1000.0]), station)[0] == pytest.approx(16.0)
+        assert pv_cap(np.array([500.0]), station)[0] == pytest.approx(8.0)
 
     def test_linear_in_irradiance_and_area(self):
         rng = np.random.default_rng(3)
         g = rng.uniform(0, 1000, 24)
         st1 = StationConfig(pv_area=40.0)
         st2 = StationConfig(pv_area=80.0)
-        assert np.allclose(pv_cap(2 * g, st1).cap, 2 * pv_cap(g, st1).cap)
-        assert np.allclose(pv_cap(g, st2).cap, 2 * pv_cap(g, st1).cap)
+        assert np.allclose(pv_cap(2 * g, st1), 2 * pv_cap(g, st1))
+        assert np.allclose(pv_cap(g, st2), 2 * pv_cap(g, st1))
 
     def test_negative_input_error(self):
-        with pytest.raises(ValueError):
-            pv_cap(np.array([-1.0]), StationConfig())
+        cap = pv_cap(np.array([-1.0]), StationConfig())
+        with pytest.raises(ScenarioError, match="slot 0: solar cap must be finite and nonnegative"):
+            build_scenario([], [0.1], cap, TimeGrid(DAY, 1, 1.0), StationConfig())
 
 
 class TestBuildScenario:
     def test_partial_slot_fraction(self):
         # plugged in for 10 minutes of one hour
         sess = ChargingSession("a", DAY + timedelta(hours=2), DAY + timedelta(hours=2, minutes=10), 1.0, 10.0)
-        sc = build_scenario([sess], np.full(24, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+        sc = build_scenario([sess], np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
         assert sc.availability[0, 2] == pytest.approx(10 / 60)
 
     def test_full_slots_pattern(self):
         sess = ChargingSession("a", DAY + timedelta(hours=3), DAY + timedelta(hours=6), 1.0, 10.0)
-        sc = build_scenario([sess], np.full(24, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+        sc = build_scenario([sess], np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
         expected = np.zeros(24)
         expected[3:6] = 1.0
         assert np.array_equal(sc.availability[0], expected)
@@ -362,7 +368,7 @@ class TestBuildScenario:
         sc = build_scenario(
             [sess],
             np.full(24, 0.08),
-            SolarSeries(np.zeros(24)),
+            np.zeros(24),
             day_grid(),
             StationConfig(),
             DeviationRule.proportional(0.25),
@@ -391,7 +397,7 @@ class TestBuildScenario:
         grid = day_grid()
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), 1.0, 10.0)
         nominal = np.random.default_rng(5).uniform(0.0, 0.3, grid.num_slots)
-        args = ([sess], nominal, SolarSeries(np.zeros(grid.num_slots)), grid, StationConfig())
+        args = ([sess], nominal, np.zeros(grid.num_slots), grid, StationConfig())
         default = build_scenario(*args).prices.deviation_bound
         stated = build_scenario(*args, DeviationRule.proportional(0.25)).prices.deviation_bound
         assert default.tobytes() == (0.25 * nominal).tobytes() == stated.tobytes()
@@ -406,7 +412,7 @@ class TestBuildScenario:
             sessions.append(
                 ChargingSession(f"s{k}", DAY + timedelta(hours=a), DAY + timedelta(hours=d), 1.0, 10.0)
             )
-        sc = build_scenario(sessions, np.full(24, 0.1), SolarSeries(np.zeros(24)), grid, StationConfig())
+        sc = build_scenario(sessions, np.full(24, 0.1), np.zeros(24), grid, StationConfig())
         for i, s in enumerate(sessions):
             hours = (min(s.departure, grid.end) - max(s.arrival, grid.start)).total_seconds() / 3600
             assert sc.availability[i].sum() * grid.slot_hours == pytest.approx(hours, abs=1e-9)
@@ -439,18 +445,72 @@ class TestBuildScenario:
     def test_session_outside_grid_rejected(self):
         sess = ChargingSession("a", DAY + timedelta(days=2), DAY + timedelta(days=2, hours=1), 1.0, 10.0)
         with pytest.raises(ScenarioError, match="overlap"):
-            build_scenario([sess], np.full(24, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+            build_scenario([sess], np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
 
     def test_length_mismatch(self):
         sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), 1.0, 10.0)
         with pytest.raises(ScenarioError, match="length"):
-            build_scenario([sess], np.full(23, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+            build_scenario([sess], np.full(23, 0.1), np.zeros(24), day_grid(), StationConfig())
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            pytest.param({"price": -0.2}, "slot 1: price must be finite and nonnegative, got -0.2", id="price"),
+            pytest.param(
+                {"solar": float("nan")}, "slot 1: solar cap must be finite and nonnegative, got nan", id="solar"
+            ),
+            pytest.param(
+                {"energy": -1.0}, "session b: required energy must be finite and nonnegative, got -1.0", id="energy"
+            ),
+            pytest.param({"power": 0.0}, "session b: max power must be finite and positive, got 0.0", id="power"),
+            pytest.param({"hours": 0}, "session b: departure not after arrival", id="departure"),
+        ],
+    )
+    def test_bad_input_names_its_slot_or_session(self, bad, message):
+        # one good session and one bad, on a grid of three slots whose second is bad
+        prices, solar = np.full(3, 0.1), np.ones(3)
+        prices[1], solar[1] = bad.get("price", 0.1), bad.get("solar", 1.0)
+        arrival = DAY + timedelta(hours=1)
+        end = arrival + timedelta(hours=bad.get("hours", 1))
+        sessions = [
+            ChargingSession("a", DAY, DAY + timedelta(hours=2), 1.0, 10.0),
+            ChargingSession("b", arrival, end, bad.get("energy", 1.0), bad.get("power", 10.0)),
+        ]
+        with pytest.raises(ScenarioError, match=re.escape(message) + "$"):
+            build_scenario(sessions, prices, solar, day_grid(3), StationConfig())
+
+    def test_naive_session_times_are_utc(self):
+        rng = np.random.default_rng(7)
+        aware = []
+        for k in range(12):
+            a = DAY + timedelta(minutes=int(rng.integers(0, 20 * 60)))
+            aware.append(ChargingSession(f"s{k}", a, a + timedelta(minutes=int(rng.integers(1, 400))), 1.0, 10.0))
+        naive = [
+            dataclasses.replace(s, arrival=s.arrival.replace(tzinfo=None), departure=s.departure.replace(tzinfo=None))
+            for s in aware
+        ]
+        args = (np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
+        want = build_scenario(aware, *args).availability
+        assert build_scenario(naive, *args).availability.tobytes() == want.tobytes()
+
+    def test_aware_grid_start_is_utc(self):
+        # midnight of 1 July at UTC+2 is 22:00 on 30 June, UTC
+        start = datetime(2019, 7, 1, tzinfo=timezone(timedelta(hours=2)))
+        grid = TimeGrid(start, 4, 1.0)
+        stamps = [grid.slot_start(t).strftime("%Y-%m-%dT%H:%M:%SZ") for t in range(4)]
+        assert stamps == [
+            "2019-06-30T22:00:00Z", "2019-06-30T23:00:00Z", "2019-07-01T00:00:00Z", "2019-07-01T01:00:00Z"
+        ]
+        sc = build_scenario([], np.full(4, 0.1), np.zeros(4), grid, StationConfig())
+        rows = monthly_rows(sc, np.ones(4), np.zeros(4))
+        assert [(r.month, r.fcfs_cost) for r in rows] == [("2019-06", 2.0), ("2019-07", 2.0)]
 
     def test_invariant_guards(self):
         with pytest.raises(ScenarioError):
             TimeGrid(DAY, 0, 1.0)
+        sess = ChargingSession("a", DAY, DAY, 1.0, 10.0)
         with pytest.raises(ScenarioError):
-            ChargingSession("a", DAY, DAY, 1.0, 10.0)
+            build_scenario([sess], np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
         with pytest.raises(ScenarioError):
             StationConfig(charge_efficiency=0.0)
         with pytest.raises(ScenarioError):
@@ -461,8 +521,10 @@ class TestBuildScenario:
         [(float("nan"), 10.0), (float("inf"), 10.0), (1.0, float("inf")), (1.0, float("nan"))],
     )
     def test_session_rejects_non_finite_energy_and_power(self, energy, power):
-        with pytest.raises(ScenarioError, match="non-finite"):
-            ChargingSession("a", DAY, DAY + timedelta(hours=1), energy, power)
+        sess = ChargingSession("a", DAY, DAY + timedelta(hours=1), energy, power)
+        field, value = ("max power", power) if math.isfinite(energy) else ("required energy", energy)
+        with pytest.raises(ScenarioError, match=f"session a: {field} must be finite .*, got {value!r}"):
+            build_scenario([sess], np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["slot_hours", "pv_area", "solar cap", "deviation_fraction"])
@@ -470,7 +532,9 @@ class TestBuildScenario:
         make = {
             "slot_hours": lambda: TimeGrid(DAY, 24, value),
             "pv_area": lambda: StationConfig(pv_area=value),
-            "solar cap": lambda: SolarSeries(np.array([1.0, value])),
+            "solar cap": lambda: build_scenario(
+                [], np.full(2, 0.1), np.array([1.0, value]), TimeGrid(DAY, 2, 1.0), StationConfig()
+            ),
             "deviation_fraction": lambda: DeviationRule.proportional(value),
         }[field]
         with pytest.raises(ScenarioError, match=f"{field} must be finite .*, got {value!r}"):
@@ -510,12 +574,12 @@ class TestDerivedArrays:
             ChargingSession("a", DAY + timedelta(minutes=30), DAY + timedelta(hours=2), 5.0, 11.0),
             ChargingSession("b", DAY, DAY + timedelta(hours=1), 3.0, 22.0),
         ]
-        sc = build_scenario(sessions, np.full(3, 0.1), SolarSeries(np.zeros(3)), day_grid(3), StationConfig())
+        sc = build_scenario(sessions, np.full(3, 0.1), np.zeros(3), day_grid(3), StationConfig())
         assert sc.socket_caps.tolist() == [[5.5, 11.0, 0.0], [22.0, 0.0, 0.0]]
         assert sc.required_energy.tolist() == [5.0, 3.0]
 
     def test_no_sessions(self):
-        sc = build_scenario([], np.full(24, 0.1), SolarSeries(np.zeros(24)), day_grid(), StationConfig())
+        sc = build_scenario([], np.full(24, 0.1), np.zeros(24), day_grid(), StationConfig())
         assert sc.required_energy.shape == (0,)
         assert sc.socket_caps.shape == (0, 24)
 
